@@ -1,4 +1,4 @@
-"""Stability test matrix, dense symmetric eigensolver and spectrum reports.
+"""Stability test matrix, boundary-block eigensolve and spectrum reports.
 
 A discretization is certified stable when the symmetric test matrix built
 from the stiffness Q and the boundary penalty Pi has no positive eigenvalue
@@ -11,10 +11,11 @@ the certificate matrix is
 
 The verdict is ``stable`` iff max eig(S) <= 1e-12 * max|Q|.
 
-The eigensolver is self-contained (Householder tridiagonalization followed
-by implicit-shift QL with eigenvector accumulation); a plain cyclic Jacobi
-sweep is included as an independent cross-check for the test suite.  The
-dense path is intended for desk-scale operators (a few thousand DoFs).
+When Q is summation-by-parts, Q + Q^T = Bq and Pi act on boundary-trace
+unknowns only, so S vanishes outside a block of boundary rows.  Reports
+eigensolve that block (``boundary_block``, read off S itself) with LAPACK
+and pad the spectrum with exact zeros.  A plain cyclic Jacobi sweep is
+included as an independent cross-check for the test suite.
 """
 
 from __future__ import annotations
@@ -30,127 +31,41 @@ STABILITY_RTOL = 1e-12
 
 
 class EigenSolverError(RuntimeError):
-    """Raised when the QL iteration fails to converge."""
+    """Raised when LAPACK fails or an eigenpair residual check fails."""
 
 
 # ---------------------------------------------------------------------------
 # dense symmetric eigensolver
 # ---------------------------------------------------------------------------
 
-def _tridiagonalize(a: np.ndarray, vectors: bool = True):
-    """Householder reduction A -> Q^T A Q = tridiag(d, e); returns d, e, Q."""
-    A = np.array(a, dtype=float)
-    n = A.shape[0]
-    Q = np.eye(n) if vectors else None
-    for k in range(n - 2):
-        x = A[k + 1:, k].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        alpha = -np.copysign(nx, x[0] if x[0] != 0 else 1.0)
-        v = x
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            continue
-        v /= nv
-        # two-sided Householder update restricted to the trailing block
-        A[k + 1:, k:] -= 2.0 * np.outer(v, v @ A[k + 1:, k:])
-        A[:, k + 1:] -= 2.0 * np.outer(A[:, k + 1:] @ v, v)
-        if vectors:
-            Q[:, k + 1:] -= 2.0 * np.outer(Q[:, k + 1:] @ v, v)
-    d = np.diag(A).copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[:-1] = np.diag(A, 1)
-    return d, e, Q
-
-
-def _ql_implicit(d, e, Q, max_iter=60):
-    """Implicit-shift QL on a symmetric tridiagonal; rotations folded into Q."""
-    n = d.size
-    d = d.copy()
-    e = np.append(e[:n - 1].copy(), 0.0)
-    eps = np.finfo(float).eps
-    # absolute deflation floor: couplings at roundoff level relative to the
-    # matrix scale are negligible even between (near-)zero diagonal entries
-    anorm = float(np.max(np.abs(d)) + np.max(np.abs(e))) if n else 0.0
-    floor = eps * anorm
-    for l in range(n):
-        for iteration in range(max_iter + 1):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd or abs(e[m]) <= floor:
-                    break
-                m += 1
-            if m == l:
-                break
-            if iteration == max_iter:
-                raise EigenSolverError(
-                    f"QL failed to converge at eigenvalue {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + np.copysign(r, g))
-            s, c = 1.0, 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if Q is not None:
-                    # accumulate rotation into the eigenvector matrix
-                    col_i1 = Q[:, i + 1].copy()
-                    Q[:, i + 1] = s * Q[:, i] + c * col_i1
-                    Q[:, i] = c * Q[:, i] - s * col_i1
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-                continue
-            # inner break: restart the while loop for this l
-            continue
-    return d, Q
-
-
 def symmetric_eig(S, vectors: bool = True):
     """All eigenvalues (ascending) of a symmetric matrix, with eigenvectors.
 
-    Self-contained dense path; refuses matrices larger than DENSE_EIG_CAP.
+    Dense LAPACK path; the only place a dense matrix is built for an
+    eigensolve, so it refuses orders above DENSE_EIG_CAP before building it.
     """
-    A = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
-    n = A.shape[0]
+    n = S.shape[0]
     if n > DENSE_EIG_CAP:
-        raise ValueError(f"dense eigensolver capped at {DENSE_EIG_CAP} DoFs")
+        raise ValueError(f"dense eigensolver capped at {DENSE_EIG_CAP} "
+                         f"unknowns; the eigenproblem has {n}")
     if n == 0:
         return np.array([]), np.zeros((0, 0))
-    asym = np.abs(A - A.T).max() if n else 0.0
+    A = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
+    asym = np.abs(A - A.T).max()
     if asym > 1e-13 * max(np.abs(A).max(), 1e-300):
         raise ValueError("matrix is not symmetric")
     A = 0.5 * (A + A.T)
-    d, e, Q = _tridiagonalize(A, vectors=vectors)
-    w, Q = _ql_implicit(d, e, Q)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if not vectors:
-        return w, None
-    return w, Q[:, order]
+    try:
+        if not vectors:
+            return np.linalg.eigvalsh(A), None
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"LAPACK eigensolver failed: {exc}") from exc
+    return w, V
 
 
 def jacobi_eigenvalues(S, sweeps: int = 50, tol: float = 1e-14) -> np.ndarray:
-    """Cyclic Jacobi rotations; independent of the QL path. Ascending values."""
+    """Cyclic Jacobi rotations; independent of LAPACK. Ascending values."""
     A = S.toarray() if sp.issparse(S) else np.array(S, dtype=float)
     A = 0.5 * (A + A.T)
     n = A.shape[0]
@@ -202,32 +117,61 @@ def stability_matrix(ops, pi=None):
     return S.tocsr() if sp.issparse(S) else S
 
 
-def extreme_eigs(S, k: int):
+def boundary_block(S, budget: float = 0.0):
+    """Rows of a symmetric S to eigensolve, and a bound on what the rest moves.
+
+    Rows are dropped lightest first while sqrt(2) * ||S[dropped, :]||_F
+    stays within ``budget``.  The dropped entries form a symmetric E with
+    ||E||_2 <= ||E||_F <= that value, so by Weyl's theorem each sorted
+    eigenvalue of S lies within it of the matching one of
+    S[rows][:, rows] padded with zeros.  With the default budget only rows
+    that are identically zero are dropped.  Returns (rows, dropped).
+    """
+    S = sp.csr_matrix(S)
+    mass = np.asarray(S.multiply(S).sum(axis=1)).ravel()
+    order = np.argsort(mass, kind="stable")
+    bound = np.sqrt(2.0 * np.cumsum(mass[order]))
+    n_drop = int(np.searchsorted(bound, budget, side="right"))
+    dropped = float(bound[n_drop - 1]) if n_drop else 0.0
+    return np.sort(order[n_drop:]), dropped
+
+
+def extreme_eigs(S, k: int, rows=None):
     """k most negative and k most positive eigenvalues of a symmetric matrix.
 
+    Only the block S[rows][:, rows] is eigensolved (default: the rows of
+    ``boundary_block(S)``); the other eigenvalues are taken as zeros.
     Returns (neg, pos): ``neg`` ascending from the most negative, ``pos``
     descending from the most positive.  Residuals ||S v - w v|| of the
-    returned pairs are verified against 1e-10 * ||S||.
+    block's extreme pairs are verified against 1e-10 * ||S||; the rows
+    outside the block move them by at most ``boundary_block``'s bound.
     """
-    w, V = symmetric_eig(S, vectors=True)
-    n = w.size
+    S = sp.csr_matrix(S)
+    if rows is None:
+        rows, _ = boundary_block(S)
+    n, m = S.shape[0], rows.size
     k = min(k, n)
-    A = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
+    block = S[rows][:, rows]
+    w, V = symmetric_eig(block, vectors=True)
     norm = max(np.abs(w).max(initial=0.0), 1e-300)
-    idx = list(range(k)) + list(range(n - k, n))
-    for i in idx:
-        res = np.linalg.norm(A @ V[:, i] - w[i] * V[:, i])
-        if res > 1e-10 * norm:
-            raise EigenSolverError(
-                f"eigenpair residual {res:.2e} exceeds tolerance")
-    neg = w[:k]
-    pos = w[n - k:][::-1]
-    return neg, pos
+    idx = np.unique(np.r_[0:min(k, m), max(m - k, 0):m])
+    res = np.linalg.norm(block @ V[:, idx] - V[:, idx] * w[idx],
+                         axis=0).max(initial=0.0)
+    if res > 1e-10 * norm:
+        raise EigenSolverError(
+            f"eigenpair residual {res:.2e} exceeds tolerance")
+    spectrum = np.sort(np.concatenate([w, np.zeros(n - m)]))
+    return spectrum[:k], spectrum[n - k:][::-1]
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Extreme eigenvalues with and without the boundary penalty."""
+    """Extreme eigenvalues with and without the boundary penalty.
+
+    ``support`` is the order of the larger of the two eigensolved blocks;
+    ``dropped`` bounds how far the rows outside them move any reported
+    eigenvalue, and is at most a tenth of ``tolerance()``.
+    """
 
     n_dofs: int
     neg_no_sat: np.ndarray
@@ -237,6 +181,8 @@ class SpectrumReport:
     max_interior_residual: float
     norm_q: float
     verdict: str
+    support: int
+    dropped: float
 
     @property
     def stable(self) -> bool:
@@ -250,33 +196,35 @@ def build_spectrum_report(Q, pi, k: int = 10, interior_dofs=None,
                           ncomp: int = 1,
                           norm_q: float | None = None) -> SpectrumReport:
     """Four-column eigenvalue report for an assembled stiffness/penalty pair."""
-    s0 = stability_matrix(Q)
-    s1 = stability_matrix(Q, pi)
-    neg0, pos0 = extreme_eigs(s0, k)
-    neg1, pos1 = extreme_eigs(s1, k)
     if norm_q is None:
         qmat = Q.Q if hasattr(Q, "Q") else Q
         data = qmat.data if sp.issparse(qmat) else np.asarray(qmat)
         norm_q = float(np.abs(data).max()) if np.size(data) else 0.0
     tol = STABILITY_RTOL * max(norm_q, 1e-300)
+    s0 = stability_matrix(Q)
+    s1 = stability_matrix(Q, pi)
+    columns, support, dropped = [], 0, 0.0
+    for S in (s0, s1):
+        # dropped rows may move the verdict's eigenvalue by a tenth of tol
+        rows, bound = boundary_block(S, 0.1 * tol)
+        columns += extreme_eigs(S, k, rows)
+        support, dropped = max(support, rows.size), max(dropped, bound)
+    neg0, pos0, neg1, pos1 = columns
     verdict = "stable" if (pos1.size == 0 or pos1[0] <= tol) else "unstable"
     max_int = 0.0
     if interior_dofs is not None and len(interior_dofs):
-        dense0 = s0.toarray() if sp.issparse(s0) else s0
         rows = np.asarray(interior_dofs)
         if ncomp > 1:
             rows = (rows[:, None] * ncomp + np.arange(ncomp)[None, :]).ravel()
-        max_int = float(np.abs(dense0[rows, :]).max())
+        max_int = float(abs(s0[rows]).max())
     return SpectrumReport(s0.shape[0], neg0, pos0, neg1, pos1,
-                          max_int, norm_q, verdict)
+                          max_int, norm_q, verdict, support, dropped)
 
 
 def spectrum_report(problem, k: int = 10, **overrides) -> SpectrumReport:
     """Assemble a named problem and report its operator spectrum."""
     from .problems import discretize
     disc = discretize(problem, **overrides)
-    if disc.ops_sys.shape[0] > DENSE_EIG_CAP:
-        raise ValueError("problem too large for the dense eigensolver")
     return build_spectrum_report(disc.ops_sys, disc.pi, k,
                                  interior_dofs=disc.dofmap.interior_dofs(),
                                  ncomp=disc.ncomp, norm_q=disc.norm_q)

@@ -129,6 +129,7 @@ def test_criterion_4_mismatch_flips_verdict():
           f"boundary SBP defect {rep_sbp.max_boundary_residual:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_4_mismatch_time_crash():
     """Edge-5 run passes |u| = 2 within one transit; matched run does not grow.
 
@@ -210,6 +211,7 @@ def test_criterion_6_rotation_coarse():
     assert elapsed < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_6_rotation_fine():
     """Two revolutions on ~5000 triangles: max in [0.98, 1.01], min >= -0.01.
 
@@ -269,6 +271,7 @@ def test_criterion_7_convergence():
 WAVE_MNORM_BOUND = 1.40   # frozen regression bound from the first runs
 
 
+@pytest.mark.slow
 def test_criterion_8_wave_system():
     """100-cell regular and random meshes to t = 50, bounded M-norm."""
     t0 = time.time()

@@ -1,5 +1,6 @@
 import pytest
 
+import cgsat.spectra as spectra
 from cgsat.cli import RunConfig, main
 from cgsat.mesh import load_mesh
 
@@ -87,6 +88,29 @@ def test_spectrum_mismatch_unstable(tmp_path):
                "--order", "3", "--edge-quad", "5", "--outdir", str(outdir)])
     assert rc == 2
     assert "# verdict = unstable" in (outdir / "spectrum.csv").read_text()
+
+
+def test_spectrum_fine_rotation_certified(tmp_path, capsys):
+    """22 969 DoFs, over the dense cap: only the boundary block is solved."""
+    outdir = tmp_path / "rot"
+    rc = main(["spectrum", "--problem", "rotation2d", "--mesh-n", "29",
+               "--outdir", str(outdir)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "verdict = stable" in out
+    support = next(l for l in out.splitlines() if l.startswith("support"))
+    assert support.startswith("support = 522 of 22969 unknowns, dropped <= ")
+    assert "# verdict = stable" in (outdir / "spectrum.csv").read_text()
+
+
+def test_spectrum_block_over_cap_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectra, "DENSE_EIG_CAP", 5)
+    rc = main(["spectrum", "--problem", "advection2d", "--mesh-n", "4",
+               "--order", "1", "--outdir", str(tmp_path / "cap")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("error: dense eigensolver capped at 5 unknowns; "
+                   "the eigenproblem has 10\n")
 
 
 def test_config_file_plus_override(tmp_path):

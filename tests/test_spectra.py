@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cgsat.spectra as spectra
 from cgsat.assembly import build_operators
 from cgsat.mesh import build_dofmap, interval_mesh, unit_square_mesh
 from cgsat.problems import advection_2d, discretize
 from cgsat.sat import scalar_sat_1d, scalar_sat_2d
-from cgsat.spectra import (build_spectrum_report, extreme_eigs,
-                           jacobi_eigenvalues, spectrum_report,
+from cgsat.spectra import (STABILITY_RTOL, EigenSolverError,
+                           boundary_block, build_spectrum_report,
+                           extreme_eigs, jacobi_eigenvalues, spectrum_report,
                            stability_matrix, symmetric_eig,
                            write_spectrum_csv)
 
@@ -32,6 +36,9 @@ def test_eigensolver_small_and_degenerate():
     w, V = symmetric_eig(A)
     assert np.allclose(np.sort(w), [-1.0, 2.0, 2.0, 2.0])
     assert np.abs(V.T @ V - np.eye(4)).max() < 1e-12
+    # empty matrix
+    w, V = symmetric_eig(np.zeros((0, 0)))
+    assert w.size == 0 and V.shape == (0, 0)
 
 
 def test_eigensolver_rejects_nonsymmetric():
@@ -39,10 +46,30 @@ def test_eigensolver_rejects_nonsymmetric():
         symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eigensolver_wraps_lapack_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenSolverError, match="did not converge"):
+        symmetric_eig(np.eye(3))
+
+
+def test_eigensolver_cap_names_the_order(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_EIG_CAP", 3)
+    with pytest.raises(ValueError, match="capped at 3 unknowns"):
+        symmetric_eig(np.eye(4))
+    # the report has no separate size check: the block hits the same cap
+    with pytest.raises(ValueError, match="capped at 3 unknowns"):
+        spectrum_report(advection_2d(n=3, order=1, basis="lagrange"))
+
+
 def test_extreme_eigs_diagonal():
     neg, pos = extreme_eigs(np.diag([-3.0, 0.0, -1.0]), 2)
     assert np.allclose(neg, [-3.0, -1.0])
     assert abs(pos[0]) < 1e-15          # most positive eigenvalue is zero
+    # an all-zero matrix has an empty block and an all-zero spectrum
+    neg, pos = extreme_eigs(np.zeros((4, 4)), 3)
+    assert neg.tolist() == [0.0] * 3 and pos.tolist() == [0.0] * 3
 
 
 def test_stability_matrix_1d_no_sat():
@@ -106,6 +133,10 @@ def test_report_unit_square_pairing_and_verdict():
     tol = 1e-12 * ops.norm_q
     assert (w1 < -tol).sum() >= (w0 < -tol).sum()
     assert w1.min() <= w0.min()
+    # the boundary block reproduces the full spectrum's extreme columns
+    assert rep.support < rep.n_dofs
+    assert rep.dropped <= 0.1 * rep.tolerance()
+    _assert_columns_match(rep, w0, w1, 8, 1e-12 * np.abs(w1).max())
 
 
 def test_report_degraded_edge_quadrature_unstable():
@@ -145,3 +176,98 @@ def test_interior_supported_vectors_annihilated():
         v = np.zeros(dm.n_dofs)
         v[interior] = rng.standard_normal(interior.size)
         assert np.abs(S @ v).max() <= 1e-12 * np.abs(v).max()
+
+
+# ---------------------------------------------------------------------------
+# boundary-block reduction against the full LAPACK spectrum
+# ---------------------------------------------------------------------------
+
+def _assert_columns_match(rep, w0, w1, k, atol):
+    """Report columns equal the extremes of the full ascending spectra."""
+    k = min(k, w0.size)
+    for col, ref in ((rep.neg_no_sat, w0[:k]), (rep.pos_no_sat, w0[::-1][:k]),
+                     (rep.neg_sat, w1[:k]), (rep.pos_sat, w1[::-1][:k])):
+        assert np.abs(col - ref).max() <= atol
+
+
+def _boundary_supported_pair(seed, n, m, noise_frac, stable):
+    """Q and Pi whose test matrices live on m random rows plus noise.
+
+    Q + Q^T is a random symmetric block on the rows ``B`` (largest entry
+    1) plus symmetric noise in the other rows, scaled so that sqrt(2) times
+    its row Frobenius norm is ``noise_frac`` times the report's drop
+    budget, 0.1 * STABILITY_RTOL * max|Q|.  Pi lives on ``B`` and sets the
+    block of the certificate matrix to one whose largest eigenvalue is
+    -0.1 (stable) or +0.1 (unstable).  Returns (Q, Pi, B, noisy rows).
+    """
+    rng = np.random.default_rng(seed)
+    B = np.sort(rng.choice(n, m, replace=False))
+    rest = np.setdiff1d(np.arange(n), B)
+    blk = rng.standard_normal((m, m))
+    blk = blk + blk.T
+    blk /= np.abs(blk).max()
+    s0 = np.zeros((n, n))
+    s0[np.ix_(B, B)] = blk
+    K = rng.uniform(-0.5, 0.5, (n, n))
+    Q = 0.5 * s0 + (K - K.T)
+    noise = rng.standard_normal((n, n))
+    noise = noise + noise.T
+    noise[np.ix_(B, B)] = 0.0
+    budget = 0.1 * STABILITY_RTOL * np.abs(Q).max()
+    if rest.size:
+        noise *= noise_frac * budget / (
+            np.sqrt(2.0) * np.linalg.norm(noise[rest]))
+    Q += 0.5 * noise
+    T = rng.standard_normal((m, m))
+    T = T + T.T
+    T -= (np.linalg.eigvalsh(T).max() + (0.1 if stable else -0.1)) * np.eye(m)
+    pi = np.zeros((n, n))
+    pi[np.ix_(B, B)] = 0.25 * (T + blk)
+    return Q, pi, B, rest
+
+
+pair_cases = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+                  data=st.data(), stable=st.booleans(),
+                  k=st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(noise_frac=st.floats(0.0, 0.5), **pair_cases)
+def test_reduced_report_equals_full_eigh(seed, n, data, stable, k,
+                                         noise_frac):
+    m = data.draw(st.integers(1, n))
+    Q, pi, B, rest = _boundary_supported_pair(seed, n, m, noise_frac, stable)
+    rep = build_spectrum_report(Q, pi, k=k, interior_dofs=rest)
+    w0 = np.linalg.eigvalsh(stability_matrix(Q))
+    w1 = np.linalg.eigvalsh(stability_matrix(Q, pi))
+    scale = max(np.abs(w0).max(), np.abs(w1).max())
+    _assert_columns_match(rep, w0, w1, k, 1e-12 * scale)
+    assert rep.verdict == ("stable" if w1.max() <= rep.tolerance()
+                           else "unstable")
+    assert rep.verdict == ("stable" if stable else "unstable")
+    assert rep.support <= m
+    assert rep.dropped <= 0.1 * rep.tolerance()
+    assert rep.max_interior_residual <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(noise_frac=st.floats(2.0, 1e3), **pair_cases)
+def test_noise_above_budget_joins_the_block(seed, n, data, stable, k,
+                                            noise_frac):
+    m = data.draw(st.integers(1, n - 1))
+    Q, pi, B, rest = _boundary_supported_pair(seed, n, m, noise_frac, stable)
+    s0 = stability_matrix(Q)
+    budget = 0.1 * STABILITY_RTOL * np.abs(Q).max()
+    rows, dropped = boundary_block(s0, budget)
+    assert dropped <= budget
+    assert np.isin(B, rows).all()
+    assert np.intersect1d(rows, rest).size >= 1
+    heavy = rest[np.sqrt(2.0) * np.linalg.norm(s0[rest], axis=1) > budget]
+    assert np.isin(heavy, rows).all()
+    rep = build_spectrum_report(Q, pi, k=k)
+    assert rep.support >= rows.size > m
+    assert rep.dropped <= 0.1 * rep.tolerance()
+    w0 = np.linalg.eigvalsh(s0)
+    w1 = np.linalg.eigvalsh(stability_matrix(Q, pi))
+    scale = max(np.abs(w0).max(), np.abs(w1).max())
+    _assert_columns_match(rep, w0, w1, k, 1e-12 * scale)
