@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisSpec, quad_rule, tabulate, tabulate_grad
+from .basis import BasisSpec, QuadratureRule, quad_rule, tabulate, tabulate_grad
 from .mesh import DofMap, Mesh
 
 
@@ -47,31 +47,79 @@ def as_coefficient(coeff, dim: int):
 
 
 def _jacobians(mesh: Mesh):
-    """Element Jacobians: returns (detJ, invJ) with invJ shape (ne, dim, dim)."""
-    if mesh.dimension == 1:
-        h = mesh.signed_areas()
-        return h, (1.0 / h).reshape(-1, 1, 1)
+    """Element maps x = x0 + J xi: returns (J, detJ, invJ), J shape (ne, dim, dim)."""
     v = mesh.vertices[mesh.elements]
-    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    J = np.swapaxes(v[:, 1:] - v[:, :1], 1, 2)       # columns: edges from x0
+    if mesh.dimension == 1:
+        return J, J[:, 0, 0], 1.0 / J
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    inv = np.empty_like(J)
-    inv[:, 0, 0] = J[:, 1, 1]
-    inv[:, 0, 1] = -J[:, 0, 1]
-    inv[:, 1, 0] = -J[:, 1, 0]
-    inv[:, 1, 1] = J[:, 0, 0]
-    inv /= det[:, None, None]
-    return det, inv
+    adj = np.array([[J[:, 1, 1], -J[:, 0, 1]], [-J[:, 1, 0], J[:, 0, 0]]])
+    return J, det, np.moveaxis(adj, 2, 0) / det[:, None, None]
+
+
+def physical_points(mesh: Mesh, rule: QuadratureRule):
+    """Volume rule points mapped to every element: (pts (ne, nq, dim), detJ)."""
+    J, det, _ = _jacobians(mesh)
+    x0 = mesh.vertices[mesh.elements[:, 0]]
+    return x0[:, None, :] + np.einsum("ekd,qd->eqk", J, rule.points), det
+
+
+def scatter_blocks(idx: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum blocks (nb, k, k) into an n x n CSR at idx[b] x idx[b], in block order."""
+    k = idx.shape[1]
+    rows = np.repeat(idx, k, axis=1).ravel()
+    cols = np.tile(idx, (1, k)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _scatter(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
     """Scatter per-element dense blocks (ne, nloc, nloc) into a global CSR."""
-    ed = dofmap.element_dofs
-    nloc = ed.shape[1]
-    rows = np.repeat(ed, nloc, axis=1).ravel()
-    cols = np.tile(ed, (1, nloc)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(dofmap.n_dofs, dofmap.n_dofs))
-    return mat.tocsr()
+    return scatter_blocks(dofmap.element_dofs, local, dofmap.n_dofs)
+
+
+@dataclass(frozen=True)
+class FaceQuadrature:
+    """The edge rule on every boundary face at once, in ``face_dofs`` order.
+
+    A 1D face is one point with weight 1, length 1 and face basis [1], so
+    the same contractions serve both dimensions.
+    """
+
+    dofs: np.ndarray       # (nf, p+1) global DoFs in face-lattice order
+    points: np.ndarray     # (nf, nq, dim) physical quadrature points
+    normals: np.ndarray    # (nf, dim) outward unit normals
+    lengths: np.ndarray    # (nf,)
+    weights: np.ndarray    # (nq,) rule weights on [0, 1]
+    basis: np.ndarray      # (nq, p+1) face basis at the rule points
+
+    def normal_speed(self, coeff) -> np.ndarray:
+        """a . n at every face point, shape (nf, nq)."""
+        nf, nq, dim = self.points.shape
+        coeff_fun, _ = as_coefficient(coeff, dim)
+        aval = coeff_fun(self.points.reshape(-1, dim)).reshape(nf, nq, dim)
+        # batched matmul rounds as a per-face ``aval @ normal``; einsum does not
+        return np.matmul(aval, self.normals[:, :, None])[..., 0]
+
+
+def face_quadrature(dofmap: DofMap, edge_degree: int) -> FaceQuadrature:
+    """Face DoFs, points, normals, lengths, weights and basis of all faces."""
+    mesh = dofmap.mesh
+    dim = mesh.dimension
+    if dim == 1:
+        xi, weights, basis = np.zeros((1, 1)), np.ones(1), np.ones((1, 1))
+    else:
+        rule = quad_rule("edge", edge_degree)
+        xi, weights = rule.points, rule.weights
+        basis = tabulate(BasisSpec(dofmap.kind, dofmap.order, "interval"), xi)
+    faces = [fd.face for fd in dofmap.face_dofs]
+    elem, local = np.array([(f.element, f.local_face) for f in faces]).T
+    p0 = mesh.vertices[mesh.elements[elem, local]]
+    p1 = mesh.vertices[mesh.elements[elem, (local + 1) % (dim + 1)]]
+    return FaceQuadrature(
+        np.array([fd.dofs for fd in dofmap.face_dofs]),
+        p0[:, None, :] + xi[None, :, :] * (p1 - p0)[:, None, :],
+        np.array([f.normal for f in faces]),
+        np.array([f.length for f in faces]), weights, basis)
 
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,
@@ -80,7 +128,7 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,
     rule = quad_rule(basis.domain, quad_degree)
     phi = tabulate(basis, rule.points)
     mref = np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
-    det, _ = _jacobians(mesh)
+    _, det, _ = _jacobians(mesh)
     local = det[:, None, None] * mref[None, :, :]
     return _scatter(dofmap, local)
 
@@ -90,21 +138,13 @@ def _advective_local(mesh, basis, coeff_fun, const, quad_degree):
     rule = quad_rule(basis.domain, quad_degree)
     phi = tabulate(basis, rule.points)           # (nq, nloc)
     dphi = tabulate_grad(basis, rule.points)     # (nq, nloc, dim)
-    det, inv = _jacobians(mesh)
+    _, det, inv = _jacobians(mesh)
     if const is not None:
         # c_e = J^-1 a, one vector per element; contract reference tensors
         T = np.einsum("q,qi,qjd->dij", rule.weights, phi, dphi)
         c = np.einsum("edk,k->ed", inv, const)
         return det[:, None, None] * np.einsum("ed,dij->eij", c, T)
-    v = mesh.vertices[mesh.elements]             # (ne, dim+1, dim)
-    if mesh.dimension == 1:
-        x0 = v[:, 0, :]
-        dx = v[:, 1, :] - v[:, 0, :]
-        pts = x0[:, None, :] + rule.points[None, :, :] * dx[:, None, :]
-    else:
-        x0 = v[:, 0, :]
-        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-        pts = x0[:, None, :] + np.einsum("ekd,qd->eqk", J, rule.points)
+    pts, _ = physical_points(mesh, rule)
     ne, nq = pts.shape[0], pts.shape[1]
     aval = coeff_fun(pts.reshape(-1, mesh.dimension)).reshape(ne, nq, -1)
     c = np.einsum("edk,eqk->eqd", inv, aval)
@@ -145,14 +185,7 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
     if div_coeff is not None:
         rule = quad_rule(basis.domain, quad_degree)
         phi = tabulate(basis, rule.points)
-        det, _ = _jacobians(mesh)
-        v = mesh.vertices[mesh.elements]
-        if mesh.dimension == 1:
-            pts = v[:, 0, :][:, None, :] + rule.points[None, :, :] \
-                * (v[:, 1, :] - v[:, 0, :])[:, None, :]
-        else:
-            J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-            pts = v[:, 0, :][:, None, :] + np.einsum("ekd,qd->eqk", J, rule.points)
+        pts, det = physical_points(mesh, rule)
         dval = np.asarray(div_coeff(pts.reshape(-1, mesh.dimension)))
         dval = dval.reshape(pts.shape[0], -1)
         loc = np.einsum("q,eq,qi,qj->eij", rule.weights, dval, phi, phi)
@@ -167,36 +200,11 @@ def assemble_boundary_quadratic(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,
     Supported only on DoFs whose basis functions are nonzero on the physical
     boundary.  In 1D this degenerates to point values at the endpoints.
     """
-    coeff_fun, _ = as_coefficient(coeff, mesh.dimension)
-    n = dofmap.n_dofs
-    rows, cols, vals = [], [], []
-    if mesh.dimension == 1:
-        for fd in dofmap.face_dofs:
-            bf = fd.face
-            x = bf.midpoint.reshape(1, 1)
-            an = float(coeff_fun(x)[0, 0] * bf.normal[0])
-            g = int(fd.dofs[0])
-            rows.append(g)
-            cols.append(g)
-            vals.append(an)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    rule = quad_rule("edge", edge_quad_degree)
-    line = BasisSpec(dofmap.kind, dofmap.order, "interval")
-    b = tabulate(line, rule.points)              # (nq, p+1)
-    for fd in dofmap.face_dofs:
-        bf = fd.face
-        el = mesh.elements[bf.element]
-        a = mesh.vertices[el[bf.local_face]]
-        bpt = mesh.vertices[el[(bf.local_face + 1) % 3]]
-        pts = a[None, :] + rule.points * (bpt - a)[None, :]
-        an = coeff_fun(pts) @ bf.normal
-        eloc = bf.length * np.einsum("q,q,qi,qj->ij", rule.weights, an, b, b)
-        gi = fd.dofs
-        rows.extend(np.repeat(gi, gi.size))
-        cols.extend(np.tile(gi, gi.size))
-        vals.extend(eloc.ravel())
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    fq = face_quadrature(dofmap, edge_quad_degree)
+    an = fq.normal_speed(coeff)
+    blocks = fq.lengths[:, None, None] * np.einsum(
+        "q,fq,qi,qj->fij", fq.weights, an, fq.basis, fq.basis)
+    return scatter_blocks(fq.dofs, blocks, dofmap.n_dofs)
 
 
 @dataclass(frozen=True)

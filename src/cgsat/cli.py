@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import output
-from .assembly import check_sbp
 from .mesh import generate_mesh, load_mesh, save_mesh
 from .problems import (PROBLEMS, discretize, error_norms, solve_problem)
 from .spectra import build_spectrum_report, write_spectrum_csv
@@ -99,7 +98,10 @@ def _build_problem(cfg: RunConfig):
     kwargs = {}
     if cfg.mesh_n is not None:
         kwargs["n"] = cfg.mesh_n
-    if cfg.problem == "wave1d" and cfg.seed:
+    if cfg.seed:
+        if cfg.problem != "wave1d":
+            raise ValueError(f"seed {cfg.seed} given, but only wave1d takes one "
+                             f"(random cell spacing); {cfg.problem!r} does not")
         kwargs["spacing"] = "random"
         kwargs["seed"] = cfg.seed
     prob = ctor(**kwargs)
@@ -230,8 +232,9 @@ def cmd_dump_operators(cfg: RunConfig) -> int:
     mmwrite(os.path.join(cfg.outdir, "Q.mtx"), disc.ops_sys)
     mmwrite(os.path.join(cfg.outdir, "Bq.mtx"), disc.bq_sys)
     mmwrite(os.path.join(cfg.outdir, "Pi.mtx"), disc.pi.matrix)
-    rep = check_sbp(disc.scalar_ops[0])
-    sys.stdout.write(f"wrote M.mtx Q.mtx Bq.mtx Pi.mtx to {cfg.outdir}\n{rep}\n")
+    sys.stdout.write(f"wrote M.mtx Q.mtx Bq.mtx Pi.mtx to {cfg.outdir}\n")
+    for rep in disc.sbp_reports():
+        sys.stdout.write(f"{rep}\n")
     return 0
 
 

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from . import sat as sat_mod
 from .assembly import (GlobalOperators, assemble_boundary_quadratic,
                        assemble_mass, assemble_stiffness, build_operators,
-                       check_sbp, default_quad_degree)
+                       check_sbp, default_quad_degree, physical_points)
 from .basis import BasisSpec, quad_rule, tabulate
 from .mesh import DofMap, Mesh, build_dofmap, generate_mesh
 from .timeint import IntegratorConfig, run, scheme_for_order, stable_dt
@@ -248,6 +248,11 @@ PROBLEMS = {
 # discretization glue
 # ---------------------------------------------------------------------------
 
+def _first_owner(element_dofs: np.ndarray) -> np.ndarray:
+    """Flat index into ``element_dofs`` of the first entry naming each DoF."""
+    return np.unique(element_dofs.ravel(), return_index=True)[1]
+
+
 def interpolate(fn, dofmap: DofMap, basis: BasisSpec, ncomp: int = 1) -> np.ndarray:
     """Coefficients of the interpolant of ``fn`` at the DoF lattice.
 
@@ -261,12 +266,11 @@ def interpolate(fn, dofmap: DofMap, basis: BasisSpec, ncomp: int = 1) -> np.ndar
     if basis.kind == "lagrange":
         out = vals
     else:
-        lattice_eval = tabulate(basis, basis.lattice())
-        inv = np.linalg.inv(lattice_eval)
-        out = np.zeros_like(vals)
-        for e in range(dofmap.element_dofs.shape[0]):
-            gd = dofmap.element_dofs[e]
-            out[gd] = inv @ vals[gd]
+        inv = np.linalg.inv(tabulate(basis, basis.lattice()))
+        ed = dofmap.element_dofs
+        # a shared DoF takes the value of the last element listing it
+        last = ed.size - 1 - _first_owner(ed[::-1, ::-1])
+        out = np.matmul(inv, vals[ed]).reshape(-1, vals.shape[1])[last]
     return out.ravel() if ncomp == 1 and out.shape[1] == 1 else out
 
 
@@ -275,18 +279,10 @@ def nodal_value_operator(dofmap: DofMap, basis: BasisSpec) -> sp.csr_matrix:
     if basis.kind == "lagrange":
         return sp.identity(dofmap.n_dofs, format="csr")
     lattice_eval = tabulate(basis, basis.lattice())
-    rows, cols, vals = [], [], []
-    owned = np.zeros(dofmap.n_dofs, dtype=bool)
-    for e in range(dofmap.element_dofs.shape[0]):
-        gd = dofmap.element_dofs[e]
-        for iloc, g in enumerate(gd):
-            if owned[g]:
-                continue
-            owned[g] = True
-            rows.extend([g] * gd.size)
-            cols.extend(gd)
-            vals.extend(lattice_eval[iloc])
-    return sp.coo_matrix((vals, (rows, cols)),
+    ed = dofmap.element_dofs
+    e, iloc = np.divmod(_first_owner(ed), ed.shape[1])
+    rows = np.broadcast_to(np.arange(dofmap.n_dofs)[:, None], (e.size, ed.shape[1]))
+    return sp.coo_matrix((lattice_eval[iloc].ravel(), (rows.ravel(), ed[e].ravel())),
                          shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
 
 
@@ -351,14 +347,9 @@ def _system_sat(problem, mesh, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
             op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma,
                                       bc.variant, bc.shift)
             gfun = bc.data.get(face.tag)
-            data_point = op.data_vec(gfun(gamma)) if gfun is not None else None
-            if problem.sat_scale != 1.0:
-                op = sat_mod.R13PointOperator(
-                    problem.sat_scale * op.pi, op.l_n,
-                    problem.sat_scale * op.pi_mat, op.gamma)
-                if data_point is not None:
-                    data_point = problem.sat_scale * data_point
-            entries.append((fidx, op.pi_mat, data_point))
+            data_point = None if gfun is None else \
+                problem.sat_scale * op.data_vec(gfun(gamma))
+            entries.append((fidx, problem.sat_scale * op.pi_mat, data_point))
     else:
         raise TypeError(f"unsupported boundary condition {type(bc)}")
     return sat_mod.assemble_face_sat(dofmap, entries, problem.ncomp, edge_deg)
@@ -405,17 +396,12 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
         dirs = [np.array([1.0])] if mesh.dimension == 1 else \
             [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         mats = [p.A] if mesh.dimension == 1 else [p.A, p.B]
-        q_sys = None
-        bq_sys = None
-        scalar_ops = []
-        for d, mat in zip(dirs, mats):
-            Qd = assemble_stiffness(mesh, dofmap, basis, d, vol)
-            Bd = assemble_boundary_quadratic(mesh, dofmap, basis, d, edge)
-            scalar_ops.append(GlobalOperators(M, Qd, Bd, dofmap, vol, edge))
-            qk = sp.kron(Qd, mat, format="csr")
-            bk = sp.kron(Bd, mat, format="csr")
-            q_sys = qk if q_sys is None else q_sys + qk
-            bq_sys = bk if bq_sys is None else bq_sys + bk
+        scalar_ops = [GlobalOperators(
+            M, assemble_stiffness(mesh, dofmap, basis, d, vol),
+            assemble_boundary_quadratic(mesh, dofmap, basis, d, edge),
+            dofmap, vol, edge) for d in dirs]
+        q_sys = sum(sp.kron(o.Q, a, format="csr") for o, a in zip(scalar_ops, mats))
+        bq_sys = sum(sp.kron(o.Bq, a, format="csr") for o, a in zip(scalar_ops, mats))
         pi = _system_sat(p, mesh, dofmap, edge)
 
     source = None
@@ -442,15 +428,7 @@ def l2_project_initial(disc: Discretization, degree: int = 8) -> np.ndarray:
     prob, mesh, dofmap, basis = disc.problem, disc.mesh, disc.dofmap, disc.basis
     rule = quad_rule(basis.domain, degree)
     phi = tabulate(basis, rule.points)
-    v = mesh.vertices[mesh.elements]
-    if mesh.dimension == 1:
-        det = v[:, 1, 0] - v[:, 0, 0]
-        pts = v[:, 0, :][:, None, :] + rule.points[None, :, :] \
-            * (v[:, 1, :] - v[:, 0, :])[:, None, :]
-    else:
-        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        pts = v[:, 0, :][:, None, :] + np.einsum("ekd,qd->eqk", J, rule.points)
+    pts, det = physical_points(mesh, rule)
     fvals = np.asarray(prob.initial(pts.reshape(-1, mesh.dimension)))
     fvals = fvals.reshape(det.size, rule.weights.size, disc.ncomp)
     loc = np.einsum("e,q,eqc,qi->eic", det, rule.weights, fvals, phi)
@@ -500,10 +478,7 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
     if not dt_order_scaling:
         dt = dt * (2 * disc.dofmap.order + 1)
     u0 = disc.u0 if initial == "interp" else l2_project_initial(disc)
-    g = disc.pi.rhs_data if (disc.pi.data is not None) else None
-    if g is not None and disc.pi.static_data:
-        vec = disc.pi.rhs_data(0.0)
-        g = lambda t, vec=vec: vec
+    g = disc.pi.rhs_data if disc.pi.data is not None else None
     traj = run(disc.M, disc.rhs_matrix, g, u0, dt, config,
                ncomp=disc.ncomp, value_op=disc.value_op)
     return disc, traj
@@ -529,15 +504,7 @@ def error_norms(state: np.ndarray, disc: Discretization, t: float) -> dict:
 
     rule = quad_rule(basis.domain, disc.scalar_ops[0].volume_degree)
     phi = tabulate(basis, rule.points)
-    v = mesh.vertices[mesh.elements]
-    if mesh.dimension == 1:
-        det = (v[:, 1, 0] - v[:, 0, 0])
-        pts = v[:, 0, :][:, None, :] + rule.points[None, :, :] \
-            * (v[:, 1, :] - v[:, 0, :])[:, None, :]
-    else:
-        J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        pts = v[:, 0, :][:, None, :] + np.einsum("ekd,qd->eqk", J, rule.points)
+    pts, det = physical_points(mesh, rule)
     uh = state[dofmap.element_dofs] @ phi.T          # (ne, nq)
     ex = np.asarray(exact(pts.reshape(-1, mesh.dimension), t)).reshape(uh.shape)
     l1 = float(np.einsum("e,q,eq->", np.abs(det), rule.weights, np.abs(uh - ex)))

@@ -10,19 +10,21 @@ only on boundary-trace DoFs.  Constructors are provided for
 * the heat-conduction moment system with Maxwell accommodation boundary
   rows (two boundary conditions for six fields).
 
-All penalties are assembled as edge-quadrature bilinear forms matched to the
-boundary quadratic form, so the discrete energy estimate closes exactly; the
-1D forms degenerate to endpoint values.
+All penalties are assembled from the same face kernel as the boundary
+quadratic form (``assembly.face_quadrature``), so penalty and Bq share one
+edge rule and the discrete energy estimate closes exactly; in 1D the kernel
+is one endpoint value per face.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisSpec, quad_rule, tabulate
+from .assembly import face_quadrature, scatter_blocks
+from .basis import BasisSpec
 from .mesh import DofMap, Mesh
 
 
@@ -36,24 +38,16 @@ class BoundaryOperator:
 
     ``matrix`` has shape (n_dofs * ncomp,) squared and support only on
     boundary-trace DoFs.  ``data`` maps time to the assembled right-hand-side
-    vector (None means homogeneous).  ``face_ops`` keeps the pointwise
-    per-face operators for diagnostics.
+    vector (None means homogeneous).
     """
 
     matrix: sp.csr_matrix
     data: object = None            # callable t -> (N,) or None
     ncomp: int = 1
-    static_data: bool = False
-    face_ops: tuple = ()
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def rhs_data(self, t: float) -> np.ndarray:
         if self.data is None:
             return np.zeros(self.matrix.shape[0])
-        if self.static_data:
-            if "g" not in self._cache:
-                self._cache["g"] = np.asarray(self.data(0.0), dtype=float)
-            return self._cache["g"]
         return np.asarray(self.data(t), dtype=float)
 
 
@@ -104,8 +98,13 @@ def scalar_sat_1d(dofmap: DofMap, a: float, tau=-1.0,
             if b1 is not None:
                 g[right] = -w_right * float(b1(t))
             return g
-    return BoundaryOperator(mat, fun, 1, False,
-                            face_ops=((left, w_left), (right, w_right)))
+    return BoundaryOperator(mat, fun)
+
+
+def _face_sum(rows: np.ndarray, n: int) -> sp.csc_matrix:
+    """D adding stacked per-face vectors (nf, k) into an n-vector, in face order."""
+    return sp.csc_matrix((np.ones(rows.size), rows.ravel(), np.arange(rows.size + 1)),
+                         shape=(n, rows.size))
 
 
 def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
@@ -114,61 +113,30 @@ def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
     """Inflow penalty  a_n^-(u - g)  assembled with the edge rule.
 
     Outflow portions (a . n > 0) contribute nothing.  ``g`` is either None
-    (homogeneous) or a callable g(points, t) -> values.
+    (homogeneous) or a callable g(points, t) -> values, evaluated once per
+    call at the quadrature points of all inflow faces.
     """
-    from .assembly import as_coefficient
     if scale < 1.0:
         raise StabilityViolationError("SAT scale factor must be >= 1")
-    coeff_fun, _ = as_coefficient(coeff, mesh.dimension)
     n = dofmap.n_dofs
-    rule = quad_rule("edge", edge_quad_degree)
-    line = BasisSpec(dofmap.kind, dofmap.order, "interval")
-    b = tabulate(line, rule.points)
-    rows, cols, vals = [], [], []
-    face_ops = []
-    data_blocks = []      # (points, w*an_minus, global dofs) for G(t)
-    for fd in dofmap.face_dofs:
-        bf = fd.face
-        if mesh.dimension == 1:
-            pts = bf.midpoint.reshape(1, 1)
-            an = coeff_fun(pts)[:, 0] * bf.normal[0]
-            an_m = np.minimum(an, 0.0) * scale
-            face_ops.append((bf, float(an_m[0])))
-            if an_m[0] == 0.0:
-                continue
-            gdof = int(fd.dofs[0])
-            rows.append(gdof)
-            cols.append(gdof)
-            vals.append(float(an_m[0]))
-            data_blocks.append((pts, an_m, np.array([gdof]), np.ones((1, 1))))
-            continue
-        el = mesh.elements[bf.element]
-        p0 = mesh.vertices[el[bf.local_face]]
-        p1 = mesh.vertices[el[(bf.local_face + 1) % 3]]
-        pts = p0[None, :] + rule.points * (p1 - p0)[None, :]
-        an = coeff_fun(pts) @ bf.normal
-        an_m = np.minimum(an, 0.0) * scale
-        face_ops.append((bf, an_m))
-        if not np.any(an_m < 0.0):
-            continue
-        w = rule.weights * an_m * bf.length
-        eloc = np.einsum("q,qi,qj->ij", w, b, b)
-        gi = fd.dofs
-        rows.extend(np.repeat(gi, gi.size))
-        cols.extend(np.tile(gi, gi.size))
-        vals.extend(eloc.ravel())
-        data_blocks.append((pts, w, gi, b))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    if g is None or not data_blocks:
-        fun = None
-    else:
-        def fun(t):
-            out = np.zeros(n)
-            for pts, w, gi, bvals in data_blocks:
-                gv = np.asarray(g(pts, t), dtype=float)
-                np.add.at(out, gi, -(w * gv) @ bvals)
-            return out
-    return BoundaryOperator(mat, fun, 1, False, face_ops=tuple(face_ops))
+    fq = face_quadrature(dofmap, edge_quad_degree)
+    an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
+    inflow = np.any(an_m < 0.0, axis=1)
+    w = fq.weights * an_m[inflow] * fq.lengths[inflow, None]      # (nf, nq)
+    dofs = fq.dofs[inflow]
+    blocks = np.einsum("fq,qi,qj->fij", w, fq.basis, fq.basis)
+    mat = scatter_blocks(dofs, blocks, n)
+    if g is None or not inflow.any():
+        return BoundaryOperator(mat)
+    pts = fq.points[inflow].reshape(-1, mesh.dimension)
+    D = _face_sum(dofs, n)
+
+    def fun(t):
+        # contract each face, (w g) @ b, then sum the faces in order through D
+        wg = w * np.asarray(g(pts, t), dtype=float).reshape(w.shape)
+        return D @ np.matmul(-wg[:, None, :], fq.basis).ravel()
+
+    return BoundaryOperator(mat, fun)
 
 
 # ---------------------------------------------------------------------------
@@ -417,59 +385,32 @@ def assemble_face_sat(dofmap: DofMap, entries, ncomp: int,
     data_point is None, a static (m,) vector, or a callable t -> (m,).
     The pointwise operator is constant along each (straight) face; the
     edge rule supplies the phi_i phi_j weights.  State layout is DoF-major:
-    component c of DoF i sits at index i * ncomp + c.
+    component c of DoF i sits at index i * ncomp + c.  When no data point
+    is callable, G is computed once.
     """
-    mesh = dofmap.mesh
+    fq = face_quadrature(dofmap, edge_quad_degree)
     n = dofmap.n_dofs * ncomp
-    rows, cols, vals = [], [], []
-    data_terms = []
-    any_callable = False
-    face_ops = []
-    if mesh.dimension == 1:
-        for fidx, pi_mat, data_point in entries:
-            fd = dofmap.face_dofs[fidx]
-            g = int(fd.dofs[0])
-            base = g * ncomp
-            for i in range(ncomp):
-                for j in range(ncomp):
-                    if pi_mat[i, j] != 0.0:
-                        rows.append(base + i)
-                        cols.append(base + j)
-                        vals.append(pi_mat[i, j])
-            face_ops.append((fd.face, pi_mat))
-            if data_point is not None:
-                idx = base + np.arange(ncomp)
-                data_terms.append((idx, np.ones(1), None, data_point))
-                any_callable = any_callable or callable(data_point)
-    else:
-        rule = quad_rule("edge", edge_quad_degree)
-        line = BasisSpec(dofmap.kind, dofmap.order, "interval")
-        b = tabulate(line, rule.points)
-        for fidx, pi_mat, data_point in entries:
-            fd = dofmap.face_dofs[fidx]
-            bf = fd.face
-            eloc = bf.length * np.einsum("q,qi,qj->ij", rule.weights, b, b)
-            gi = fd.dofs
-            block = np.kron(eloc, pi_mat)
-            gidx = (gi[:, None] * ncomp + np.arange(ncomp)[None, :]).ravel()
-            rows.extend(np.repeat(gidx, gidx.size))
-            cols.extend(np.tile(gidx, gidx.size))
-            vals.extend(block.ravel())
-            face_ops.append((bf, pi_mat))
-            if data_point is not None:
-                phi_int = bf.length * (rule.weights @ b)     # (p+1,)
-                data_terms.append((gidx, phi_int, None, data_point))
-                any_callable = any_callable or callable(data_point)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    if not data_terms:
-        fun = None
-    else:
-        def fun(t):
-            out = np.zeros(n)
-            for gidx, phi_int, _, data_point in data_terms:
-                vec = np.asarray(data_point(t) if callable(data_point)
-                                 else data_point, dtype=float)
-                np.add.at(out, gidx, np.outer(phi_int, vec).ravel())
-            return out
-    return BoundaryOperator(mat, fun, ncomp, not any_callable,
-                            face_ops=tuple(face_ops))
+    fidx = np.array([e[0] for e in entries], dtype=np.int64)
+    pis = np.array([e[1] for e in entries], dtype=float).reshape(-1, ncomp, ncomp)
+    dofs = fq.dofs[fidx]                                          # (nf, p+1)
+    k = dofs.shape[1] * ncomp
+    eloc = fq.lengths[fidx, None, None] * np.einsum(
+        "q,qi,qj->ij", fq.weights, fq.basis, fq.basis)
+    blocks = eloc[:, :, None, :, None] * pis[:, None, :, None, :]
+    gidx = (dofs[:, :, None] * ncomp + np.arange(ncomp)).reshape(-1, k)
+    mat = scatter_blocks(gidx, blocks.reshape(-1, k, k), n)
+    values = [e[2] for e in entries if e[2] is not None]
+    if not values:
+        return BoundaryOperator(mat, None, ncomp)
+    with_data = np.array([e[2] is not None for e in entries])
+    phi_int = fq.lengths[fidx[with_data], None] * (fq.weights @ fq.basis)
+    D = _face_sum(gidx[with_data], n)
+
+    def fun(t):
+        vals = np.array([v(t) if callable(v) else v for v in values], dtype=float)
+        return D @ (phi_int[:, :, None] * vals[:, None, :]).ravel()
+
+    if any(callable(v) for v in values):
+        return BoundaryOperator(mat, fun, ncomp)
+    const = fun(0.0)
+    return BoundaryOperator(mat, lambda t: const, ncomp)

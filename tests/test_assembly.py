@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cgsat.assembly import (assemble_boundary_quadratic, assemble_mass,
-                            assemble_stiffness, build_operators, check_sbp,
-                            default_quad_degree)
+from cgsat.assembly import (as_coefficient, assemble_boundary_quadratic,
+                            assemble_mass, assemble_stiffness, build_operators,
+                            check_sbp, default_quad_degree)
+from cgsat.basis import BasisSpec, quad_rule, tabulate
 from cgsat.mesh import (build_dofmap, generate_mesh, interval_mesh,
                         unit_disk_mesh, unit_square_mesh, _build_mesh)
 from cgsat.spectra import symmetric_eig
@@ -78,6 +81,39 @@ def test_boundary_quadratic_1d():
         assert np.abs(Bq - expected).max() < 1e-14
 
 
+def face_loop_bq(dm, coeff, edge_degree):
+    """Reference Bq: one face at a time, endpoint values in 1D."""
+    mesh = dm.mesh
+    fun, _ = as_coefficient(coeff, mesh.dimension)
+    bq = np.zeros((dm.n_dofs, dm.n_dofs))
+    rule = quad_rule("edge", edge_degree)
+    b = tabulate(BasisSpec(dm.kind, dm.order, "interval"), rule.points)
+    for fd in dm.face_dofs:
+        bf = fd.face
+        if mesh.dimension == 1:
+            bq[fd.dofs[0], fd.dofs[0]] += fun(bf.midpoint.reshape(1, 1))[0, 0] * bf.normal[0]
+            continue
+        el = mesh.elements[bf.element]
+        x0 = mesh.vertices[el[bf.local_face]]
+        x1 = mesh.vertices[el[(bf.local_face + 1) % 3]]
+        an = fun(x0[None, :] + rule.points * (x1 - x0)[None, :]) @ bf.normal
+        bq[np.ix_(fd.dofs, fd.dofs)] += bf.length * np.einsum(
+            "q,q,qi,qj->ij", rule.weights, an, b, b)
+    return bq
+
+
+@pytest.mark.parametrize("recipe, p, kind", [
+    ("unit_disk(3)", 3, "bernstein"), ("perturbed_square(3,5)", 2, "lagrange"),
+    ("interval(5,random,1)", 2, "lagrange")])
+def test_boundary_quadratic_matches_face_loop(recipe, p, kind):
+    mesh = generate_mesh(recipe)
+    dm, bs = setup(mesh, p, kind)
+    dim = mesh.dimension
+    for coeff in ([0.7, -1.3][:dim], lambda x: np.cos(x + 0.3 * x[:, ::-1])):
+        got = assemble_boundary_quadratic(mesh, dm, bs, coeff, 6).toarray()
+        assert np.array_equal(got, face_loop_bq(dm, coeff, 6))
+
+
 def test_boundary_quadratic_flux_identities():
     mesh = unit_square_mesh(4)
     dm, bs = setup(mesh, 2, "lagrange")
@@ -115,6 +151,36 @@ def test_sbp_rotation_split_form():
     rep = check_sbp(ops)
     assert rep.passed, str(rep)
     assert rep.max_interior_residual <= rep.tolerance
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 4),
+       p=st.integers(1, 3), kind=st.sampled_from(["lagrange", "bernstein"]),
+       c=st.tuples(*[st.floats(-2.0, 2.0).map(lambda x: round(x, 3))] * 3))
+def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
+    """Matched edge rule: Q + Q^T = Bq on any mesh; a constant a has no net flux.
+
+    The split form meets the identity whatever its volume term, so an affine
+    divergence-free a, which both rules integrate exactly, is also checked in
+    advective form: there the volume and face kernels must agree.
+    """
+    mesh = generate_mesh(f"perturbed_square({n},{seed})")
+    dm, bs = setup(mesh, p, kind)
+
+    def smooth(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.stack([c[0] + c[2] * np.sin(3.0 * y),
+                         c[1] + c[2] * np.cos(2.0 * x * y)], axis=1)
+
+    def affine(pts):
+        return np.stack([c[0] + c[2] * pts[:, 1], c[1] + c[2] * pts[:, 0]], axis=1)
+
+    for coeff, alpha in ((smooth, 0.5), (affine, 0.0)):
+        rep = check_sbp(build_operators(mesh, dm, bs, coeff, split_alpha=alpha))
+        assert rep.passed, str(rep)
+    bq = build_operators(mesh, dm, bs, list(c[:2])).Bq
+    one = np.ones(dm.n_dofs)
+    assert abs(one @ bq @ one) <= 1e-13 * (1.0 + abs(c[0]) + abs(c[1]))
 
 
 def test_sbp_degraded_edge_quadrature_fails():

@@ -135,14 +135,37 @@ def test_convergence_command(tmp_path):
     assert "# slopes:" in text
 
 
-def test_dump_operators(tmp_path):
+def _dump_sbp_lines(tmp_path, capsys, problem):
     outdir = tmp_path / "ops"
-    rc = main(["dump-operators", "--problem", "advection2d", "--mesh-n", "2",
+    rc = main(["dump-operators", "--problem", problem, "--mesh-n", "2",
                "--order", "1", "--outdir", str(outdir)])
     assert rc == 0
     for name in ("M.mtx", "Q.mtx", "Bq.mtx", "Pi.mtx"):
         head = (outdir / name).read_text().splitlines()[0]
         assert head.startswith("%%MatrixMarket matrix coordinate")
+    checks = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("SBP check")]
+    assert all(l.endswith("-> PASS") for l in checks)
+    return checks
+
+
+def test_dump_operators(tmp_path, capsys):
+    assert len(_dump_sbp_lines(tmp_path, capsys, "advection2d")) == 1
+
+
+def test_dump_operators_system_checks_each_direction(tmp_path, capsys):
+    # a 2D system has one scalar SBP check per coordinate direction
+    assert len(_dump_sbp_lines(tmp_path, capsys, "r13")) == 2
+
+
+def test_seed_rejected_for_deterministic_problem(tmp_path, capsys):
+    rc = main(["solve", "--problem", "advection2d", "--mesh-n", "4",
+               "--order", "1", "--steps", "2", "--seed", "5",
+               "--outdir", str(tmp_path / "s")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed 5 given, but only wave1d takes one")
+    assert not (tmp_path / "s" / "summary.txt").exists()
 
 
 def test_unknown_problem_fails_cleanly(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from cgsat.basis import tabulate
+from cgsat.mesh import build_dofmap, generate_mesh
 from cgsat.problems import (advection_2d, discretize, error_norms,
-                            interpolate, l2_project_initial, r13_heat,
-                            rotation_2d, sine_advection_2d, solve_problem,
-                            wave_1d)
+                            interpolate, l2_project_initial,
+                            nodal_value_operator, r13_heat, rotation_2d,
+                            sine_advection_2d, solve_problem, wave_1d)
 from cgsat.sat import StabilityViolationError, characteristic_decompose
 
 
@@ -132,6 +134,36 @@ def test_interpolation_reproduces_polynomials():
     c = interpolate(f, disc.dofmap, disc.basis)
     vals = disc.value_op @ c
     assert np.abs(vals - f(disc.dofmap.dof_coords)).max() < 1e-12
+
+
+@pytest.mark.parametrize("recipe", ["unit_disk(3)", "interval(7,random,3)"])
+@pytest.mark.parametrize("ncomp", [1, 3])
+def test_bernstein_owner_maps_match_element_loops(recipe, ncomp):
+    """Vectorized owners equal the element loops they replaced, bit for bit:
+    interpolation keeps the last element listing a DoF, the value operator
+    the first."""
+    dm = build_dofmap(generate_mesh(recipe), 3, "bernstein")
+    bs = dm.basis_spec()
+    lattice_eval = tabulate(bs, bs.lattice())
+
+    def fn(pts):
+        v = np.exp(np.sin(3.0 * pts.sum(axis=1)))
+        return v if ncomp == 1 else np.stack([v * (c + 1) for c in range(ncomp)], 1)
+
+    vals = fn(dm.dof_coords).reshape(dm.n_dofs, ncomp)
+    inv = np.linalg.inv(lattice_eval)
+    coef = np.zeros_like(vals)
+    value_op = np.zeros((dm.n_dofs, dm.n_dofs))
+    owned = np.zeros(dm.n_dofs, dtype=bool)
+    for gd in dm.element_dofs:
+        coef[gd] = inv @ vals[gd]
+        for iloc, g in enumerate(gd):
+            if not owned[g]:
+                owned[g] = True
+                value_op[g, gd] = lattice_eval[iloc]
+    got = interpolate(fn, dm, bs, ncomp)
+    assert np.array_equal(got, coef.ravel() if ncomp == 1 else coef)
+    assert np.array_equal(nodal_value_operator(dm, bs).toarray(), value_op)
 
 
 def test_l2_projection_of_smooth_data_matches_interpolation():

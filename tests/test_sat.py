@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from cgsat.assembly import build_operators
-from cgsat.mesh import build_dofmap, interval_mesh, unit_disk_mesh, unit_square_mesh
-from cgsat.sat import (StabilityViolationError, build_pi_r13, build_pi_system,
-                       characteristic_decompose, r13_boundary_rows,
-                       r13_matrices, r13_normal_matrix, scalar_sat_1d,
-                       scalar_sat_2d)
+from cgsat.assembly import build_operators, face_quadrature
+from cgsat.basis import BasisSpec, quad_rule, tabulate
+from cgsat.mesh import (build_dofmap, generate_mesh, interval_mesh,
+                        unit_disk_mesh, unit_square_mesh)
+from cgsat.sat import (StabilityViolationError, assemble_face_sat,
+                       build_pi_r13, build_pi_system, characteristic_decompose,
+                       r13_boundary_rows, r13_matrices, r13_normal_matrix,
+                       scalar_sat_1d, scalar_sat_2d)
 from cgsat.spectra import stability_matrix, symmetric_eig
 
 WAVE_A = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -103,11 +105,109 @@ def test_rotation_field_penalty_near_zero():
     def rot(pts):
         return np.stack([2 * np.pi * pts[:, 1], -2 * np.pi * pts[:, 0]], axis=1)
 
-    pi = scalar_sat_2d(mesh, dm, dm.basis_spec(), rot, edge_quad_degree=6)
-    # tangential field: |a . n| = O(h) on the polygonal boundary
-    h = mesh.h_max()
-    for bf, an_m in pi.face_ops:
-        assert np.abs(an_m).max() <= 2 * np.pi * h
+    # tangential field: |a . n| = O(h) on the polygonal boundary, so the
+    # inflow penalty weight a_n^- is too
+    an = face_quadrature(dm, 6).normal_speed(rot)
+    assert an.shape == (len(dm.face_dofs), 4)
+    assert np.abs(an).max() <= 2 * np.pi * mesh.h_max()
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_scalar_sat_2d_on_interval_matches_1d(a):
+    # a 1D face is a one-point rule of weight 1, so the edge-rule SAT
+    # reduces to the endpoint penalty with tau = -1
+    dm = build_dofmap(interval_mesh(8), 2, "lagrange")
+    b0, b1 = (lambda t: np.sin(t) + 2.0), (lambda t: np.cos(3.0 * t) - 0.5)
+
+    def g(pts, t):
+        return np.where(pts[:, 0] < 0.5, b0(t), b1(t))
+
+    ref = scalar_sat_1d(dm, a=a, tau=-1.0, data=(b0, b1))
+    pi = scalar_sat_2d(dm.mesh, dm, dm.basis_spec(), [a], g=g)
+    assert np.array_equal(pi.matrix.toarray(), ref.matrix.toarray())
+    for t in (0.0, 0.4, 2.5):
+        assert np.array_equal(pi.rhs_data(t), ref.rhs_data(t))
+
+
+def edge_rule(dm, degree):
+    """Reference face data: edge rule, face basis, and the points of a face."""
+    rule = quad_rule("edge", degree)
+    b = tabulate(BasisSpec(dm.kind, dm.order, "interval"), rule.points)
+
+    def points(bf):
+        el = dm.mesh.elements[bf.element]
+        x0 = dm.mesh.vertices[el[bf.local_face]]
+        x1 = dm.mesh.vertices[el[(bf.local_face + 1) % 3]]
+        return x0[None, :] + rule.points * (x1 - x0)[None, :]
+
+    return rule.weights, b, points
+
+
+def test_scalar_sat_2d_matches_face_loop():
+    dm = build_dofmap(unit_disk_mesh(3), 3, "bernstein")
+
+    def a(pts):
+        return np.stack([1.0 + pts[:, 1], 0.5 - pts[:, 0] ** 2], axis=1)
+
+    def g(pts, t):
+        return np.sin(2.0 * pts[:, 0] - t) * np.cos(pts[:, 1])
+
+    pi = scalar_sat_2d(dm.mesh, dm, dm.basis_spec(), a, g=g, scale=1.5)
+    weights, b, points = edge_rule(dm, 6)
+    mat = np.zeros((dm.n_dofs, dm.n_dofs))
+    faces = []
+    for fd in dm.face_dofs:
+        pts = points(fd.face)
+        an_m = np.minimum(a(pts) @ fd.face.normal, 0.0) * 1.5
+        if np.any(an_m < 0.0):
+            w = weights * an_m * fd.face.length
+            mat[np.ix_(fd.dofs, fd.dofs)] += np.einsum("q,qi,qj->ij", w, b, b)
+            faces.append((pts, w, fd.dofs))
+    assert 0 < len(faces) < len(dm.face_dofs)
+    assert np.array_equal(pi.matrix.toarray(), mat)
+    for t in (0.0, 0.8):
+        out = np.zeros(dm.n_dofs)
+        for pts, w, gi in faces:
+            np.add.at(out, gi, -(w * g(pts, t)) @ b)
+        assert np.array_equal(pi.rhs_data(t), out)
+
+
+@pytest.mark.parametrize("recipe", ["annulus(0.5,1.0,2)", "interval(6,random,2)"])
+def test_assemble_face_sat_matches_face_loop(recipe):
+    # random pointwise operators; data points none, static or callable
+    dm = build_dofmap(generate_mesh(recipe), 2, "lagrange")
+    m = 3
+    rng = np.random.default_rng(8)
+    entries = []
+    for f in range(len(dm.face_dofs)):
+        vec = rng.standard_normal(m)
+        data = [None, vec, lambda t, v=vec: np.sin(t) * v][f % 3]
+        entries.append((f, rng.standard_normal((m, m)), data))
+    pi = assemble_face_sat(dm, entries, m)
+    n = dm.n_dofs * m
+    mat = np.zeros((n, n))
+    weights, b, _ = edge_rule(dm, 6)
+    for f, pi_mat, _ in entries:
+        fd = dm.face_dofs[f]
+        gidx = (fd.dofs[:, None] * m + np.arange(m)).ravel()
+        if dm.mesh.dimension == 1:
+            mat[np.ix_(gidx, gidx)] += pi_mat
+        else:
+            eloc = fd.face.length * np.einsum("q,qi,qj->ij", weights, b, b)
+            mat[np.ix_(gidx, gidx)] += np.kron(eloc, pi_mat)
+    assert np.array_equal(pi.matrix.toarray(), mat)
+    for t in (0.0, 1.3):
+        out = np.zeros(n)
+        for f, _, data in entries:
+            if data is None:
+                continue
+            fd = dm.face_dofs[f]
+            gidx = (fd.dofs[:, None] * m + np.arange(m)).ravel()
+            phi_int = np.ones(1) if dm.mesh.dimension == 1 else \
+                fd.face.length * (weights @ b)
+            np.add.at(out, gidx, np.outer(phi_int, data(t) if callable(data)
+                                          else data).ravel())
+        assert np.array_equal(pi.rhs_data(t), out)
 
 
 def test_sat_scale_validation():
