@@ -111,15 +111,12 @@ def face_quadrature(dofmap: DofMap, edge_degree: int) -> FaceQuadrature:
         rule = quad_rule("edge", edge_degree)
         xi, weights = rule.points, rule.weights
         basis = tabulate(BasisSpec(dofmap.kind, dofmap.order, "interval"), xi)
-    faces = [fd.face for fd in dofmap.face_dofs]
-    elem, local = np.array([(f.element, f.local_face) for f in faces]).T
-    p0 = mesh.vertices[mesh.elements[elem, local]]
-    p1 = mesh.vertices[mesh.elements[elem, (local + 1) % (dim + 1)]]
+    bf = mesh.boundary_faces
+    p0 = mesh.vertices[mesh.elements[bf.element, bf.local_face]]
+    p1 = mesh.vertices[mesh.elements[bf.element, (bf.local_face + 1) % (dim + 1)]]
     return FaceQuadrature(
-        np.array([fd.dofs for fd in dofmap.face_dofs]),
-        p0[:, None, :] + xi[None, :, :] * (p1 - p0)[:, None, :],
-        np.array([f.normal for f in faces]),
-        np.array([f.length for f in faces]), weights, basis)
+        dofmap.face_dofs, p0[:, None, :] + xi[None, :, :] * (p1 - p0)[:, None, :],
+        bf.normals, bf.lengths, weights, basis)
 
 
 def assemble_mass(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,

@@ -19,12 +19,12 @@ read-only) and safe to share across threads.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (BasisSpec, interval_lattice, n_local_dofs,
-                    triangle_multi_indices)
+from .basis import BasisSpec, interval_lattice, triangle_multi_indices
 
 
 class MeshFormatError(ValueError):
@@ -36,21 +36,38 @@ class MeshFormatError(ValueError):
 
 
 class NonconformingMeshError(ValueError):
-    """A face is shared by more than two elements, or tags are inconsistent."""
+    """A face is shared by more than two elements, tags are inconsistent, or
+    a vertex belongs to no element."""
 
 
 class DegenerateElementError(ValueError):
     """An element has (near-)zero measure."""
 
 
+def _readonly(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @dataclass(frozen=True)
-class BoundaryFace:
-    element: int
-    local_face: int
-    tag: str
-    normal: np.ndarray      # outward unit normal, shape (dim,)
-    length: float           # edge length (2D); 1.0 for 1D endpoints
-    midpoint: np.ndarray
+class BoundaryFaces:
+    """The boundary face table: parallel arrays, one row per face.
+
+    Rows are in sorted face-key order (see ``_face_keys``).
+    """
+
+    element: np.ndarray     # (nf,) owning element
+    local_face: np.ndarray  # (nf,) local face index in that element
+    tags: np.ndarray        # (nf,) str
+    normals: np.ndarray     # (nf, dim) outward unit normals
+    lengths: np.ndarray     # (nf,) edge lengths (2D); 1.0 for 1D endpoints
+
+    def __post_init__(self):
+        _readonly(self.element, self.local_face, self.tags, self.normals,
+                  self.lengths)
+
+    def __len__(self) -> int:
+        return self.element.size
 
 
 @dataclass(frozen=True)
@@ -58,11 +75,10 @@ class Mesh:
     dimension: int
     vertices: np.ndarray          # (nv, dim)
     elements: np.ndarray          # (ne, dim+1) vertex indices
-    boundary_faces: tuple[BoundaryFace, ...]
+    boundary_faces: BoundaryFaces
 
     def __post_init__(self):
-        self.vertices.setflags(write=False)
-        self.elements.setflags(write=False)
+        _readonly(self.vertices, self.elements)
 
     @property
     def n_vertices(self) -> int:
@@ -72,84 +88,74 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    def element_coords(self, e: int) -> np.ndarray:
-        return self.vertices[self.elements[e]]
-
     def signed_areas(self) -> np.ndarray:
         """Signed areas (2D) or widths (1D) of all elements."""
-        if self.dimension == 1:
-            x = self.vertices[self.elements, 0]
-            return x[:, 1] - x[:, 0]
+        return _signed_measures(self.dimension, self.vertices, self.elements)
+
+    def _side_lengths(self) -> np.ndarray:
+        """(ne, 3) lengths of the triangle sides."""
         v = self.vertices[self.elements]
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2)
 
     def h_min(self) -> float:
         """Smallest cell width (1D) or incircle diameter (2D)."""
         if self.dimension == 1:
             return float(np.min(self.signed_areas()))
-        v = self.vertices[self.elements]
-        sides = np.stack([
-            np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
-            np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
-            np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
-        ])
-        area = self.signed_areas()
-        return float(np.min(4.0 * area / sides.sum(axis=0)))
+        return float(np.min(4.0 * self.signed_areas()
+                            / self._side_lengths().sum(axis=1)))
 
     def h_max(self) -> float:
         """Largest element diameter."""
         if self.dimension == 1:
             return float(np.max(self.signed_areas()))
-        v = self.vertices[self.elements]
-        sides = np.stack([
-            np.linalg.norm(v[:, 1] - v[:, 0], axis=1),
-            np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
-            np.linalg.norm(v[:, 0] - v[:, 2], axis=1),
-        ])
-        return float(np.max(sides))
+        return float(np.max(self._side_lengths()))
 
 
 # ---------------------------------------------------------------------------
 # topology helpers
 # ---------------------------------------------------------------------------
 
-def _face_vertices(elements: np.ndarray, e: int, k: int, dim: int):
+def _signed_measures(dim, vertices, elements) -> np.ndarray:
     if dim == 1:
-        return (int(elements[e, k]),)
-    return (int(elements[e, k]), int(elements[e, (k + 1) % 3]))
+        x = vertices[elements, 0]
+        return x[:, 1] - x[:, 0]
+    v = vertices[elements]
+    d1 = v[:, 1] - v[:, 0]
+    d2 = v[:, 2] - v[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _all_faces(dim: int, elements: np.ndarray):
-    """Map sorted face-vertex tuple -> list of (element, local_face)."""
-    faces: dict[tuple, list] = {}
-    nfaces = 2 if dim == 1 else 3
-    for e in range(elements.shape[0]):
-        for k in range(nfaces):
-            key = tuple(sorted(_face_vertices(elements, e, k, dim)))
-            faces.setdefault(key, []).append((e, k))
-    return faces
+def _face_keys(dim: int, elements: np.ndarray) -> np.ndarray:
+    """One int64 key per (element, local face), shape (ne, dim+1).
 
-
-def _face_geometry(vertices, elements, e, k, dim):
+    A 1D key is the vertex id; a 2D key packs the sorted vertex pair as
+    ``min << 32 | max``, so keys sort like the sorted vertex tuples.
+    """
     if dim == 1:
-        x = vertices[elements[e], 0]
-        normal = np.array([-1.0]) if k == 0 else np.array([1.0])
-        mid = np.array([x[k]])
-        return normal, 1.0, mid
-    a = vertices[elements[e, k]]
-    b = vertices[elements[e, (k + 1) % 3]]
-    d = b - a
-    length = float(np.hypot(d[0], d[1]))
-    normal = np.array([d[1], -d[0]]) / length
-    return normal, length, 0.5 * (a + b)
+        return elements.copy()
+    nxt = np.roll(elements, -1, axis=1)
+    return np.minimum(elements, nxt) << 32 | np.maximum(elements, nxt)
+
+
+def _key_tuple(dim: int, key) -> tuple:
+    return (int(key),) if dim == 1 else (int(key >> 32), int(key & 0xFFFFFFFF))
+
+
+def first_owner(ids: np.ndarray) -> np.ndarray:
+    """Flat index of the first entry naming each distinct id, in id order."""
+    return np.unique(ids.ravel(), return_index=True)[1]
+
+
+def last_owner(ids: np.ndarray) -> np.ndarray:
+    """Flat index of the last entry naming each distinct id, in id order."""
+    flat = ids.ravel()
+    return flat.size - 1 - first_owner(flat[::-1])
 
 
 def _build_mesh(dim, vertices, elements, tagged_faces) -> Mesh:
     """Assemble a Mesh and enforce its invariants.
 
-    tagged_faces: list of (element, local_face, tag), with local faces
+    tagged_faces: iterable of (element, local_face, tag), with local faces
     referring to the element ordering as passed in (tags are matched by
     vertex set, so a later orientation fix cannot misplace them).
     """
@@ -157,60 +163,64 @@ def _build_mesh(dim, vertices, elements, tagged_faces) -> Mesh:
     if vertices.ndim == 1:
         vertices = vertices.reshape(-1, 1)
     elements = np.ascontiguousarray(np.asarray(elements, dtype=np.int64))
-    tag_keys = [(tuple(sorted(_face_vertices(elements, e, k, dim))), tag)
-                for (e, k, tag) in tagged_faces]
+    tagged = np.array(list(tagged_faces), dtype=object).reshape(-1, 3)
+    tag_keys = _face_keys(dim, elements)[tagged[:, 0].astype(np.int64),
+                                         tagged[:, 1].astype(np.int64)]
+    unused = np.flatnonzero(np.bincount(elements.ravel(),
+                                        minlength=len(vertices)) == 0)
+    if unused.size:
+        raise NonconformingMeshError(
+            f"vertex {unused[0]} belongs to no element")
+    # positive orientation; the area floor scales with the first side squared
+    size = _signed_measures(dim, vertices, elements)
+    scale = 1.0 if dim == 1 else np.max(np.linalg.norm(
+        vertices[elements[:, 1]] - vertices[elements[:, 0]], axis=1)) ** 2
+    flip = size < 0
+    if np.any(flip):
+        elements = elements.copy()
+        elements[flip] = elements[flip][:, [1, 0] if dim == 1 else [0, 2, 1]]
+    size = np.abs(size)
+    if np.any(size <= 1e-14 * scale):
+        bad = int(np.argmin(size))
+        raise DegenerateElementError(
+            f"element {bad} has {'width' if dim == 1 else 'area'} {size[bad]:.3e}")
 
-    # positive orientation
-    if dim == 2:
-        v = vertices[elements]
-        d1 = v[:, 1] - v[:, 0]
-        d2 = v[:, 2] - v[:, 0]
-        areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        flip = areas < 0
-        if np.any(flip):
-            elements = elements.copy()
-            elements[flip, 1], elements[flip, 2] = (elements[flip, 2].copy(),
-                                                    elements[flip, 1].copy())
-            areas = np.abs(areas)
-        hh = np.max(np.linalg.norm(v[:, 1] - v[:, 0], axis=1))
-        if np.any(areas <= 1e-14 * hh ** 2):
-            bad = int(np.argmin(areas))
-            raise DegenerateElementError(
-                f"element {bad} has signed area {areas[bad]:.3e}")
+    keys, first, counts = np.unique(_face_keys(dim, elements),
+                                    return_index=True, return_counts=True)
+    shared = np.flatnonzero(counts > 2)
+    if shared.size:
+        i = shared[np.argmin(first[shared])]
+        raise NonconformingMeshError(
+            f"face {_key_tuple(dim, keys[i])} shared by {counts[i]} elements")
+
+    pos = np.minimum(np.searchsorted(keys, tag_keys), keys.size - 1)
+    bad = (keys[pos] != tag_keys) | (counts[pos] != 1)
+    if bad.any():
+        raise NonconformingMeshError(
+            f"face {_key_tuple(dim, tag_keys[np.argmax(bad)])} tagged as "
+            f"boundary but not a boundary face")
+    tag_of = np.full(keys.size, -1)
+    last = last_owner(pos)              # a face tagged twice keeps its last tag
+    tag_of[pos[last]] = last
+    boundary = np.flatnonzero(counts == 1)
+    untagged = boundary[tag_of[boundary] < 0]
+    if untagged.size:
+        raise NonconformingMeshError(
+            f"boundary face {_key_tuple(dim, keys[untagged[0]])} carries no tag")
+
+    element, local_face = np.divmod(first[boundary], dim + 1)
+    if dim == 1:
+        normals = np.where(local_face == 0, -1.0, 1.0)[:, None]
+        lengths = np.ones(boundary.size)
     else:
-        widths = vertices[elements[:, 1], 0] - vertices[elements[:, 0], 0]
-        flip = widths < 0
-        if np.any(flip):
-            elements = elements.copy()
-            elements[flip] = elements[flip][:, ::-1]
-            widths = np.abs(widths)
-        if np.any(widths <= 1e-14):
-            raise DegenerateElementError("zero-width interval element")
-
-    faces = _all_faces(dim, elements)
-    for key, owners in faces.items():
-        if len(owners) > 2:
-            raise NonconformingMeshError(
-                f"face {key} shared by {len(owners)} elements")
-
-    tag_map = {}
-    for key, tag in tag_keys:
-        if key not in faces or len(faces[key]) != 1:
-            raise NonconformingMeshError(
-                f"face {key} tagged as boundary but not a boundary face")
-        tag_map[key] = tag
-    bfaces = []
-    for key, owners in sorted(faces.items()):
-        if len(owners) == 1:
-            if key not in tag_map:
-                raise NonconformingMeshError(
-                    f"boundary face {key} carries no tag")
-            e, k = owners[0]
-            normal, length, mid = _face_geometry(vertices, elements, e, k, dim)
-            normal.setflags(write=False)
-            mid.setflags(write=False)
-            bfaces.append(BoundaryFace(e, k, tag_map[key], normal, length, mid))
-    return Mesh(dim, vertices, elements, tuple(bfaces))
+        d = (vertices[elements[element, (local_face + 1) % 3]]
+             - vertices[elements[element, local_face]])
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
+    faces = BoundaryFaces(element, local_face,
+                          tagged[tag_of[boundary], 2].astype(str),
+                          normals, lengths)
+    return Mesh(dim, vertices, elements, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +268,10 @@ def load_mesh(path) -> Mesh:
             e, k = int(toks[0]), int(toks[1])
         except ValueError as exc:
             raise MeshFormatError(lineno, f"bad boundary line: {exc}") from None
+        if not 0 <= e < ne:
+            raise MeshFormatError(lineno, f"element index {e} out of range")
+        if not 0 <= k <= dim:
+            raise MeshFormatError(lineno, f"local face {k} out of range")
         tagged.append((e, k, toks[2]))
     for i, el in enumerate(elements):
         for v in el:
@@ -276,8 +290,9 @@ def save_mesh(mesh: Mesh, path) -> None:
             fh.write(" ".join(repr(float(x)) for x in v) + "\n")
         for el in mesh.elements:
             fh.write(" ".join(str(int(i)) for i in el) + "\n")
-        for bf in mesh.boundary_faces:
-            fh.write(f"{bf.element} {bf.local_face} {bf.tag}\n")
+        bf = mesh.boundary_faces
+        for e, k, tag in zip(bf.element, bf.local_face, bf.tags):
+            fh.write(f"{e} {k} {tag}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -295,29 +310,23 @@ def interval_mesh(n: int, spacing: str = "regular", seed=None) -> Mesh:
         nodes[1:-1] += rng.uniform(-0.4 * h, 0.4 * h, size=n - 1)
     elif spacing != "regular":
         raise ValueError(f"unknown spacing {spacing!r}")
+    elif seed is not None:
+        raise ValueError("regular spacing takes no seed")
     elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
     tagged = [(0, 0, "left"), (n - 1, 1, "right")]
     return _build_mesh(1, nodes, elements, tagged)
 
 
-def _square_tags(vertices, elements):
-    tagged = []
-    faces = _all_faces(2, elements)
-    for key, owners in faces.items():
-        if len(owners) != 1:
-            continue
-        e, k = owners[0]
-        _, _, mid = _face_geometry(vertices, elements, e, k, 2)
-        if abs(mid[0]) < 1e-12:
-            tag = "left"
-        elif abs(mid[0] - 1.0) < 1e-12:
-            tag = "right"
-        elif abs(mid[1]) < 1e-12:
-            tag = "bottom"
-        else:
-            tag = "top"
-        tagged.append((e, k, tag))
-    return tagged
+def _tagged_boundary(vertices, elements, tag_of):
+    """(element, local_face, tag) of every boundary edge of a triangulation.
+
+    ``tag_of`` maps the edge midpoints (nf, 2) to an array of nf tags.
+    """
+    _, first, counts = np.unique(_face_keys(2, elements), return_index=True,
+                                 return_counts=True)
+    e, k = np.divmod(first[counts == 1], 3)
+    mid = 0.5 * (vertices[elements[e, k]] + vertices[elements[e, (k + 1) % 3]])
+    return zip(e, k, tag_of(mid))
 
 
 def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
@@ -338,19 +347,18 @@ def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
                     (vertices[:, 1] > 1e-12) & (vertices[:, 1] < 1 - 1e-12))
         jitter = rng.uniform(-0.3 / n, 0.3 / n, size=(vertices.shape[0], 2))
         vertices = vertices + jitter * interior[:, None]
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    def vid(i, j):
-        return j * (n + 1) + i
+    def side(mid):
+        x, y = mid.T
+        return np.select([np.abs(x) < 1e-12, np.abs(x - 1.0) < 1e-12,
+                          np.abs(y) < 1e-12], ["left", "right", "bottom"], "top")
 
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    elements = np.array(elements)
-    return _build_mesh(2, vertices, elements, _square_tags(vertices, elements))
+    return _build_mesh(2, vertices, elements,
+                       _tagged_boundary(vertices, elements, side))
 
 
 def unit_disk_mesh(n: int) -> Mesh:
@@ -389,13 +397,8 @@ def unit_disk_mesh(n: int) -> Mesh:
                     elements.append((o1, i1, i0))
     vertices = np.array(vertices)
     elements = np.array(elements)
-    tagged = []
-    faces = _all_faces(2, elements)
-    for key, owners in faces.items():
-        if len(owners) == 1:
-            e, k = owners[0]
-            tagged.append((e, k, "circle"))
-    return _build_mesh(2, vertices, elements, tagged)
+    return _build_mesh(2, vertices, elements, _tagged_boundary(
+        vertices, elements, lambda mid: np.full(len(mid), "circle")))
 
 
 def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
@@ -416,33 +419,33 @@ def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
         for j in range(m):
             th = 2.0 * np.pi * j / m
             vertices.append((r * np.cos(th), r * np.sin(th)))
-    elements = []
-    for k in range(n):
-        for j in range(m):
-            a = k * m + j
-            b = k * m + (j + 1) % m
-            c = (k + 1) * m + j
-            d = (k + 1) * m + (j + 1) % m
-            elements.append((a, b, d))
-            elements.append((a, d, c))
+    k, j = np.divmod(np.arange(n * m), m)
+    a, b = k * m + j, k * m + (j + 1) % m
+    c, d = a + m, b + m
+    elements = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
     vertices = np.array(vertices)
-    elements = np.array(elements)
-    tagged = []
-    faces = _all_faces(2, elements)
     rmid = 0.5 * (r0 + r1)
-    for key, owners in faces.items():
-        if len(owners) == 1:
-            e, k = owners[0]
-            _, _, mid = _face_geometry(vertices, elements, e, k, 2)
-            tag = "inner" if np.hypot(*mid) < rmid else "outer"
-            tagged.append((e, k, tag))
-    return _build_mesh(2, vertices, elements, tagged)
+    return _build_mesh(2, vertices, elements, _tagged_boundary(
+        vertices, elements,
+        lambda mid: np.where(np.hypot(mid[:, 0], mid[:, 1]) < rmid, "inner", "outer")))
+
+
+# recipe name -> (argument signature, builder from the argument strings)
+_RECIPES = {
+    "interval": ("n[,regular|random[,seed]]",
+                 lambda n, spacing="regular", seed=None: interval_mesh(
+                     int(n), spacing, None if seed is None else int(seed))),
+    "unit_square": ("n", lambda n: unit_square_mesh(int(n))),
+    "perturbed_square": ("n,seed", lambda n, seed: unit_square_mesh(
+        int(n), perturb_seed=int(seed))),
+    "unit_disk": ("n", lambda n: unit_disk_mesh(int(n))),
+    "annulus": ("r0,r1,n", lambda r0, r1, n: annulus_mesh(
+        float(r0), float(r1), int(n))),
+}
 
 
 def generate_mesh(spec: str) -> Mesh:
-    """Build a mesh from a recipe string.
-
-    Recognized recipes::
+    """Build a mesh from a recipe string, one of the ``_RECIPES`` signatures::
 
         interval(n[,regular|random[,seed]])
         unit_square(n)
@@ -456,33 +459,20 @@ def generate_mesh(spec: str) -> Mesh:
     name, argstr = spec[:-1].split("(", 1)
     args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
     name = name.strip()
-    if name == "interval":
-        n = int(args[0])
-        spacing = args[1] if len(args) > 1 else "regular"
-        seed = int(args[2]) if len(args) > 2 else None
-        return interval_mesh(n, spacing, seed)
-    if name == "unit_square":
-        return unit_square_mesh(int(args[0]))
-    if name == "perturbed_square":
-        return unit_square_mesh(int(args[0]), perturb_seed=int(args[1]))
-    if name == "unit_disk":
-        return unit_disk_mesh(int(args[0]))
-    if name == "annulus":
-        return annulus_mesh(float(args[0]), float(args[1]), int(args[2]))
-    raise ValueError(f"unknown mesh recipe {name!r}")
+    if name not in _RECIPES:
+        raise ValueError(f"unknown mesh recipe {name!r}")
+    signature, build = _RECIPES[name]
+    try:
+        inspect.signature(build).bind(*args)
+    except TypeError:
+        raise ValueError(f"mesh recipe {spec!r} does not match "
+                         f"{name}({signature})") from None
+    return build(*args)
 
 
 # ---------------------------------------------------------------------------
 # DoF map
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaceDofs:
-    """Per boundary face: global DoFs in face-lattice order plus geometry."""
-
-    face: BoundaryFace
-    dofs: np.ndarray            # (p+1,) along the edge in 2D; (1,) in 1D
-
 
 @dataclass(frozen=True)
 class DofMap:
@@ -493,12 +483,11 @@ class DofMap:
     n_dofs: int
     dof_coords: np.ndarray      # (n_dofs, dim) lattice positions
     boundary_dofs: np.ndarray   # sorted global ids on the physical boundary
-    face_dofs: tuple[FaceDofs, ...]
+    face_dofs: np.ndarray       # (nf, p+1) per boundary face, face-lattice order
 
     def __post_init__(self):
-        self.element_dofs.setflags(write=False)
-        self.dof_coords.setflags(write=False)
-        self.boundary_dofs.setflags(write=False)
+        _readonly(self.element_dofs, self.dof_coords, self.boundary_dofs,
+                  self.face_dofs)
 
     @property
     def n_local(self) -> int:
@@ -520,86 +509,47 @@ def build_dofmap(mesh: Mesh, p: int, kind: str) -> DofMap:
     Lattice points shared between neighboring elements receive a single
     global id; edge-interior DoFs follow the global edge orientation
     (low vertex id to high), so both neighbors agree on the ordering.
+    Edges are numbered in order of first appearance, and a shared DoF takes
+    its coordinates from the last element listing it.
     """
     if not 1 <= p <= 3:
         raise ValueError(f"unsupported order {p}")
     dim = mesh.dimension
-    nv = mesh.n_vertices
-    ne = mesh.n_elements
-    nloc = n_local_dofs("interval" if dim == 1 else "triangle", p)
+    nv, ne = mesh.n_vertices, mesh.n_elements
+    el = mesh.elements
+    lf = np.arange(dim + 1)            # local faces
 
     if dim == 1:
+        n_dofs = nv + ne * (p - 1)
+        cells = nv + np.arange(ne * (p - 1)).reshape(ne, p - 1)
+        element_dofs = np.column_stack([el[:, 0], cells, el[:, 1]])
+        x = mesh.vertices[el, 0]
+        local = x[:, :1] + (x[:, 1:] - x[:, :1]) * interval_lattice(p)
+        face_local = (lf * p)[:, None]
+    else:
         n_int = p - 1
-        element_dofs = np.zeros((ne, nloc), dtype=np.int64)
-        for e in range(ne):
-            a, b = mesh.elements[e]
-            dofs = np.empty(nloc, dtype=np.int64)
-            dofs[0], dofs[-1] = a, b
-            for t in range(1, p):
-                dofs[t] = nv + e * n_int + (t - 1)
-            element_dofs[e] = dofs
-        n_dofs = nv + ne * n_int
-        coords = np.zeros((n_dofs, 1))
-        lattice = interval_lattice(p)
-        for e in range(ne):
-            x = mesh.vertices[mesh.elements[e], 0]
-            coords[element_dofs[e], 0] = x[0] + (x[1] - x[0]) * lattice
-        face_dofs = []
-        boundary = set()
-        for bf in mesh.boundary_faces:
-            g = int(element_dofs[bf.element, 0 if bf.local_face == 0 else nloc - 1])
-            face_dofs.append(FaceDofs(bf, np.array([g])))
-            boundary.add(g)
-        return DofMap(p, kind, mesh, element_dofs, n_dofs, coords,
-                      np.array(sorted(boundary), dtype=np.int64),
-                      tuple(face_dofs))
+        n_cell = (p - 1) * (p - 2) // 2
+        _, first, inverse = np.unique(_face_keys(2, el), return_index=True,
+                                      return_inverse=True)
+        rank = np.empty_like(first)         # edge ids in order of first appearance
+        rank[np.argsort(first)] = np.arange(first.size)
+        edge = rank[inverse].reshape(ne, 3)
+        cell0 = nv + first.size * n_int
+        n_dofs = cell0 + ne * n_cell
+        step = np.arange(n_int)
+        # a local edge running from the higher vertex id walks its DoFs backwards
+        t = np.where((el > np.roll(el, -1, axis=1))[..., None],
+                     n_int - 1 - step, step)
+        edges = nv + edge[..., None] * n_int + t
+        cells = cell0 + np.arange(ne * n_cell).reshape(ne, n_cell)
+        element_dofs = np.hstack([el, edges.reshape(ne, -1), cells])
+        bary = np.array(triangle_multi_indices(p), dtype=float) / p
+        local = np.matmul(bary, mesh.vertices[el])
+        face_local = np.column_stack([lf, 3 + lf[:, None] * n_int + step,
+                                      (lf + 1) % 3])
 
-    # 2D: number edges
-    edge_ids: dict[tuple, int] = {}
-    for e in range(ne):
-        for k in range(3):
-            key = tuple(sorted((int(mesh.elements[e, k]),
-                                int(mesh.elements[e, (k + 1) % 3]))))
-            if key not in edge_ids:
-                edge_ids[key] = len(edge_ids)
-    n_edges = len(edge_ids)
-    n_edge_int = p - 1
-    n_cell_int = (p - 1) * (p - 2) // 2
-    n_dofs = nv + n_edges * n_edge_int + ne * n_cell_int
-
-    element_dofs = np.zeros((ne, nloc), dtype=np.int64)
-    for e in range(ne):
-        verts = [int(v) for v in mesh.elements[e]]
-        dofs = list(verts)
-        for k in range(3):
-            a, b = verts[k], verts[(k + 1) % 3]
-            eid = edge_ids[tuple(sorted((a, b)))]
-            base = nv + eid * n_edge_int
-            local = list(range(base, base + n_edge_int))
-            if a > b:                       # local direction opposes global
-                local = local[::-1]
-            dofs.extend(local)
-        base = nv + n_edges * n_edge_int + e * n_cell_int
-        dofs.extend(range(base, base + n_cell_int))
-        element_dofs[e] = dofs
-
-    coords = np.zeros((n_dofs, 2))
-    bary = np.array(triangle_multi_indices(p), dtype=float) / p
-    for e in range(ne):
-        v = mesh.vertices[mesh.elements[e]]
-        pts = bary @ v
-        coords[element_dofs[e]] = pts
-
-    face_dofs = []
-    boundary = set()
-    for bf in mesh.boundary_faces:
-        k = bf.local_face
-        loc = [k] + [3 + k * n_edge_int + t for t in range(n_edge_int)] \
-            + [(k + 1) % 3]
-        g = element_dofs[bf.element, loc]
-        face_dofs.append(FaceDofs(bf, np.array(g, dtype=np.int64)))
-        boundary.update(int(i) for i in g)
-
+    coords = local.reshape(-1, dim)[last_owner(element_dofs)]
+    bf = mesh.boundary_faces
+    face_dofs = element_dofs[bf.element[:, None], face_local[bf.local_face]]
     return DofMap(p, kind, mesh, element_dofs, n_dofs, coords,
-                  np.array(sorted(boundary), dtype=np.int64),
-                  tuple(face_dofs))
+                  np.unique(face_dofs), face_dofs)

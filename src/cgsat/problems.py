@@ -26,7 +26,8 @@ from .assembly import (GlobalOperators, assemble_boundary_quadratic,
                        assemble_mass, assemble_stiffness, build_operators,
                        check_sbp, default_quad_degree, physical_points)
 from .basis import BasisSpec, quad_rule, tabulate
-from .mesh import DofMap, Mesh, build_dofmap, generate_mesh
+from .mesh import (DofMap, Mesh, build_dofmap, first_owner, generate_mesh,
+                   last_owner)
 from .timeint import IntegratorConfig, run, scheme_for_order, stable_dt
 
 
@@ -248,11 +249,6 @@ PROBLEMS = {
 # discretization glue
 # ---------------------------------------------------------------------------
 
-def _first_owner(element_dofs: np.ndarray) -> np.ndarray:
-    """Flat index into ``element_dofs`` of the first entry naming each DoF."""
-    return np.unique(element_dofs.ravel(), return_index=True)[1]
-
-
 def interpolate(fn, dofmap: DofMap, basis: BasisSpec, ncomp: int = 1) -> np.ndarray:
     """Coefficients of the interpolant of ``fn`` at the DoF lattice.
 
@@ -269,8 +265,7 @@ def interpolate(fn, dofmap: DofMap, basis: BasisSpec, ncomp: int = 1) -> np.ndar
         inv = np.linalg.inv(tabulate(basis, basis.lattice()))
         ed = dofmap.element_dofs
         # a shared DoF takes the value of the last element listing it
-        last = ed.size - 1 - _first_owner(ed[::-1, ::-1])
-        out = np.matmul(inv, vals[ed]).reshape(-1, vals.shape[1])[last]
+        out = np.matmul(inv, vals[ed]).reshape(-1, vals.shape[1])[last_owner(ed)]
     return out.ravel() if ncomp == 1 and out.shape[1] == 1 else out
 
 
@@ -280,7 +275,7 @@ def nodal_value_operator(dofmap: DofMap, basis: BasisSpec) -> sp.csr_matrix:
         return sp.identity(dofmap.n_dofs, format="csr")
     lattice_eval = tabulate(basis, basis.lattice())
     ed = dofmap.element_dofs
-    e, iloc = np.divmod(_first_owner(ed), ed.shape[1])
+    e, iloc = np.divmod(first_owner(ed), ed.shape[1])
     rows = np.broadcast_to(np.arange(dofmap.n_dofs)[:, None], (e.size, ed.shape[1]))
     return sp.coo_matrix((lattice_eval[iloc].ravel(), (rows.ravel(), ed[e].ravel())),
                          shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
@@ -327,26 +322,24 @@ class Discretization:
 
 
 def _system_sat(problem, mesh, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
-    bc = problem.bc
+    bc, faces = problem.bc, mesh.boundary_faces
     entries = []
     if isinstance(bc, CharacteristicBC):
-        for fidx, fd in enumerate(dofmap.face_dofs):
-            face = fd.face
+        for fidx, (normal, tag) in enumerate(zip(faces.normals, faces.tags)):
             decomp = sat_mod.characteristic_decompose(
-                problem.A, problem.B, problem.symmetrizer, face.normal)
-            R = bc.reflections.get(face.tag)
+                problem.A, problem.B, problem.symmetrizer, normal)
+            R = bc.reflections.get(tag)
             po = sat_mod.build_pi_system(decomp, R, scale=problem.sat_scale)
-            gfun = bc.data.get(face.tag)
+            gfun = bc.data.get(tag)
             data_point = (lambda t, po=po, gfun=gfun: po.data_vec(gfun(t))) \
                 if gfun is not None else None
             entries.append((fidx, po.pi_mat, data_point))
     elif isinstance(bc, R13BC):
-        for fidx, fd in enumerate(dofmap.face_dofs):
-            face = fd.face
-            gamma = float(np.arctan2(face.normal[1], face.normal[0]))
+        for fidx, (normal, tag) in enumerate(zip(faces.normals, faces.tags)):
+            gamma = float(np.arctan2(normal[1], normal[0]))
             op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma,
                                       bc.variant, bc.shift)
-            gfun = bc.data.get(face.tag)
+            gfun = bc.data.get(tag)
             data_point = None if gfun is None else \
                 problem.sat_scale * op.data_vec(gfun(gamma))
             entries.append((fidx, problem.sat_scale * op.pi_mat, data_point))
@@ -377,6 +370,15 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
         p.sat_scale = sat_scale
     if mesh is None:
         mesh = generate_mesh(p.mesh_recipe)
+    if mesh.dimension != p.dimension:
+        raise ValueError(f"problem {p.name} is {p.dimension}D but the mesh "
+                         f"is {mesh.dimension}D")
+    tags = np.unique(mesh.boundary_faces.tags).tolist()
+    named = set(getattr(p.bc, "data", ())) | set(getattr(p.bc, "reflections", ()))
+    if not named <= set(tags):
+        raise ValueError(f"problem {p.name} names boundary tags "
+                         f"{sorted(named - set(tags))} that the mesh lacks "
+                         f"(mesh tags: {tags})")
     dofmap = build_dofmap(mesh, p.order, p.basis)
     basis = dofmap.basis_spec()
     vol = p.volume_degree if p.volume_degree is not None \

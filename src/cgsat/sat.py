@@ -79,12 +79,9 @@ def scalar_sat_1d(dofmap: DofMap, a: float, tau=-1.0,
     w_left = tau0 * max(a, 0.0)
     w_right = -tau1 * min(a, 0.0)
     n = dofmap.n_dofs
-    left = right = None
-    for fd in dofmap.face_dofs:
-        if fd.face.normal[0] < 0:
-            left = int(fd.dofs[0])
-        else:
-            right = int(fd.dofs[0])
+    facing_right = dofmap.mesh.boundary_faces.normals[:, 0] > 0
+    left = int(dofmap.face_dofs[~facing_right, 0][-1])
+    right = int(dofmap.face_dofs[facing_right, 0][-1])
     mat = sp.coo_matrix(([w_left, w_right], ([left, right], [left, right])),
                         shape=(n, n)).tocsr()
     b0, b1 = data

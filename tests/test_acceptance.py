@@ -192,6 +192,7 @@ def test_criterion_5_advection_bump():
     assert elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_6_rotation_coarse():
     """Two revolutions on ~1000 triangles: max in [0.9, 1.01], min >= -0.06."""
     t0 = time.time()
@@ -250,6 +251,7 @@ def test_criterion_6_rotation_fine():
     assert vmin >= -0.01
 
 
+@pytest.mark.slow
 def test_criterion_7_convergence():
     """Fitted L2_M orders >= p - 0.5 for p = 1, 2, 3 over 4 levels."""
     slopes = {}
@@ -294,6 +296,7 @@ def test_criterion_8_wave_system():
           + f", characteristic data exact, {time.time()-t0:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_9_r13():
     """Moment-system facts and the march to steady state on the annulus."""
     t0 = time.time()

@@ -72,10 +72,9 @@ def test_boundary_quadratic_1d():
         a = 1.7
         Bq = assemble_boundary_quadratic(mesh, dm, bs, [a], 6).toarray()
         expected = np.zeros_like(Bq)
-        left = dm.face_dofs[0].dofs[0] if dm.face_dofs[0].face.normal[0] < 0 \
-            else dm.face_dofs[1].dofs[0]
-        right = dm.face_dofs[1].dofs[0] if dm.face_dofs[1].face.normal[0] > 0 \
-            else dm.face_dofs[0].dofs[0]
+        normal = mesh.boundary_faces.normals[:, 0]
+        left = dm.face_dofs[0, 0] if normal[0] < 0 else dm.face_dofs[1, 0]
+        right = dm.face_dofs[1, 0] if normal[1] > 0 else dm.face_dofs[0, 0]
         expected[left, left] = -a
         expected[right, right] = a
         assert np.abs(Bq - expected).max() < 1e-14
@@ -88,16 +87,17 @@ def face_loop_bq(dm, coeff, edge_degree):
     bq = np.zeros((dm.n_dofs, dm.n_dofs))
     rule = quad_rule("edge", edge_degree)
     b = tabulate(BasisSpec(dm.kind, dm.order, "interval"), rule.points)
-    for fd in dm.face_dofs:
-        bf = fd.face
+    bf = mesh.boundary_faces
+    for dofs, e, k, normal, length in zip(dm.face_dofs, bf.element,
+                                          bf.local_face, bf.normals, bf.lengths):
+        el = mesh.elements[e]
+        x0 = mesh.vertices[el[k]]
         if mesh.dimension == 1:
-            bq[fd.dofs[0], fd.dofs[0]] += fun(bf.midpoint.reshape(1, 1))[0, 0] * bf.normal[0]
+            bq[dofs[0], dofs[0]] += fun(x0.reshape(1, 1))[0, 0] * normal[0]
             continue
-        el = mesh.elements[bf.element]
-        x0 = mesh.vertices[el[bf.local_face]]
-        x1 = mesh.vertices[el[(bf.local_face + 1) % 3]]
-        an = fun(x0[None, :] + rule.points * (x1 - x0)[None, :]) @ bf.normal
-        bq[np.ix_(fd.dofs, fd.dofs)] += bf.length * np.einsum(
+        x1 = mesh.vertices[el[(k + 1) % 3]]
+        an = fun(x0[None, :] + rule.points * (x1 - x0)[None, :]) @ normal
+        bq[np.ix_(dofs, dofs)] += length * np.einsum(
             "q,q,qi,qj->ij", rule.weights, an, b, b)
     return bq
 

@@ -31,6 +31,27 @@ def test_mesh_gen_roundtrip(tmp_path):
     assert mesh.n_elements == 18
 
 
+def test_mesh_gen_rejects_wrong_argument_count(tmp_path, capsys):
+    out = tmp_path / "mesh.txt"
+    assert main(["mesh-gen", "--recipe", "perturbed_square(3)",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: mesh recipe 'perturbed_square(3)' does not match "
+        "perturbed_square(n,seed)\n")
+    assert not out.exists()
+
+
+def test_solve_rejects_mesh_without_problem_tags(tmp_path, capsys):
+    mesh = tmp_path / "square.mesh"
+    assert main(["mesh-gen", "--recipe", "unit_square(2)", "--out", str(mesh)]) == 0
+    capsys.readouterr()
+    rc = main(["solve", "--problem", "r13", "--mesh", str(mesh), "--steps", "2",
+               "--outdir", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "names boundary tags ['inner', 'outer'] that the mesh lacks" in err
+
+
 def test_solve_writes_artifacts(tmp_path):
     outdir = tmp_path / "run"
     rc = main(["solve", "--problem", "advection2d", "--mesh-n", "5",

@@ -247,3 +247,15 @@ def test_linear_profile_transport_is_exact():
     disc, traj = solve_problem(prob, t_end=0.3)
     e = error_norms(traj.state, disc, traj.t)
     assert e["L2_M"] < 1e-12
+
+
+@pytest.mark.parametrize("factory, recipe, message", [
+    (wave_1d, "unit_square(2)", "wave1d is 1D but the mesh is 2D"),
+    (r13_heat, "interval(4)", "r13 is 2D but the mesh is 1D"),
+    (r13_heat, "unit_square(2)",
+     "names boundary tags ['inner', 'outer'] that the mesh lacks "
+     "(mesh tags: ['bottom', 'left', 'right', 'top'])")])
+def test_discretize_rejects_mesh_that_does_not_fit(factory, recipe, message):
+    with pytest.raises(ValueError) as err:
+        discretize(factory(), mesh=generate_mesh(recipe))
+    assert message in str(err.value)

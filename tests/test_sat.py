@@ -33,9 +33,9 @@ def test_scalar_sat_1d_negative_speed():
     dm = build_dofmap(mesh, 2, "lagrange")
     pi = scalar_sat_1d(dm, a=-1.0, tau=-1.0)
     mat = pi.matrix.toarray()
-    left = dm.face_dofs[0].dofs[0] if dm.face_dofs[0].face.normal[0] < 0 \
-        else dm.face_dofs[1].dofs[0]
-    right = [fd.dofs[0] for fd in dm.face_dofs if fd.face.normal[0] > 0][0]
+    normal = mesh.boundary_faces.normals[:, 0]
+    left = dm.face_dofs[0, 0] if normal[0] < 0 else dm.face_dofs[1, 0]
+    right = dm.face_dofs[normal > 0, 0][0]
     assert mat[left, left] == 0.0                  # a+ = 0
     assert mat[right, right] == -1.0               # tau * a-
 
@@ -134,10 +134,11 @@ def edge_rule(dm, degree):
     rule = quad_rule("edge", degree)
     b = tabulate(BasisSpec(dm.kind, dm.order, "interval"), rule.points)
 
-    def points(bf):
-        el = dm.mesh.elements[bf.element]
-        x0 = dm.mesh.vertices[el[bf.local_face]]
-        x1 = dm.mesh.vertices[el[(bf.local_face + 1) % 3]]
+    def points(f):
+        bf = dm.mesh.boundary_faces
+        el = dm.mesh.elements[bf.element[f]]
+        x0 = dm.mesh.vertices[el[bf.local_face[f]]]
+        x1 = dm.mesh.vertices[el[(bf.local_face[f] + 1) % 3]]
         return x0[None, :] + rule.points * (x1 - x0)[None, :]
 
     return rule.weights, b, points
@@ -156,13 +157,14 @@ def test_scalar_sat_2d_matches_face_loop():
     weights, b, points = edge_rule(dm, 6)
     mat = np.zeros((dm.n_dofs, dm.n_dofs))
     faces = []
-    for fd in dm.face_dofs:
-        pts = points(fd.face)
-        an_m = np.minimum(a(pts) @ fd.face.normal, 0.0) * 1.5
+    bf = dm.mesh.boundary_faces
+    for f, dofs in enumerate(dm.face_dofs):
+        pts = points(f)
+        an_m = np.minimum(a(pts) @ bf.normals[f], 0.0) * 1.5
         if np.any(an_m < 0.0):
-            w = weights * an_m * fd.face.length
-            mat[np.ix_(fd.dofs, fd.dofs)] += np.einsum("q,qi,qj->ij", w, b, b)
-            faces.append((pts, w, fd.dofs))
+            w = weights * an_m * bf.lengths[f]
+            mat[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", w, b, b)
+            faces.append((pts, w, dofs))
     assert 0 < len(faces) < len(dm.face_dofs)
     assert np.array_equal(pi.matrix.toarray(), mat)
     for t in (0.0, 0.8):
@@ -187,13 +189,13 @@ def test_assemble_face_sat_matches_face_loop(recipe):
     n = dm.n_dofs * m
     mat = np.zeros((n, n))
     weights, b, _ = edge_rule(dm, 6)
+    lengths = dm.mesh.boundary_faces.lengths
     for f, pi_mat, _ in entries:
-        fd = dm.face_dofs[f]
-        gidx = (fd.dofs[:, None] * m + np.arange(m)).ravel()
+        gidx = (dm.face_dofs[f][:, None] * m + np.arange(m)).ravel()
         if dm.mesh.dimension == 1:
             mat[np.ix_(gidx, gidx)] += pi_mat
         else:
-            eloc = fd.face.length * np.einsum("q,qi,qj->ij", weights, b, b)
+            eloc = lengths[f] * np.einsum("q,qi,qj->ij", weights, b, b)
             mat[np.ix_(gidx, gidx)] += np.kron(eloc, pi_mat)
     assert np.array_equal(pi.matrix.toarray(), mat)
     for t in (0.0, 1.3):
@@ -201,10 +203,9 @@ def test_assemble_face_sat_matches_face_loop(recipe):
         for f, _, data in entries:
             if data is None:
                 continue
-            fd = dm.face_dofs[f]
-            gidx = (fd.dofs[:, None] * m + np.arange(m)).ravel()
+            gidx = (dm.face_dofs[f][:, None] * m + np.arange(m)).ravel()
             phi_int = np.ones(1) if dm.mesh.dimension == 1 else \
-                fd.face.length * (weights @ b)
+                lengths[f] * (weights @ b)
             np.add.at(out, gidx, np.outer(phi_int, data(t) if callable(data)
                                           else data).ravel())
         assert np.array_equal(pi.rhs_data(t), out)
