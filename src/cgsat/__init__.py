@@ -17,9 +17,8 @@ from .sat import (BoundaryOperator, CharacteristicDecomposition,
                   StabilityViolationError, build_pi_r13, build_pi_system,
                   characteristic_decompose, scalar_sat_1d, scalar_sat_2d)
 from .spectra import (SpectrumReport, build_spectrum_report, extreme_eigs,
-                      jacobi_eigenvalues, spectrum_report, stability_matrix,
-                      symmetric_eig)
-from .timeint import (IntegratorConfig, Trajectory, mass_solve, run,
+                      spectrum_report, stability_matrix, symmetric_eig)
+from .timeint import (IntegratorConfig, Trajectory, factor_mass, run,
                       stable_dt, step)
 
 __version__ = "0.1.0"

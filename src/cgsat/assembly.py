@@ -151,8 +151,7 @@ def _advective_local(mesh, basis, coeff_fun, const, quad_degree):
 
 def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
                        quad_degree: int, split_alpha: float | None = None,
-                       edge_quad_degree: int | None = None,
-                       div_coeff=None) -> sp.csr_matrix:
+                       edge_quad_degree: int | None = None) -> sp.csr_matrix:
     """Stiffness Q_ij = integral phi_i (a . grad phi_j), optionally split.
 
     Parameters
@@ -166,8 +165,6 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
     edge_quad_degree : int or None
         Edge rule used by the conservative part of the split form; must
         match the rule used for Bq so the two cancel exactly.
-    div_coeff : callable or None
-        Divergence of the velocity field; None means divergence free.
     """
     coeff_fun, const = as_coefficient(coeff, mesh.dimension)
     if split_alpha is None:
@@ -179,14 +176,6 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
     edge_deg = edge_quad_degree if edge_quad_degree is not None else quad_degree
     bq = assemble_boundary_quadratic(mesh, dofmap, basis, coeff, edge_deg)
     q = split_alpha * (bq - adv.T) + (1.0 - split_alpha) * adv
-    if div_coeff is not None:
-        rule = quad_rule(basis.domain, quad_degree)
-        phi = tabulate(basis, rule.points)
-        pts, det = physical_points(mesh, rule)
-        dval = np.asarray(div_coeff(pts.reshape(-1, mesh.dimension)))
-        dval = dval.reshape(pts.shape[0], -1)
-        loc = np.einsum("q,eq,qi,qj->eij", rule.weights, dval, phi, phi)
-        q = q + (1.0 - split_alpha) * _scatter(dofmap, det[:, None, None] * loc)
     return q.tocsr()
 
 
@@ -214,7 +203,6 @@ class GlobalOperators:
     dofmap: DofMap
     volume_degree: int
     edge_degree: int
-    split_alpha: float | None = None
 
     @property
     def norm_q(self) -> float:
@@ -225,17 +213,15 @@ class GlobalOperators:
 def build_operators(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
                     volume_degree: int | None = None,
                     edge_degree: int | None = None,
-                    split_alpha: float | None = None,
-                    div_coeff=None) -> GlobalOperators:
+                    split_alpha: float | None = None) -> GlobalOperators:
     """Assemble M, Q and Bq with matched (or explicitly overridden) rules."""
     vol = volume_degree if volume_degree is not None else default_quad_degree(dofmap.order)
     edge = edge_degree if edge_degree is not None else vol
     M = assemble_mass(mesh, dofmap, basis, vol)
     Q = assemble_stiffness(mesh, dofmap, basis, coeff, vol,
-                           split_alpha=split_alpha, edge_quad_degree=edge,
-                           div_coeff=div_coeff)
+                           split_alpha=split_alpha, edge_quad_degree=edge)
     Bq = assemble_boundary_quadratic(mesh, dofmap, basis, coeff, edge)
-    return GlobalOperators(M, Q, Bq, dofmap, vol, edge, split_alpha)
+    return GlobalOperators(M, Q, Bq, dofmap, vol, edge)
 
 
 @dataclass(frozen=True)

@@ -266,8 +266,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig.from_text(open(args.config).read()) if args.config \
-        else RunConfig()
+    cfg = RunConfig()
+    if args.config:
+        with open(args.config) as fh:
+            cfg = RunConfig.from_text(fh.read())
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
         if v is not None:

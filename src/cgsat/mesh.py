@@ -299,19 +299,26 @@ def save_mesh(mesh: Mesh, path) -> None:
 # generators
 # ---------------------------------------------------------------------------
 
+def check_spacing(spacing: str, seed) -> None:
+    """Reject an interval spacing whose nodes a recipe could not reproduce."""
+    if spacing not in ("regular", "random"):
+        raise ValueError(f"unknown spacing {spacing!r}")
+    if spacing == "regular" and seed is not None:
+        raise ValueError("regular spacing takes no seed")
+    if spacing == "random" and seed is None:
+        raise ValueError("random spacing needs a seed")
+
+
 def interval_mesh(n: int, spacing: str = "regular", seed=None) -> Mesh:
     """n cells on [0, 1]; 'random' perturbs interior nodes by up to 0.4 h."""
     if n < 1:
         raise ValueError("need at least one cell")
+    check_spacing(spacing, seed)
     nodes = np.linspace(0.0, 1.0, n + 1)
     if spacing == "random":
         rng = np.random.default_rng(seed)
         h = 1.0 / n
         nodes[1:-1] += rng.uniform(-0.4 * h, 0.4 * h, size=n - 1)
-    elif spacing != "regular":
-        raise ValueError(f"unknown spacing {spacing!r}")
-    elif seed is not None:
-        raise ValueError("regular spacing takes no seed")
     elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
     tagged = [(0, 0, "left"), (n - 1, 1, "right")]
     return _build_mesh(1, nodes, elements, tagged)
@@ -479,7 +486,7 @@ class DofMap:
     order: int
     kind: str
     mesh: Mesh = field(repr=False)
-    element_dofs: np.ndarray    # (ne, n_local)
+    element_dofs: np.ndarray    # (ne, DoFs per element)
     n_dofs: int
     dof_coords: np.ndarray      # (n_dofs, dim) lattice positions
     boundary_dofs: np.ndarray   # sorted global ids on the physical boundary
@@ -488,10 +495,6 @@ class DofMap:
     def __post_init__(self):
         _readonly(self.element_dofs, self.dof_coords, self.boundary_dofs,
                   self.face_dofs)
-
-    @property
-    def n_local(self) -> int:
-        return self.element_dofs.shape[1]
 
     def interior_dofs(self) -> np.ndarray:
         mask = np.ones(self.n_dofs, dtype=bool)

@@ -26,9 +26,10 @@ from .assembly import (GlobalOperators, assemble_boundary_quadratic,
                        assemble_mass, assemble_stiffness, build_operators,
                        check_sbp, default_quad_degree, physical_points)
 from .basis import BasisSpec, quad_rule, tabulate
-from .mesh import (DofMap, Mesh, build_dofmap, first_owner, generate_mesh,
-                   last_owner)
-from .timeint import IntegratorConfig, run, scheme_for_order, stable_dt
+from .mesh import (DofMap, Mesh, build_dofmap, check_spacing, first_owner,
+                   generate_mesh, last_owner)
+from .timeint import (IntegratorConfig, factor_mass, run, scheme_for_order,
+                      stable_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,6 @@ class ProblemSpec:
     scheme: str
     max_speed: float
     velocity: object = None              # scalar problems
-    div_velocity: object = None
     A: np.ndarray | None = None          # systems
     B: np.ndarray | None = None
     symmetrizer: np.ndarray | None = None
@@ -176,7 +176,7 @@ def rotation_2d(n: int = 13, order: int = 3, basis: str = "bernstein") -> Proble
         mesh_recipe=f"unit_disk({n})", order=order, basis=basis,
         cfl=0.2, t_end=2.0, scheme=scheme_for_order(order),
         max_speed=2.0 * np.pi, velocity=velocity,
-        div_velocity=None, split_alpha=0.5)
+        split_alpha=0.5)
 
 
 def wave_1d(n: int = 100, order: int = 2, spacing: str = "regular",
@@ -192,9 +192,9 @@ def wave_1d(n: int = 100, order: int = 2, spacing: str = "regular",
         if abs(r) >= 1.0:
             raise sat_mod.StabilityViolationError(
                 f"wave reflection {r} violates |R| < 1")
+    check_spacing(spacing, seed)
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    recipe = f"interval({n})" if spacing == "regular" else \
-        f"interval({n},random,{0 if seed is None else seed})"
+    recipe = f"interval({n})" if seed is None else f"interval({n},random,{seed})"
     bc = CharacteristicBC(
         reflections={"left": np.array([[r0]]), "right": np.array([[r1]])},
         data={"left": lambda t: np.array([np.sin(t)]),
@@ -316,10 +316,6 @@ class Discretization:
     def sbp_reports(self):
         return [check_sbp(ops) for ops in self.scalar_ops]
 
-    def energy_norm(self, u: np.ndarray) -> float:
-        uu = u.reshape(self.dofmap.n_dofs, self.ncomp)
-        return float(np.sqrt(np.sum(uu * (self.M @ uu))))
-
 
 def _system_sat(problem, mesh, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
     bc, faces = problem.bc, mesh.boundary_faces
@@ -387,7 +383,7 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
 
     if p.ncomp == 1:
         ops = build_operators(mesh, dofmap, basis, p.velocity, vol, edge,
-                              p.split_alpha, p.div_velocity)
+                              p.split_alpha)
         M, q_sys, bq_sys = ops.M, ops.Q, ops.Bq
         scalar_ops = [ops]
         pi = sat_mod.scalar_sat_2d(mesh, dofmap, basis, p.velocity,
@@ -426,7 +422,6 @@ def l2_project_initial(disc: Discretization, degree: int = 8) -> np.ndarray:
     excites every mode a little; used by the quadrature-mismatch experiment
     to seed boundary modes the way a projection-based solver would.
     """
-    from .timeint import mass_solve
     prob, mesh, dofmap, basis = disc.problem, disc.mesh, disc.dofmap, disc.basis
     rule = quad_rule(basis.domain, degree)
     phi = tabulate(basis, rule.points)
@@ -437,17 +432,13 @@ def l2_project_initial(disc: Discretization, degree: int = 8) -> np.ndarray:
     rhs = np.zeros((dofmap.n_dofs, disc.ncomp))
     np.add.at(rhs, dofmap.element_dofs.ravel(),
               loc.reshape(-1, disc.ncomp))
-    out = np.empty_like(rhs)
-    for c in range(disc.ncomp):
-        out[:, c] = mass_solve(disc.M, rhs[:, c])
-    return out.ravel()
+    return factor_mass(disc.M).solve(rhs).ravel()
 
 
 def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
                   cfl: float | None = None, t_end: float | None = None,
                   steps: int | None = None, scheme: str | None = None,
                   amplitude_limit: float | None = None,
-                  mass_solver: str = "direct",
                   initial: str = "interp",
                   dt_order_scaling: bool = True,
                   skip_sbp_guard: bool = False, **disc_kwargs):
@@ -459,6 +450,9 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
     mass-projected ('project') initial data; ``dt_order_scaling`` toggles
     the (2p+1) factor in the time-step rule.
     """
+    if initial not in ("interp", "project"):
+        raise ValueError(f"initial must be 'interp' or 'project', "
+                         f"got {initial!r}")
     if disc is None:
         disc = discretize(problem, **disc_kwargs)
     if not skip_sbp_guard:
@@ -474,8 +468,7 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
         t_end=t_end if t_end is not None else prob.t_end,
         steps=steps,
         amplitude_limit=amplitude_limit,
-        steady_tol=prob.steady_tol,
-        mass_solver=mass_solver)
+        steady_tol=prob.steady_tol)
     dt = disc.dt(config.cfl)
     if not dt_order_scaling:
         dt = dt * (2 * disc.dofmap.order + 1)

@@ -226,7 +226,6 @@ class PointOperator:
 
     pi_mat: np.ndarray           # (m, m)
     data_mat: np.ndarray         # (m, q): maps boundary data to the penalty
-    decomp: CharacteristicDecomposition | None = None
 
     def data_vec(self, g) -> np.ndarray:
         return -self.data_mat @ np.asarray(g, dtype=float)
@@ -274,7 +273,7 @@ def build_pi_system(decomp: CharacteristicDecomposition, R=None,
     core = xm @ np.diag(lam_m)
     pi_mat = scale * decomp.p_sqrt @ core @ (xm.T - R @ xp.T) @ decomp.p_inv_sqrt
     data_mat = scale * decomp.p_sqrt @ core
-    return PointOperator(pi_mat, data_mat, decomp)
+    return PointOperator(pi_mat, data_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,6 @@ class R13PointOperator:
     pi: np.ndarray               # (6, 2)
     l_n: np.ndarray              # (2, 6)
     pi_mat: np.ndarray           # (6, 6) = pi @ l_n
-    gamma: float
 
     def data_vec(self, g_n) -> np.ndarray:
         return -self.pi @ np.asarray(g_n, dtype=float)
@@ -367,7 +365,7 @@ def build_pi_r13(alpha: float, beta: float, gamma: float,
         raise ValueError(f"unknown variant {variant!r}")
     if abs(np.linalg.det(l_n @ l_n.T)) < 1e-12:
         raise StabilityViolationError("L_n L_n' is singular")
-    return R13PointOperator(pi, l_n, pi @ l_n, gamma)
+    return R13PointOperator(pi, l_n, pi @ l_n)
 
 
 # ---------------------------------------------------------------------------

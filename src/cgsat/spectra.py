@@ -14,8 +14,7 @@ The verdict is ``stable`` iff max eig(S) <= 1e-12 * max|Q|.
 When Q is summation-by-parts, Q + Q^T = Bq and Pi act on boundary-trace
 unknowns only, so S vanishes outside a block of boundary rows.  Reports
 eigensolve that block (``boundary_block``, read off S itself) with LAPACK
-and pad the spectrum with exact zeros.  A plain cyclic Jacobi sweep is
-included as an independent cross-check for the test suite.
+and pad the spectrum with exact zeros.
 """
 
 from __future__ import annotations
@@ -62,36 +61,6 @@ def symmetric_eig(S, vectors: bool = True):
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"LAPACK eigensolver failed: {exc}") from exc
     return w, V
-
-
-def jacobi_eigenvalues(S, sweeps: int = 50, tol: float = 1e-14) -> np.ndarray:
-    """Cyclic Jacobi rotations; independent of LAPACK. Ascending values."""
-    A = S.toarray() if sp.issparse(S) else np.array(S, dtype=float)
-    A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    scale = max(np.abs(A).max(), 1e-300)
-    for _ in range(sweeps):
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-20 * scale:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-    return np.sort(np.diag(A))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,13 @@ system  M du/dt = -Q u + Pi u + G(t)  (+ optional mass-weighted source).
 
 The schemes are written in Shu-Osher form (convex combinations of forward
 Euler stages), so SSP time stepping inherits the semidiscrete energy bound.
-The SPD mass solve inside each stage uses either a cached sparse Cholesky
-factorization (default, reused across all stages of a run) or the
-conjugate-gradient routine :func:`mass_solve`.
+Every mass solve goes through one sparse LU factorization (SuperLU,
+:func:`factor_mass`), made once per march and reused by every stage; the
+projection of initial data uses the same routine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,50 +17,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
-class MassSolveError(RuntimeError):
-    """The conjugate-gradient mass solve did not reach its tolerance."""
+def factor_mass(M):
+    """Sparse LU factorization (SuperLU) of the mass matrix.
 
-
-def mass_solve(M, r, tol: float = 1e-12, max_iter: int | None = None,
-               x0=None) -> np.ndarray:
-    """Solve M x = r for SPD M by diagonally scaled conjugate gradients.
-
-    Deterministic (fixed iteration order, no randomization); raises
-    MassSolveError if the relative residual does not reach ``tol`` within
-    the iteration cap, which signals an indefinite or ill-conditioned M.
+    Every mass solve goes through the returned factor's ``solve``, which
+    takes an (n,) or an (n, k) right-hand side.
     """
-    r = np.asarray(r, dtype=float)
-    if not np.any(r):
-        return np.zeros_like(r)
-    n = r.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n + 100
-    diag = M.diagonal()
-    if np.any(diag <= 0):
-        raise MassSolveError("mass matrix has nonpositive diagonal")
-    dinv = 1.0 / diag
-    x = np.zeros_like(r) if x0 is None else np.array(x0, dtype=float)
-    res = r - M @ x
-    z = dinv * res if res.ndim == 1 else dinv[:, None] * res
-    p = z.copy()
-    rz = float(np.vdot(res, z))
-    rnorm0 = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if np.linalg.norm(res) <= tol * rnorm0:
-            return x
-        Mp = M @ p
-        alpha = rz / float(np.vdot(p, Mp))
-        x += alpha * p
-        res -= alpha * Mp
-        z = dinv * res if res.ndim == 1 else dinv[:, None] * res
-        rz_new = float(np.vdot(res, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if np.linalg.norm(res) <= tol * rnorm0:
-        return x
-    raise MassSolveError(
-        f"CG stalled at relative residual "
-        f"{np.linalg.norm(res) / rnorm0:.2e} (tol {tol:.1e})")
+    return spla.splu(M.tocsc())
 
 
 # ---------------------------------------------------------------------------
@@ -113,29 +75,6 @@ def _stage_times(scheme: dict) -> list[float]:
     return cs
 
 
-def scheme_consistency_defect(name: str) -> float:
-    """Max defect of the order conditions on u' = u, up to the scheme order.
-
-    Propagates the stage values as polynomials in dt and compares the final
-    polynomial against the truncated exponential series.
-    """
-    scheme = SCHEMES[name]
-    order = scheme["order"]
-    polys = [np.zeros(order + 1)]
-    polys[0][0] = 1.0
-    for alpha, beta in zip(scheme["alpha"], scheme["beta"]):
-        new = np.zeros(order + 1)
-        for j, a in enumerate(alpha):
-            new += a * polys[j]
-        for j, b in enumerate(beta):
-            shifted = np.zeros(order + 1)
-            shifted[1:] = polys[j][:-1]
-            new += b * shifted
-        polys.append(new)
-    target = np.array([1.0 / math.factorial(k) for k in range(order + 1)])
-    return float(np.abs(polys[-1] - target).max())
-
-
 def step(state: np.ndarray, t: float, dt: float, rhs, scheme: str) -> np.ndarray:
     """One SSP step; ``rhs(t, u)`` evaluates du/dt."""
     if dt <= 0:
@@ -178,18 +117,20 @@ class IntegratorConfig:
     scheme: str = "SSPRK54"
     cfl: float = 0.3
     t_end: float = 1.0
-    mass_tol: float = 1e-12
     steps: int | None = None          # exact step count overrides t_end
     amplitude_limit: float | None = None
     steady_tol: float | None = None
     steady_check_every: int = 25
-    mass_solver: str = "direct"       # 'direct' (cached factorization) | 'cg'
 
     def __post_init__(self):
-        if self.cfl <= 0:
+        if not self.cfl > 0:
             raise ValueError("cfl must be positive")
-        if not 0 < self.mass_tol <= 1e-6:
-            raise ValueError("mass tolerance must be in (0, 1e-6]")
+        if self.steps is not None and self.steps < 1:
+            raise ValueError(f"steps must be at least 1, got {self.steps}")
+        if self.amplitude_limit is not None and not self.amplitude_limit > 0:
+            raise ValueError("amplitude_limit must be positive")
+        if self.steady_check_every < 1:
+            raise ValueError("steady_check_every must be at least 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -233,19 +174,12 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
     if u.size != n_scalar * ncomp:
         raise ValueError("state size does not match mass matrix and ncomp")
 
-    if config.mass_solver == "direct":
-        lu = spla.splu(M.tocsc())
+    if config.steps is None and not config.t_end > t0:
+        raise ValueError(f"t_end {config.t_end} is not after t0 {t0}")
+    lu = factor_mass(M)
 
-        def solve(r):
-            return lu.solve(r.reshape(n_scalar, ncomp)).ravel()
-    else:
-        def solve(r):
-            out = np.empty_like(r)
-            rr = r.reshape(n_scalar, ncomp)
-            oo = out.reshape(n_scalar, ncomp)
-            for c in range(ncomp):
-                oo[:, c] = mass_solve(M, rr[:, c], tol=config.mass_tol)
-            return out
+    def solve(r):
+        return lu.solve(r.reshape(n_scalar, ncomp)).ravel()
 
     if data_fun is None:
         def rhs(t, v):

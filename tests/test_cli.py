@@ -189,6 +189,37 @@ def test_seed_rejected_for_deterministic_problem(tmp_path, capsys):
     assert not (tmp_path / "s" / "summary.txt").exists()
 
 
+def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
+    out = tmp_path / "mesh.txt"
+    assert main(["mesh-gen", "--recipe", "interval(4,random)",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: random spacing needs a seed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--t-end", "-1"], "t_end -1.0 is not after t0 0.0"),
+    (["--steps", "-2"], "steps must be at least 1"),
+    (["--amplitude-limit", "-1"], "amplitude_limit must be positive")])
+def test_solve_rejects_meaningless_march(tmp_path, capsys, flags, message):
+    rc = main(["solve", "--problem", "advection2d", "--mesh-n", "2",
+               "--order", "1", "--outdir", str(tmp_path / "s")] + flags)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s" / "summary.txt").exists()
+
+
+def test_solve_rejects_misspelt_init_in_config(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = advection2d\nmesh_n = 2\norder = 1\n"
+                      "steps = 2\ninit = projct\n")
+    rc = main(["solve", "--config", str(config),
+               "--outdir", str(tmp_path / "s")])
+    assert rc == 1
+    assert "initial must be 'interp' or 'project', got 'projct'" in \
+        capsys.readouterr().err
+
+
 def test_unknown_problem_fails_cleanly(tmp_path):
     rc = main(["solve", "--problem", "nonexistent",
                "--outdir", str(tmp_path / "x")])

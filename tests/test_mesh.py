@@ -404,6 +404,16 @@ def test_seed_with_regular_spacing_rejected():
         generate_mesh("interval(4,regular,3)")
 
 
+def test_random_spacing_needs_seed():
+    # an unseeded random mesh would differ from run to run
+    with pytest.raises(ValueError, match="random spacing needs a seed"):
+        interval_mesh(4, "random")
+    with pytest.raises(ValueError, match="random spacing needs a seed"):
+        generate_mesh("interval(4,random)")
+    assert np.array_equal(interval_mesh(4, "random", seed=2).vertices,
+                          generate_mesh("interval(4,random,2)").vertices)
+
+
 def test_vertex_outside_every_element_rejected():
     with pytest.raises(NonconformingMeshError, match="vertex 3"):
         _build_mesh(2, [(0, 0), (1, 0), (0, 1), (5, 5)], [(0, 1, 2)],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,40 @@ def test_error_norms_zero():
     disc = discretize(prob)
     e = error_norms(np.zeros(disc.dofmap.n_dofs), disc, 0.0)
     assert e == {"L1": 0.0, "L2_M": 0.0, "Linf": 0.0}
+
+
+def test_wave_spacing_and_seed_checked():
+    assert wave_1d(n=10).mesh_recipe == "interval(10)"
+    assert wave_1d(n=10, spacing="random", seed=5).mesh_recipe == \
+        "interval(10,random,5)"
+    with pytest.raises(ValueError, match="regular spacing takes no seed"):
+        wave_1d(n=10, seed=5)
+    with pytest.raises(ValueError, match="random spacing needs a seed"):
+        wave_1d(n=10, spacing="random")
+    with pytest.raises(ValueError, match="unknown spacing 'randm'"):
+        wave_1d(n=10, spacing="randm", seed=5)
+
+
+@pytest.mark.parametrize("initial", ["interpp", "projct", "", None])
+def test_solve_problem_rejects_unknown_initial(initial, monkeypatch):
+    def no_discretize(*args, **kwargs):
+        raise AssertionError("discretized before the check")
+    monkeypatch.setattr("cgsat.problems.discretize", no_discretize)
+    with pytest.raises(ValueError, match="initial must be 'interp' or 'project'"):
+        solve_problem(advection_2d(n=2, order=1), initial=initial)
+
+
+def test_l2_projection_of_system_matches_each_component():
+    # the projection solves all components with one factor of M
+    disc = discretize(wave_1d(n=8, order=2, spacing="random", seed=3))
+    fields = (lambda x: np.sin(3.0 * x), np.exp)
+    both = replace(disc.problem, initial=lambda pts: np.stack(
+        [f(pts[:, 0]) for f in fields], axis=1))
+    proj = l2_project_initial(replace(disc, problem=both)).reshape(-1, 2)
+    for c, f in enumerate(fields):
+        one = replace(disc.problem, initial=lambda pts: f(pts[:, 0]))
+        ref = l2_project_initial(replace(disc, problem=one, ncomp=1))
+        assert np.abs(proj[:, c] - ref).max() < 1e-13
 
 
 def test_solve_problem_guard_on_degraded_quadrature():
