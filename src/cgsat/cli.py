@@ -42,7 +42,7 @@ class RunConfig:
     dt_order_scaling: bool = True
     skip_sbp_guard: bool = False
     outdir: str = "out"
-    seed: int = 0
+    seed: int | None = None
 
     def to_text(self) -> str:
         lines = []
@@ -98,7 +98,7 @@ def _build_problem(cfg: RunConfig):
     kwargs = {}
     if cfg.mesh_n is not None:
         kwargs["n"] = cfg.mesh_n
-    if cfg.seed:
+    if cfg.seed is not None:
         if cfg.problem != "wave1d":
             raise ValueError(f"seed {cfg.seed} given, but only wave1d takes one "
                              f"(random cell spacing); {cfg.problem!r} does not")

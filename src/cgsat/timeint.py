@@ -3,9 +3,11 @@ system  M du/dt = -Q u + Pi u + G(t)  (+ optional mass-weighted source).
 
 The schemes are written in Shu-Osher form (convex combinations of forward
 Euler stages), so SSP time stepping inherits the semidiscrete energy bound.
-Every mass solve goes through one sparse LU factorization (SuperLU,
+Every mass solve goes through one sparse factorization (SuperLU,
 :func:`factor_mass`), made once per march and reused by every stage; the
-projection of initial data uses the same routine.
+projection of initial data uses the same routine.  M is the SBP norm, so it
+is factored as the symmetric positive-definite matrix it is: a symmetric
+minimum-degree ordering with diagonal pivots, i.e. a sparse LDL^T.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ import scipy.sparse.linalg as spla
 
 
 def factor_mass(M):
-    """Sparse LU factorization (SuperLU) of the mass matrix.
+    """Sparse factorization (SuperLU) of the SPD mass matrix.
 
+    The ordering is symmetric (minimum degree on M + M^T) and no pivot
+    leaves the diagonal, so L and U share the pattern of a sparse Cholesky
+    factor; SuperLU's default column ordering with partial pivoting has
+    about three times the fill.
     Every mass solve goes through the returned factor's ``solve``, which
     takes an (n,) or an (n, k) right-hand side.
     """
-    return spla.splu(M.tocsc())
+    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 # ---------------------------------------------------------------------------
@@ -66,33 +73,45 @@ def scheme_for_order(order: int) -> str:
     return {1: "SSPRK22", 2: "SSPRK33", 3: "SSPRK54"}.get(order, "SSPRK54")
 
 
-def _stage_times(scheme: dict) -> list[float]:
-    """Abscissae of each stage value, from the Shu-Osher recurrences."""
+def _stage_plan(scheme: dict) -> list[tuple[list, list]]:
+    """Nonzero terms of each stage: [(j, alpha)] and [(j, c_j, beta)].
+
+    c_j is the abscissa of stage value j, from the Shu-Osher recurrences.
+    Each stage's alphas sum to 1, so its first list is never empty.
+    """
     cs = [0.0]
+    plan = []
     for alpha, beta in zip(scheme["alpha"], scheme["beta"]):
-        c = sum(a * cs[j] for j, a in enumerate(alpha)) + sum(beta)
-        cs.append(c)
-    return cs
+        cs.append(sum(a * cs[j] for j, a in enumerate(alpha)) + sum(beta))
+        plan.append(([(j, a) for j, a in enumerate(alpha) if a],
+                     [(j, cs[j], b) for j, b in enumerate(beta) if b]))
+    return plan
+
+
+_PLANS = {name: _stage_plan(tab) for name, tab in SCHEMES.items()}
 
 
 def step(state: np.ndarray, t: float, dt: float, rhs, scheme: str) -> np.ndarray:
-    """One SSP step; ``rhs(t, u)`` evaluates du/dt."""
+    """One SSP step; ``rhs(t, u)`` evaluates du/dt.
+
+    Each stage starts from its first alpha term; the other terms are added
+    in place, in table order, through one scratch buffer.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    tab = SCHEMES[scheme]
-    cs = _stage_times(tab)
+    plan = _PLANS[scheme]
     stages = [state]
-    evals: list[np.ndarray | None] = [None] * (len(tab["alpha"]) + 1)
-    for i, (alpha, beta) in enumerate(zip(tab["alpha"], tab["beta"])):
-        acc = np.zeros_like(state)
-        for j, a in enumerate(alpha):
-            if a:
-                acc += a * stages[j]
-        for j, b in enumerate(beta):
-            if b:
-                if evals[j] is None:
-                    evals[j] = rhs(t + cs[j] * dt, stages[j])
-                acc += (dt * b) * evals[j]
+    evals = {}
+    tmp = np.empty_like(state)
+    for alphas, betas in plan:
+        (j0, a0), *rest = alphas
+        acc = a0 * stages[j0]
+        for j, a in rest:
+            acc += np.multiply(a, stages[j], out=tmp)
+        for j, c, b in betas:
+            if j not in evals:
+                evals[j] = rhs(t + c * dt, stages[j])
+            acc += np.multiply(dt * b, evals[j], out=tmp)
         stages.append(acc)
     return stages[-1]
 
@@ -129,6 +148,8 @@ class IntegratorConfig:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if self.amplitude_limit is not None and not self.amplitude_limit > 0:
             raise ValueError("amplitude_limit must be positive")
+        if self.steady_tol is not None and not self.steady_tol > 0:
+            raise ValueError("steady_tol must be positive")
         if self.steady_check_every < 1:
             raise ValueError("steady_check_every must be at least 1")
         if self.scheme not in SCHEMES:

@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the library against.
 
-Neither depends on the code it checks: the Jacobi sweep uses no LAPACK,
-and the order-condition check reads only the Shu-Osher tables.
+None depends on the code it checks: the Jacobi sweep uses no LAPACK, and
+the order-condition check and the reference step read only the Shu-Osher
+tables.
 """
 
 import math
@@ -63,3 +64,35 @@ def scheme_consistency_defect(name: str) -> float:
         polys.append(new)
     target = np.array([1.0 / math.factorial(k) for k in range(order + 1)])
     return float(np.abs(polys[-1] - target).max())
+
+
+def _stage_times(scheme: dict) -> list[float]:
+    """Abscissae of each stage value, from the Shu-Osher recurrences."""
+    cs = [0.0]
+    for alpha, beta in zip(scheme["alpha"], scheme["beta"]):
+        c = sum(a * cs[j] for j, a in enumerate(alpha)) + sum(beta)
+        cs.append(c)
+    return cs
+
+
+def reference_step(state: np.ndarray, t: float, dt: float, rhs,
+                   scheme: str) -> np.ndarray:
+    """One SSP step, stage by stage from the Shu-Osher tables."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    tab = SCHEMES[scheme]
+    cs = _stage_times(tab)
+    stages = [state]
+    evals: list[np.ndarray | None] = [None] * (len(tab["alpha"]) + 1)
+    for i, (alpha, beta) in enumerate(zip(tab["alpha"], tab["beta"])):
+        acc = np.zeros_like(state)
+        for j, a in enumerate(alpha):
+            if a:
+                acc += a * stages[j]
+        for j, b in enumerate(beta):
+            if b:
+                if evals[j] is None:
+                    evals[j] = rhs(t + cs[j] * dt, stages[j])
+                acc += (dt * b) * evals[j]
+        stages.append(acc)
+    return stages[-1]

@@ -1,5 +1,6 @@
 import pytest
 
+import cgsat.cli as cli
 import cgsat.spectra as spectra
 from cgsat.cli import RunConfig, main
 from cgsat.mesh import load_mesh
@@ -16,6 +17,10 @@ def test_config_roundtrip():
     back = RunConfig.from_text(text)
     assert back == cfg
     assert RunConfig.from_text(back.to_text()) == back
+    # no seed and seed 0 are different configurations
+    assert "seed = none\n" in RunConfig().to_text()
+    assert RunConfig.from_text(RunConfig().to_text()).seed is None
+    assert RunConfig.from_text(RunConfig(seed=0).to_text()).seed == 0
 
 
 def test_config_rejects_unknown_keys():
@@ -187,6 +192,24 @@ def test_seed_rejected_for_deterministic_problem(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: seed 5 given, but only wave1d takes one")
     assert not (tmp_path / "s" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("flags,recipe", [
+    (["--seed", "0"], "interval(100,random,0)"),
+    ([], "interval(100)")])
+def test_solve_seed_selects_wave_spacing(tmp_path, capsys, monkeypatch,
+                                         flags, recipe):
+    seen = []
+
+    def stop(prob, **kwargs):
+        seen.append(prob.mesh_recipe)
+        raise RuntimeError("stop before discretizing")
+
+    monkeypatch.setattr(cli, "discretize", stop)
+    assert main(["solve", "--problem", "wave1d", "--steps", "1",
+                 "--outdir", str(tmp_path / "s")] + flags) == 1
+    assert "stop before discretizing" in capsys.readouterr().err
+    assert seen == [recipe]
 
 
 def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):

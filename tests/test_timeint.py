@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cgsat.assembly import assemble_mass, build_operators
 from cgsat.mesh import build_dofmap, interval_mesh
+from cgsat.problems import discretize, rotation_2d
 from cgsat.sat import scalar_sat_1d
 from cgsat.timeint import (SCHEMES, IntegratorConfig, factor_mass, run,
                            stable_dt, step)
-from oracles import scheme_consistency_defect
+from oracles import reference_step, scheme_consistency_defect
 
 
 def test_scheme_order_conditions():
@@ -84,6 +86,36 @@ def test_factor_mass_fem_mass():
     assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(r)
 
 
+def test_factor_mass_is_symmetric_with_less_fill():
+    # P3 Bernstein mass of the rotation problem
+    M = discretize(rotation_2d(5)).M
+    lu = factor_mass(M)
+    assert np.array_equal(lu.perm_r, lu.perm_c)        # diagonal pivots only
+    default = spla.splu(M.tocsc())
+    assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+    rng = np.random.default_rng(3)
+    for r in (rng.standard_normal(M.shape[0]),
+              rng.standard_normal((M.shape[0], 3))):
+        resid = M @ lu.solve(r) - r
+        assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_step_matches_reference_bitwise(name):
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((7, 7))
+    g = rng.standard_normal(7)
+
+    def rhs(t, v):
+        return A @ v + np.sin(t) * g
+
+    for _ in range(5):
+        u = rng.standard_normal(7)
+        t, dt = rng.uniform(-2.0, 2.0), rng.uniform(1e-3, 0.5)
+        assert np.array_equal(step(u, t, dt, rhs, name),
+                              reference_step(u, t, dt, rhs, name))
+
+
 def test_stable_dt_rule():
     assert stable_dt(0.3, 0.1, 2.0, 1) == pytest.approx(0.3 * 0.1 / (2.0 * 3))
     with pytest.raises(ValueError):
@@ -103,7 +135,10 @@ def test_config_validation():
     ({"steady_check_every": 0}, "steady_check_every must be at least 1"),
     ({"amplitude_limit": -1.0}, "amplitude_limit must be positive"),
     ({"amplitude_limit": float("nan")}, "amplitude_limit must be positive"),
-    ({"cfl": float("nan")}, "cfl must be positive")])
+    ({"cfl": float("nan")}, "cfl must be positive"),
+    ({"steady_tol": -1.0}, "steady_tol must be positive"),
+    ({"steady_tol": 0.0}, "steady_tol must be positive"),
+    ({"steady_tol": float("nan")}, "steady_tol must be positive")])
 def test_config_rejects_meaningless_settings(setting, message):
     with pytest.raises(ValueError, match=message):
         IntegratorConfig(**setting)
