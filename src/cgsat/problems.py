@@ -327,7 +327,7 @@ def _system_sat(problem, mesh, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
             R = bc.reflections.get(tag)
             po = sat_mod.build_pi_system(decomp, R, scale=problem.sat_scale)
             gfun = bc.data.get(tag)
-            data_point = (lambda t, po=po, gfun=gfun: po.data_vec(gfun(t))) \
+            data_point = (lambda t, neg=-po.data_mat, gfun=gfun: neg @ gfun(t)) \
                 if gfun is not None else None
             entries.append((fidx, po.pi_mat, data_point))
     elif isinstance(bc, R13BC):
@@ -474,8 +474,10 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
         dt = dt * (2 * disc.dofmap.order + 1)
     u0 = disc.u0 if initial == "interp" else l2_project_initial(disc)
     g = disc.pi.rhs_data if disc.pi.data is not None else None
+    # Lagrange coefficients are the nodal values already
+    value_op = None if disc.basis.kind == "lagrange" else disc.value_op
     traj = run(disc.M, disc.rhs_matrix, g, u0, dt, config,
-               ncomp=disc.ncomp, value_op=disc.value_op)
+               ncomp=disc.ncomp, value_op=value_op)
     return disc, traj
 
 

@@ -13,7 +13,9 @@ only on boundary-trace DoFs.  Constructors are provided for
 All penalties are assembled from the same face kernel as the boundary
 quadratic form (``assembly.face_quadrature``), so penalty and Bq share one
 edge rule and the discrete energy estimate closes exactly; in 1D the kernel
-is one endpoint value per face.
+is one endpoint value per face.  The boundary data G(t) is computed face by
+face and the face vectors are added into the DoF vector in face order
+(``np.bincount`` over precomputed DoF indices).
 """
 
 from __future__ import annotations
@@ -98,12 +100,6 @@ def scalar_sat_1d(dofmap: DofMap, a: float, tau=-1.0,
     return BoundaryOperator(mat, fun)
 
 
-def _face_sum(rows: np.ndarray, n: int) -> sp.csc_matrix:
-    """D adding stacked per-face vectors (nf, k) into an n-vector, in face order."""
-    return sp.csc_matrix((np.ones(rows.size), rows.ravel(), np.arange(rows.size + 1)),
-                         shape=(n, rows.size))
-
-
 def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
                   g=None, edge_quad_degree: int = 6,
                   scale: float = 1.0) -> BoundaryOperator:
@@ -111,7 +107,8 @@ def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
 
     Outflow portions (a . n > 0) contribute nothing.  ``g`` is either None
     (homogeneous) or a callable g(points, t) -> values, evaluated once per
-    call at the quadrature points of all inflow faces.
+    call at the quadrature points of all inflow faces; the face vectors of
+    G(t) are added in face order.
     """
     if scale < 1.0:
         raise StabilityViolationError("SAT scale factor must be >= 1")
@@ -126,12 +123,13 @@ def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
     if g is None or not inflow.any():
         return BoundaryOperator(mat)
     pts = fq.points[inflow].reshape(-1, mesh.dimension)
-    D = _face_sum(dofs, n)
+    rows = dofs.ravel()
 
     def fun(t):
-        # contract each face, (w g) @ b, then sum the faces in order through D
+        # contract each face, (w g) @ b, then add the faces in order
         wg = w * np.asarray(g(pts, t), dtype=float).reshape(w.shape)
-        return D @ np.matmul(-wg[:, None, :], fq.basis).ravel()
+        return np.bincount(rows, np.matmul(-wg[:, None, :], fq.basis).ravel(),
+                           minlength=n)
 
     return BoundaryOperator(mat, fun)
 
@@ -380,8 +378,9 @@ def assemble_face_sat(dofmap: DofMap, entries, ncomp: int,
     data_point is None, a static (m,) vector, or a callable t -> (m,).
     The pointwise operator is constant along each (straight) face; the
     edge rule supplies the phi_i phi_j weights.  State layout is DoF-major:
-    component c of DoF i sits at index i * ncomp + c.  When no data point
-    is callable, G is computed once.
+    component c of DoF i sits at index i * ncomp + c.  G(t) adds the face
+    vectors in entry order; when no data point is callable, it is computed
+    once.
     """
     fq = face_quadrature(dofmap, edge_quad_degree)
     n = dofmap.n_dofs * ncomp
@@ -399,11 +398,12 @@ def assemble_face_sat(dofmap: DofMap, entries, ncomp: int,
         return BoundaryOperator(mat, None, ncomp)
     with_data = np.array([e[2] is not None for e in entries])
     phi_int = fq.lengths[fidx[with_data], None] * (fq.weights @ fq.basis)
-    D = _face_sum(gidx[with_data], n)
+    rows = gidx[with_data].ravel()
 
     def fun(t):
         vals = np.array([v(t) if callable(v) else v for v in values], dtype=float)
-        return D @ (phi_int[:, :, None] * vals[:, None, :]).ravel()
+        return np.bincount(rows, (phi_int[:, :, None] * vals[:, None, :]).ravel(),
+                           minlength=n)
 
     if any(callable(v) for v in values):
         return BoundaryOperator(mat, fun, ncomp)

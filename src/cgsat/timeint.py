@@ -8,10 +8,18 @@ Every mass solve goes through one sparse factorization (SuperLU,
 projection of initial data uses the same routine.  M is the SBP norm, so it
 is factored as the symmetric positive-definite matrix it is: a symmetric
 minimum-degree ordering with diagonal pivots, i.e. a sparse LDL^T.
+
+Each right-hand side is one product with the rhs matrix, the boundary data
+G(t) added in place, and one mass solve.  After every step the march
+records the time, the squared M-norm u^T (M (x) I) u (one product with the
+system mass matrix, built once per march) and the largest and smallest
+nodal value (read off the coefficients, or through ``value_op`` when the
+coefficients are not nodal values).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +105,7 @@ def step(state: np.ndarray, t: float, dt: float, rhs, scheme: str) -> np.ndarray
     Each stage starts from its first alpha term; the other terms are added
     in place, in table order, through one scratch buffer.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     plan = _PLANS[scheme]
     stages = [state]
@@ -122,7 +130,7 @@ def stable_dt(cfl: float, h_min: float, max_speed: float, order: int) -> float:
     The (2p+1) factor accounts for the growth of the discrete operator norm
     with the polynomial order.
     """
-    if max_speed <= 0:
+    if not max_speed > 0:
         raise ValueError("max_speed must be positive")
     return cfl * h_min / (max_speed * (2 * order + 1))
 
@@ -188,34 +196,36 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
     ``M`` is the scalar mass matrix (applied blockwise to each of ``ncomp``
     components); ``rhs_matrix`` and ``data_fun`` act on the flattened
     DoF-major state.  ``value_op`` maps coefficients to nodal values for
-    extrema recording (identity if omitted).
+    extrema recording (identity if omitted).  ``dt`` must be positive and
+    finite.
     """
     u = np.array(u0, dtype=float)
     n_scalar = M.shape[0]
     if u.size != n_scalar * ncomp:
         raise ValueError("state size does not match mass matrix and ncomp")
-
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if config.steps is None and not config.t_end > t0:
         raise ValueError(f"t_end {config.t_end} is not after t0 {t0}")
     lu = factor_mass(M)
-
-    def solve(r):
-        return lu.solve(r.reshape(n_scalar, ncomp)).ravel()
+    shape = (n_scalar, ncomp)
 
     if data_fun is None:
         def rhs(t, v):
-            return solve(rhs_matrix @ v)
+            return lu.solve((rhs_matrix @ v).reshape(shape)).ravel()
     else:
         def rhs(t, v):
-            return solve(rhs_matrix @ v + data_fun(t))
+            r = rhs_matrix @ v
+            r += data_fun(t)
+            return lu.solve(r.reshape(shape)).ravel()
+
+    M_sys = M if ncomp == 1 else sp.kron(M, sp.identity(ncomp), format="csr")
 
     def energy(v):
-        vv = v.reshape(n_scalar, ncomp)
-        return float(np.sum(vv * (M @ vv)))
+        return float(np.sum(v * (M_sys @ v)))
 
     def extrema(v):
-        vals = value_op @ v.reshape(n_scalar, ncomp) if value_op is not None \
-            else v.reshape(n_scalar, ncomp)
+        vals = v if value_op is None else value_op @ v.reshape(shape)
         return float(vals.max()), float(vals.min())
 
     if config.steps is not None:
@@ -247,7 +257,8 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         mx, mn = extrema(u)
         umax.append(mx)
         umin.append(mn)
-        if not np.isfinite(energies[-1]) or not np.isfinite(mx) or not np.isfinite(mn):
+        if not (math.isfinite(energies[-1]) and math.isfinite(mx)
+                and math.isfinite(mn)):
             status, blowup_step = "aborted", k
             break
         if config.amplitude_limit is not None and \
@@ -255,9 +266,7 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
             status, blowup_step = "aborted", k
             break
         if config.steady_tol is not None and k % config.steady_check_every == 0:
-            r = rhs(t, u)
-            rr = r.reshape(n_scalar, ncomp)
-            steady_res = float(np.sqrt(np.sum(rr * (M @ rr))))
+            steady_res = float(np.sqrt(energy(rhs(t, u))))
             if steady_res < config.steady_tol:
                 status = "steady"
                 break

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
-None depends on the code it checks: the Jacobi sweep uses no LAPACK, and
-the order-condition check and the reference step read only the Shu-Osher
-tables.
+None depends on the code it checks: the Jacobi sweep uses no LAPACK, the
+order-condition check and the reference step read only the Shu-Osher
+tables, and the recording formulas apply the scalar M and ``value_op`` to
+each component column of the state.
 """
 
 import math
@@ -96,3 +97,15 @@ def reference_step(state: np.ndarray, t: float, dt: float, rhs,
                 acc += (dt * b) * evals[j]
         stages.append(acc)
     return stages[-1]
+
+
+def reference_energy(M, v: np.ndarray, ncomp: int) -> float:
+    """Squared M-norm of a DoF-major state, M applied to each component."""
+    vv = v.reshape(M.shape[0], ncomp)
+    return float(np.sum(vv * (M @ vv)))
+
+
+def reference_extrema(value_op, v: np.ndarray, ncomp: int) -> tuple[float, float]:
+    """Largest and smallest nodal value of a DoF-major state."""
+    vals = value_op @ v.reshape(value_op.shape[1], ncomp)
+    return float(vals.max()), float(vals.min())

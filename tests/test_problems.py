@@ -9,7 +9,8 @@ from cgsat.problems import (advection_2d, discretize, error_norms,
                             interpolate, l2_project_initial,
                             nodal_value_operator, r13_heat, rotation_2d,
                             sine_advection_2d, solve_problem, wave_1d)
-from cgsat.sat import StabilityViolationError, characteristic_decompose
+from cgsat.sat import (StabilityViolationError, build_pi_system,
+                       characteristic_decompose)
 
 
 def test_advection_bump_values():
@@ -87,6 +88,23 @@ def test_wave_problem_facts():
         wave_1d(r0=1.0)
     with pytest.raises(StabilityViolationError):
         wave_1d(r1=-1.5)
+
+
+def test_wave_boundary_data_matches_face_loop():
+    # G(t) of the characteristic penalty, one pointwise operator per face
+    prob = wave_1d(n=12, spacing="random", seed=3, r0=0.4, r1=-0.3)
+    disc = discretize(prob)
+    assert disc.mesh.dimension == 1 and disc.ncomp == 2
+    bf, m = disc.mesh.boundary_faces, disc.ncomp
+    for t in (0.0, 0.3, 1.7, 42.0):
+        out = np.zeros(disc.dofmap.n_dofs * m)
+        for f, (normal, tag) in enumerate(zip(bf.normals, bf.tags)):
+            decomp = characteristic_decompose(prob.A, prob.B,
+                                              prob.symmetrizer, normal)
+            po = build_pi_system(decomp, prob.bc.reflections[tag])
+            gidx = (disc.dofmap.face_dofs[f][:, None] * m + np.arange(m)).ravel()
+            np.add.at(out, gidx, po.data_vec(prob.bc.data[tag](t)))
+        assert np.array_equal(disc.pi.rhs_data(t), out)
 
 
 def test_r13_problem_facts():

@@ -1,15 +1,20 @@
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cgsat import problems, timeint
 from cgsat.assembly import assemble_mass, build_operators
 from cgsat.mesh import build_dofmap, interval_mesh
-from cgsat.problems import discretize, rotation_2d
-from cgsat.sat import scalar_sat_1d
+from cgsat.problems import discretize, rotation_2d, solve_problem, wave_1d
+from cgsat.sat import BoundaryOperator, scalar_sat_1d
 from cgsat.timeint import (SCHEMES, IntegratorConfig, factor_mass, run,
                            stable_dt, step)
-from oracles import reference_step, scheme_consistency_defect
+from oracles import (reference_energy, reference_extrema, reference_step,
+                     scheme_consistency_defect)
 
 
 def test_scheme_order_conditions():
@@ -63,6 +68,20 @@ def test_nonautonomous_stage_times():
 def test_step_rejects_bad_dt():
     with pytest.raises(ValueError):
         step(np.array([1.0]), 0.0, 0.0, lambda t, v: v, "SSPRK22")
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(np.array([1.0]), 0.0, float("nan"), lambda t, v: v, "SSPRK22")
+
+
+@pytest.mark.parametrize("steps", [None, 3])
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+def test_run_rejects_dt_not_positive_and_finite(dt, steps, monkeypatch):
+    def no_factor(M):
+        raise AssertionError("factored M before the check")
+    monkeypatch.setattr(timeint, "factor_mass", no_factor)
+    I = sp.identity(2, format="csr")
+    cfg = IntegratorConfig(scheme="SSPRK22", t_end=1.0, steps=steps)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        run(I, -I, None, np.ones(2), dt, cfg)
 
 
 def test_factor_mass_fem_mass():
@@ -118,8 +137,9 @@ def test_step_matches_reference_bitwise(name):
 
 def test_stable_dt_rule():
     assert stable_dt(0.3, 0.1, 2.0, 1) == pytest.approx(0.3 * 0.1 / (2.0 * 3))
-    with pytest.raises(ValueError):
-        stable_dt(0.3, 0.1, 0.0, 1)
+    for speed in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="max_speed must be positive"):
+            stable_dt(0.3, 0.1, speed, 1)
 
 
 def test_config_validation():
@@ -230,3 +250,69 @@ def test_run_linearity():
     sv = run(ops.M, rhs, None, v0, dt, cfg).state
     sw = run(ops.M, rhs, None, a * u0 + b * v0, dt, cfg).state
     assert np.abs(sw - (a * su + b * sv)).max() < 1e-10
+
+
+def test_march_keeps_the_traced_call_contract(monkeypatch):
+    """One matvec, one G(t) call and one mass solve per right-hand side.
+
+    ``bench/tracer.py`` times a march through stand-ins: the rhs matrix is
+    used only through ``@``, the mass factor only through ``solve``, and
+    G(t) only through the ``BoundaryOperator.rhs_data`` that
+    ``solve_problem`` looks up; its traced runs check each count against
+    stages x steps.  The stand-ins here offer nothing else.
+    """
+    steps = 7
+    _, plain = solve_problem(wave_1d(n=8), steps=steps)
+    calls = Counter()
+
+    class OnlyMatmul:
+        __slots__ = ("_A",)
+
+        def __init__(self, A):
+            self._A = A
+
+        def __matmul__(self, v):
+            calls["matvec"] += 1
+            return self._A @ v
+
+    real_splu, real_run = timeint.spla.splu, problems.run
+    real_data = BoundaryOperator.rhs_data
+
+    def splu(*args, **kwargs):
+        lu = real_splu(*args, **kwargs)
+
+        def solve(r):
+            calls["solve"] += 1
+            return lu.solve(r)
+        return SimpleNamespace(solve=solve)
+
+    def counted_run(M, rhs_matrix, *args, **kwargs):
+        return real_run(M, OnlyMatmul(rhs_matrix), *args, **kwargs)
+
+    def rhs_data(self, t):
+        calls["data"] += 1
+        return real_data(self, t)
+
+    monkeypatch.setattr(timeint, "spla", SimpleNamespace(splu=splu))
+    monkeypatch.setattr(problems, "run", counted_run)
+    monkeypatch.setattr(BoundaryOperator, "rhs_data", rhs_data)
+    disc, traj = solve_problem(wave_1d(n=8), steps=steps)
+    assert traj.status == "completed" and traj.steps == steps
+    evals = len(SCHEMES[disc.problem.scheme]["alpha"]) * steps
+    assert calls == {"matvec": evals, "solve": evals, "data": evals}
+    assert np.array_equal(traj.state, plain.state)
+
+
+@pytest.mark.parametrize("prob", [
+    wave_1d(n=20, spacing="random", seed=5),     # 2 components, Lagrange
+    rotation_2d(5)],                             # 1 component, Bernstein
+    ids=["wave1d-random", "rotation"])
+def test_recording_matches_reference_bitwise(prob):
+    disc = discretize(prob)
+    for k in (1, 4, 9):
+        _, traj = solve_problem(prob, disc=disc, steps=k)
+        assert traj.energies[-1] == reference_energy(disc.M, traj.state,
+                                                     disc.ncomp)
+        assert (traj.umax[-1], traj.umin[-1]) == \
+            reference_extrema(disc.value_op, traj.state, disc.ncomp)
+    assert traj.energies[0] == reference_energy(disc.M, disc.u0, disc.ncomp)
