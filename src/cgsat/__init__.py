@@ -6,7 +6,7 @@ spectrum analyzer that certifies (or refutes) stability of a discretization.
 from .assembly import (GlobalOperators, assemble_boundary_quadratic,
                        assemble_mass, assemble_stiffness, build_operators,
                        check_sbp, default_quad_degree)
-from .basis import BasisSpec, QuadratureRule, eval_basis, eval_grad, quad_rule
+from .basis import BasisSpec, QuadratureRule, quad_rule
 from .mesh import (DofMap, Mesh, annulus_mesh, build_dofmap, generate_mesh,
                    interval_mesh, load_mesh, save_mesh, unit_disk_mesh,
                    unit_square_mesh)

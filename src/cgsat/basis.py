@@ -7,6 +7,12 @@ unit triangle {(x, y) : x >= 0, y >= 0, x + y <= 1}:
 * ``bernstein`` -- nonnegative Bezier basis with control points on the same
   lattice
 
+Both span the same polynomial space, so one kernel evaluates both: Bernstein
+values and gradients are products of barycentric powers read from one cached
+table of exponents and multinomial coefficients, and the Lagrange basis is
+the Bernstein basis times the cached ``lattice_inverse``, the inverse of the
+Bernstein values at the lattice.
+
 Both families share one local numbering (vertices, then edge lattice points
 in edge order, then interior points), so the continuous-Galerkin DoF
 identification in :mod:`cgsat.mesh` is basis independent.
@@ -115,7 +121,7 @@ class BasisSpec:
     def lattice(self) -> np.ndarray:
         """Nodal points (Lagrange) / control points (Bernstein)."""
         if self.domain == "interval":
-            return interval_lattice(self.order)
+            return interval_lattice(self.order)[:, None]
         return triangle_lattice(self.order)
 
 
@@ -125,76 +131,6 @@ class BasisSpec:
 
 _DOMAIN_TOL = 1e-12
 
-
-def _check_inside(spec: BasisSpec, pts: np.ndarray) -> None:
-    if spec.domain == "interval":
-        x = pts[:, 0]
-        bad = (x < -_DOMAIN_TOL) | (x > 1.0 + _DOMAIN_TOL)
-    else:
-        x, y = pts[:, 0], pts[:, 1]
-        bad = (x < -_DOMAIN_TOL) | (y < -_DOMAIN_TOL) | (x + y > 1.0 + _DOMAIN_TOL)
-    if np.any(bad):
-        raise PointOutsideDomainError(
-            f"evaluation point outside the reference {spec.domain}")
-
-
-def _as_points(spec: BasisSpec, point) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    if pts.shape[1] != spec.dim:
-        pts = pts.reshape(-1, spec.dim)
-    return pts
-
-
-@lru_cache(maxsize=None)
-def _lagrange_coeffs(domain: str, p: int) -> np.ndarray:
-    """Monomial coefficients of the Lagrange basis, one column per function."""
-    if domain == "interval":
-        nodes = interval_lattice(p).reshape(-1, 1)
-        powers = [(a,) for a in range(p + 1)]
-    else:
-        nodes = triangle_lattice(p)
-        powers = [(a, b) for a in range(p + 1) for b in range(p + 1 - a)]
-    V = np.ones((len(nodes), len(powers)))
-    for c, pw in enumerate(powers):
-        for d, e in enumerate(pw):
-            V[:, c] *= nodes[:, d] ** e
-    return np.linalg.inv(V)
-
-
-def _monomials(domain: str, p: int, pts: np.ndarray, grad: bool):
-    if domain == "interval":
-        powers = [(a,) for a in range(p + 1)]
-    else:
-        powers = [(a, b) for a in range(p + 1) for b in range(p + 1 - a)]
-    npts = pts.shape[0]
-    vals = np.ones((npts, len(powers)))
-    for c, pw in enumerate(powers):
-        for d, e in enumerate(pw):
-            vals[:, c] *= pts[:, d] ** e
-    if not grad:
-        return vals
-    dim = pts.shape[1]
-    out = np.zeros((npts, len(powers), dim))
-    for c, pw in enumerate(powers):
-        for gdim in range(dim):
-            if pw[gdim] == 0:
-                continue
-            term = np.full(npts, float(pw[gdim]))
-            for d, e in enumerate(pw):
-                ee = e - 1 if d == gdim else e
-                term = term * pts[:, d] ** ee
-            out[:, c, gdim] = term
-    return out
-
-
-def _bary(pts: np.ndarray, domain: str) -> np.ndarray:
-    if domain == "interval":
-        x = pts[:, 0]
-        return np.stack([1.0 - x, x], axis=1)
-    x, y = pts[:, 0], pts[:, 1]
-    return np.stack([1.0 - x - y, x, y], axis=1)
-
-
 # gradients of the barycentric coordinates w.r.t. reference coordinates
 _BARY_GRAD = {
     "interval": np.array([[-1.0], [1.0]]),
@@ -202,74 +138,105 @@ _BARY_GRAD = {
 }
 
 
-def _bernstein_exponents(spec: BasisSpec) -> np.ndarray:
-    p = spec.order
+def _bary(spec: BasisSpec, point) -> np.ndarray:
+    """Barycentric coordinates, shape (nbary, npts), of one point ``(dim,)``
+    or of points ``(n, dim)`` inside the reference domain."""
+    pts = np.asarray(point, dtype=float)
+    if pts.shape == (spec.dim,):
+        pts = pts[None, :]
+    elif pts.ndim != 2 or pts.shape[1] != spec.dim:
+        raise ValueError(f"points on the reference {spec.domain} must have shape "
+                         f"({spec.dim},) or (n, {spec.dim}), got {pts.shape}")
+    x = pts[:, 0]
     if spec.domain == "interval":
-        return np.array([(p - i, i) for i in range(p + 1)])
-    return np.array(triangle_multi_indices(p))
+        lam = np.array([1.0 - x, x])
+    else:
+        y = pts[:, 1]
+        lam = np.array([1.0 - x - y, x, y])
+    if not (lam >= -_DOMAIN_TOL).all():      # NaN compares false: never inside
+        raise PointOutsideDomainError(
+            f"evaluation point outside the reference {spec.domain}")
+    return lam
+
+
+def _multinomials(p: int, exps: np.ndarray) -> np.ndarray:
+    return np.array([math.factorial(p) // math.prod(map(math.factorial, row))
+                     for row in exps.tolist()], dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _bernstein_table(domain: str, p: int):
+    """Coefficients and power-table columns of B^p and of its derivatives.
+
+    Returns ``(coef, cols, dcoef, dcols, take)``.  Local function j has
+    barycentric exponents alpha_j and coefficient p!/alpha_j!.  Its
+    derivative along lambda_d is p B^(p-1)_(alpha_j - e_d), or zero where
+    alpha_jd = 0; ``take[j, d]`` is its row in the table ``(dcoef, dcols)``
+    of distinct derivatives.  ``cols`` index the powers built by _products.
+    """
+    exps = np.array([(p - i, i) for i in range(p + 1)] if domain == "interval"
+                    else triangle_multi_indices(p))
+    nbary = exps.shape[1]
+    lower = (exps[:, None, :] - np.eye(nbary, dtype=int)).reshape(-1, nbary)
+    lower[(lower < 0).any(axis=1)] = -1        # every vanishing derivative
+    lower, take = np.unique(lower, axis=0, return_inverse=True)
+    vanish = lower[:, 0] < 0
+    lower[vanish] = 0
+    dcoef = p * _multinomials(p - 1, lower)
+    dcoef[vanish] = 0.0
+    stride = (p + 1) * np.arange(nbary)
+    table = (_multinomials(p, exps), exps + stride, dcoef, lower + stride,
+             take.reshape(exps.shape))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _products(lam: np.ndarray, p: int, coef: np.ndarray,
+              cols: np.ndarray) -> np.ndarray:
+    """coef_j * prod_d lam_d ** alpha_jd, multiplied in the order of d."""
+    ones, powers = np.ones(lam.shape[1]), []
+    for ld in lam:
+        powers += [ones, ld] + [ld ** e for e in range(2, p + 1)]
+    powers = np.array(powers).T
+    out = coef * powers.take(cols[:, 0], axis=1)
+    for d in range(1, cols.shape[1]):
+        out *= powers.take(cols[:, d], axis=1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def lattice_inverse(domain: str, p: int) -> np.ndarray:
+    """Inverse of the Bernstein values at the lattice (read-only).
+
+    It maps nodal values at the lattice to Bernstein coefficients; column k
+    holds the Bernstein coefficients of the Lagrange function k.
+    """
+    spec = BasisSpec(BERNSTEIN, p, domain)
+    inv = np.linalg.inv(tabulate(spec, spec.lattice()))
+    inv.setflags(write=False)
+    return inv
 
 
 def tabulate(spec: BasisSpec, points) -> np.ndarray:
     """Basis values at many points; shape (npts, n_dofs)."""
-    pts = _as_points(spec, points)
-    _check_inside(spec, pts)
-    if spec.kind == LAGRANGE:
-        mono = _monomials(spec.domain, spec.order, pts, grad=False)
-        return mono @ _lagrange_coeffs(spec.domain, spec.order)
-    lam = _bary(pts, spec.domain)
-    exps = _bernstein_exponents(spec)
     p = spec.order
-    out = np.empty((pts.shape[0], spec.n_dofs))
-    for c, e in enumerate(exps):
-        coef = math.factorial(p)
-        for ei in e:
-            coef //= math.factorial(int(ei))
-        vals = float(coef) * np.ones(pts.shape[0])
-        for d, ei in enumerate(e):
-            if ei:
-                vals = vals * lam[:, d] ** ei
-        out[:, c] = vals
-    return out
+    coef, cols, _, _, _ = _bernstein_table(spec.domain, p)
+    vals = _products(_bary(spec, points), p, coef, cols)
+    if spec.kind == LAGRANGE:
+        return vals @ lattice_inverse(spec.domain, p)
+    return vals
 
 
 def tabulate_grad(spec: BasisSpec, points) -> np.ndarray:
     """Basis reference gradients at many points; shape (npts, n_dofs, dim)."""
-    pts = _as_points(spec, points)
-    _check_inside(spec, pts)
-    if spec.kind == LAGRANGE:
-        mono = _monomials(spec.domain, spec.order, pts, grad=True)
-        C = _lagrange_coeffs(spec.domain, spec.order)
-        return np.einsum("pmd,mj->pjd", mono, C)
-    lam = _bary(pts, spec.domain)
-    dlam = _BARY_GRAD[spec.domain]
-    exps = _bernstein_exponents(spec)
     p = spec.order
-    npts = pts.shape[0]
-    out = np.zeros((npts, spec.n_dofs, spec.dim))
-    for c, e in enumerate(exps):
-        coef = math.factorial(p)
-        for ei in e:
-            coef //= math.factorial(int(ei))
-        for d, ei in enumerate(e):
-            if not ei:
-                continue
-            term = float(coef) * float(ei) * np.ones(npts)
-            for d2, e2 in enumerate(e):
-                ee = e2 - 1 if d2 == d else e2
-                if ee:
-                    term = term * lam[:, d2] ** ee
-            out[:, c, :] += term[:, None] * dlam[d][None, :]
-    return out
-
-
-def eval_basis(spec: BasisSpec, point) -> np.ndarray:
-    """Basis values at one reference point; length n_dofs."""
-    return tabulate(spec, point)[0]
-
-
-def eval_grad(spec: BasisSpec, point) -> np.ndarray:
-    """Basis gradients at one reference point; shape (n_dofs, dim)."""
-    return tabulate_grad(spec, point)[0]
+    _, _, dcoef, dcols, take = _bernstein_table(spec.domain, p)
+    dvals = _products(_bary(spec, points), p, dcoef, dcols)
+    grads = dvals.take(take, axis=1) @ _BARY_GRAD[spec.domain]
+    if spec.kind == LAGRANGE:
+        return np.einsum("pjd,jk->pkd", grads, lattice_inverse(spec.domain, p))
+    return grads
 
 
 # ---------------------------------------------------------------------------

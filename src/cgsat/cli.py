@@ -20,6 +20,10 @@ from .problems import (PROBLEMS, discretize, error_norms, solve_problem)
 from .spectra import build_spectrum_report, write_spectrum_csv
 
 
+_BOOLEANS = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs; round-trips losslessly through text."""
@@ -75,10 +79,14 @@ class RunConfig:
             if f.name not in raw:
                 continue
             sv = raw.pop(f.name)
-            if sv == "none":
+            if f.type in ("bool", bool):
+                flag = sv.lower()
+                if flag not in _BOOLEANS:
+                    raise ValueError(f"config key {f.name!r}: expected one of "
+                                     f"true/false/1/0/yes/no, got {sv!r}")
+                kwargs[f.name] = _BOOLEANS[flag]
+            elif sv == "none":
                 kwargs[f.name] = None
-            elif f.type in ("bool", bool):
-                kwargs[f.name] = sv.lower() in ("true", "1", "yes")
             elif f.type in ("int | None", "int", int):
                 kwargs[f.name] = int(sv)
             elif f.type in ("float | None", "float", float):

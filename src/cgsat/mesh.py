@@ -20,6 +20,7 @@ read-only) and safe to share across threads.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,6 +228,13 @@ def _build_mesh(dim, vertices, elements, tagged_faces) -> Mesh:
 # file I/O
 # ---------------------------------------------------------------------------
 
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"coordinate {token!r} is not finite")
+    return x
+
+
 def load_mesh(path) -> Mesh:
     """Read a mesh from the ASCII format described in the module docstring."""
     with open(path) as fh:
@@ -256,7 +264,7 @@ def load_mesh(path) -> Mesh:
     if len(lines) < needed:
         raise MeshFormatError(lines[-1][0],
                               f"file truncated: expected {needed} data lines")
-    vertices = [parse(1 + i, dim, float, "vertex") for i in range(nv)]
+    vertices = [parse(1 + i, dim, _finite_float, "vertex") for i in range(nv)]
     elements = [parse(1 + nv + i, dim + 1, int, "element") for i in range(ne)]
     tagged = []
     for i in range(nb):

@@ -25,7 +25,7 @@ from . import sat as sat_mod
 from .assembly import (GlobalOperators, assemble_boundary_quadratic,
                        assemble_mass, assemble_stiffness, build_operators,
                        check_sbp, default_quad_degree, physical_points)
-from .basis import BasisSpec, quad_rule, tabulate
+from .basis import BasisSpec, lattice_inverse, quad_rule, tabulate
 from .mesh import (DofMap, Mesh, build_dofmap, check_spacing, first_owner,
                    generate_mesh, last_owner)
 from .timeint import (IntegratorConfig, factor_mass, run, scheme_for_order,
@@ -262,7 +262,7 @@ def interpolate(fn, dofmap: DofMap, basis: BasisSpec, ncomp: int = 1) -> np.ndar
     if basis.kind == "lagrange":
         out = vals
     else:
-        inv = np.linalg.inv(tabulate(basis, basis.lattice()))
+        inv = lattice_inverse(basis.domain, basis.order)
         ed = dofmap.element_dofs
         # a shared DoF takes the value of the last element listing it
         out = np.matmul(inv, vals[ed]).reshape(-1, vals.shape[1])[last_owner(ed)]

@@ -2,8 +2,10 @@
 
 None depends on the code it checks: the Jacobi sweep uses no LAPACK, the
 order-condition check and the reference step read only the Shu-Osher
-tables, and the recording formulas apply the scalar M and ``value_op`` to
-each component column of the state.
+tables, the recording formulas apply the scalar M and ``value_op`` to
+each component column of the state, and the Lagrange basis is evaluated
+through monomials and the inverse Vandermonde matrix on the lattice, with
+no Bernstein code.
 """
 
 import math
@@ -109,3 +111,49 @@ def reference_extrema(value_op, v: np.ndarray, ncomp: int) -> tuple[float, float
     """Largest and smallest nodal value of a DoF-major state."""
     vals = value_op @ v.reshape(value_op.shape[1], ncomp)
     return float(vals.max()), float(vals.min())
+
+
+def _monomial_powers(spec) -> list[tuple[int, ...]]:
+    p = spec.order
+    if spec.dim == 1:
+        return [(a,) for a in range(p + 1)]
+    return [(a, b) for a in range(p + 1) for b in range(p + 1 - a)]
+
+
+def _monomials(spec, pts: np.ndarray, grad: bool) -> np.ndarray:
+    """Monomial values (npts, nmono), or gradients (npts, nmono, dim)."""
+    powers = _monomial_powers(spec)
+    npts, dim = pts.shape
+    if not grad:
+        vals = np.ones((npts, len(powers)))
+        for c, pw in enumerate(powers):
+            for d, e in enumerate(pw):
+                vals[:, c] *= pts[:, d] ** e
+        return vals
+    out = np.zeros((npts, len(powers), dim))
+    for c, pw in enumerate(powers):
+        for gdim in range(dim):
+            if pw[gdim] == 0:
+                continue
+            term = np.full(npts, float(pw[gdim]))
+            for d, e in enumerate(pw):
+                ee = e - 1 if d == gdim else e
+                term = term * pts[:, d] ** ee
+            out[:, c, gdim] = term
+    return out
+
+
+def _lagrange_coeffs(spec) -> np.ndarray:
+    """Monomial coefficients of the Lagrange basis, one column per function."""
+    return np.linalg.inv(_monomials(spec, spec.lattice(), grad=False))
+
+
+def reference_lagrange(spec, pts: np.ndarray) -> np.ndarray:
+    """Lagrange values at ``pts`` (npts, dim); shape (npts, n_dofs)."""
+    return _monomials(spec, pts, grad=False) @ _lagrange_coeffs(spec)
+
+
+def reference_lagrange_grad(spec, pts: np.ndarray) -> np.ndarray:
+    """Lagrange reference gradients; shape (npts, n_dofs, dim)."""
+    return np.einsum("pmd,mj->pjd", _monomials(spec, pts, grad=True),
+                     _lagrange_coeffs(spec))

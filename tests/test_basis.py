@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from cgsat.basis import (BasisSpec, PointOutsideDomainError,
-                         UnsupportedDegreeError, eval_basis, eval_grad,
-                         quad_rule, tabulate, tabulate_grad)
+                         UnsupportedDegreeError, quad_rule, tabulate,
+                         tabulate_grad)
+from oracles import reference_lagrange, reference_lagrange_grad
 
 ALL_SPECS = [BasisSpec(kind, p, dom)
              for kind in ("lagrange", "bernstein")
              for p in (1, 2, 3)
              for dom in ("interval", "triangle")]
+LAGRANGE_SPECS = [s for s in ALL_SPECS if s.kind == "lagrange"]
+
+
+def spec_id(spec):
+    return f"{spec.kind}-P{spec.order}-{spec.domain}"
 
 
 def random_points(spec, n, seed=0):
@@ -21,13 +27,13 @@ def random_points(spec, n, seed=0):
 
 def test_lagrange_p1_interval_nodal():
     spec = BasisSpec("lagrange", 1, "interval")
-    assert np.allclose(eval_basis(spec, [0.0]), [1.0, 0.0])
-    assert np.allclose(eval_basis(spec, [1.0]), [0.0, 1.0])
+    assert np.allclose(tabulate(spec, [0.0])[0], [1.0, 0.0])
+    assert np.allclose(tabulate(spec, [1.0])[0], [0.0, 1.0])
 
 
 def test_bernstein_p2_midpoint():
     spec = BasisSpec("bernstein", 2, "interval")
-    assert np.allclose(eval_basis(spec, [0.5]), [0.25, 0.5, 0.25], atol=1e-15)
+    assert np.allclose(tabulate(spec, [0.5])[0], [0.25, 0.5, 0.25], atol=1e-15)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
@@ -60,28 +66,37 @@ def test_bernstein_nonnegative():
 
 def test_hat_gradients():
     spec = BasisSpec("lagrange", 1, "interval")
-    g = eval_grad(spec, [0.37])
+    g = tabulate_grad(spec, [0.37])[0]
     assert np.allclose(g[:, 0], [-1.0, 1.0])
 
 
 def test_p1_triangle_gradients():
     spec = BasisSpec("lagrange", 1, "triangle")
-    g = eval_grad(spec, [0.21, 0.33])
+    g = tabulate_grad(spec, [0.21, 0.33])[0]
     assert np.allclose(g, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def test_bernstein_gradient_vs_finite_differences():
-    spec = BasisSpec("bernstein", 3, "triangle")
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+def test_bernstein_gradient_vs_finite_differences(spec):
     rng = np.random.default_rng(3)
-    pts = rng.random((5, 2)) * 0.4 + 0.1
+    pts = rng.random((5, spec.dim)) * 0.4 + 0.1
     h = 1e-6
     for pt in pts:
-        g = eval_grad(spec, pt)
-        for d in range(2):
-            e = np.zeros(2)
+        g = tabulate_grad(spec, pt)[0]
+        for d in range(spec.dim):
+            e = np.zeros(spec.dim)
             e[d] = h
-            fd = (eval_basis(spec, pt + e) - eval_basis(spec, pt - e)) / (2 * h)
+            fd = (tabulate(spec, pt + e)[0] - tabulate(spec, pt - e)[0]) / (2 * h)
             assert np.abs(g[:, d] - fd).max() < 1e-6
+
+
+@pytest.mark.parametrize("spec", LAGRANGE_SPECS, ids=spec_id)
+def test_lagrange_matches_monomial_oracle(spec):
+    """Bernstein times the lattice inverse is the monomial-Vandermonde basis."""
+    for pts in (random_points(spec, 200, seed=5), spec.lattice()):
+        assert np.abs(tabulate(spec, pts) - reference_lagrange(spec, pts)).max() < 1e-13
+        assert np.abs(tabulate_grad(spec, pts)
+                      - reference_lagrange_grad(spec, pts)).max() < 1e-13
 
 
 @pytest.mark.parametrize("kind", ["lagrange", "bernstein"])
@@ -108,9 +123,29 @@ def test_families_span_the_same_space(kind, p):
 
 def test_point_outside_domain_rejected():
     with pytest.raises(PointOutsideDomainError):
-        eval_basis(BasisSpec("lagrange", 2, "triangle"), [0.8, 0.8])
+        tabulate(BasisSpec("lagrange", 2, "triangle"), [0.8, 0.8])
     with pytest.raises(PointOutsideDomainError):
-        eval_basis(BasisSpec("bernstein", 1, "interval"), [1.5])
+        tabulate(BasisSpec("bernstein", 1, "interval"), [1.5])
+    for fn in (tabulate, tabulate_grad):      # NaN compares false everywhere
+        with pytest.raises(PointOutsideDomainError):
+            fn(BasisSpec("lagrange", 2, "triangle"), [[0.2, 0.1], [np.nan, 0.3]])
+        with pytest.raises(PointOutsideDomainError):
+            fn(BasisSpec("bernstein", 3, "interval"), [np.nan])
+
+
+@pytest.mark.parametrize("fn", [tabulate, tabulate_grad])
+@pytest.mark.parametrize("spec, shape", [
+    (BasisSpec("bernstein", 2, "triangle"), (4, 3)),    # reshapes to 6 points
+    (BasisSpec("lagrange", 1, "interval"), (2, 2)),     # reshapes to 4 points
+    (BasisSpec("lagrange", 3, "triangle"), (3,)),
+    (BasisSpec("bernstein", 1, "interval"), (3,)),
+    (BasisSpec("lagrange", 2, "interval"), ()),
+    (BasisSpec("lagrange", 2, "triangle"), (2, 1, 2)),
+], ids=["triangle-4x3", "interval-2x2", "triangle-3", "interval-3",
+        "interval-scalar", "triangle-2x1x2"])
+def test_points_of_the_wrong_shape_rejected(fn, spec, shape):
+    with pytest.raises(ValueError, match="must have shape"):
+        fn(spec, np.full(shape, 0.1))
 
 
 # quadrature ----------------------------------------------------------------

@@ -28,6 +28,49 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_text("problem = advection2d\nwibble = 3\n")
 
 
+@pytest.mark.parametrize("key", ["skip_sbp_guard", "dt_order_scaling"])
+@pytest.mark.parametrize("value", ["ture", "flase", "2", "none", ""])
+def test_config_rejects_unreadable_boolean(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        RunConfig.from_text(f"problem = wave1d\n{key} = {value}\n")
+
+
+def test_config_reads_every_boolean_spelling():
+    for text, flag in (("true", True), ("TRUE", True), ("1", True),
+                       ("Yes", True), ("false", False), ("False", False),
+                       ("0", False), ("NO", False)):
+        cfg = RunConfig.from_text(f"skip_sbp_guard = {text}\n"
+                                  f"dt_order_scaling = {text}\n")
+        assert cfg.skip_sbp_guard is flag and cfg.dt_order_scaling is flag
+
+
+def test_solve_rejects_misspelt_boolean_in_config(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = advection2d\nmesh_n = 2\norder = 1\n"
+                      "steps = 2\nskip_sbp_guard = ture\n")
+    rc = main(["solve", "--config", str(config),
+               "--outdir", str(tmp_path / "s")])
+    assert rc == 1
+    assert ("config key 'skip_sbp_guard': expected one of true/false/1/0/yes/no, "
+            "got 'ture'") in capsys.readouterr().err
+    assert not (tmp_path / "s" / "summary.txt").exists()
+
+
+def test_solve_rejects_non_finite_mesh_vertex(tmp_path, capsys):
+    mesh = tmp_path / "square.mesh"
+    assert main(["mesh-gen", "--recipe", "unit_square(2)", "--out", str(mesh)]) == 0
+    lines = mesh.read_text().splitlines()
+    lines[2] = "nan 0.0"
+    mesh.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["solve", "--problem", "advection2d", "--mesh", str(mesh),
+               "--steps", "2", "--outdir", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: bad vertex: coordinate 'nan' is not finite\n"
+    assert not (tmp_path / "run" / "summary.txt").exists()
+
+
 def test_mesh_gen_roundtrip(tmp_path):
     out = tmp_path / "mesh.txt"
     assert main(["mesh-gen", "--recipe", "unit_square(3)",

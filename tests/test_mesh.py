@@ -134,6 +134,16 @@ def test_parse_error_carries_line_number(tmp_path):
     assert "line 4" in str(err.value)
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_vertex_rejected(tmp_path, coord):
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"2 3 1 3\n0 0\n1 {coord}\n0 1\n0 1 2\n0 0 a\n0 1 b\n0 2 c\n")
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh(path)
+    assert "line 3" in str(err.value)
+    assert f"coordinate '{coord}' is not finite" in str(err.value)
+
+
 def test_degenerate_element_rejected(tmp_path):
     path = tmp_path / "deg.mesh"
     path.write_text("2 3 1 3\n0 0\n1 0\n2 0\n0 1 2\n0 0 a\n0 1 b\n0 2 c\n")
