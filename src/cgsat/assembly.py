@@ -2,8 +2,9 @@
 
 All elements are affine (straight edges), so the mass matrix is a scaled
 reference mass matrix and the stiffness reduces to reference tensors
-contracted with the inverse element Jacobian.  The discrete integration by
-parts identity
+contracted with the inverse element Jacobian, for constant and variable
+coefficients alike; the split form is taken on the element blocks before
+they are scattered.  The discrete integration by parts identity
 
     Q + Q^T = Bq        (Bq the boundary quadratic form)
 
@@ -33,12 +34,25 @@ def as_coefficient(coeff, dim: int):
 
     Accepts a constant scalar (1D), a constant vector, or a callable taking
     an (n, dim) array of positions.  Returns (func, constant_or_None).
+    A value of the wrong shape or a non-finite value raises ``ValueError``.
     """
     if callable(coeff):
-        return coeff, None
+        def checked(points):
+            val = np.asarray(coeff(points), dtype=float)
+            if val.shape != (points.shape[0], dim):
+                raise ValueError(f"velocity callable must return shape (n, {dim}) "
+                                 f"for n = {points.shape[0]} points, got {val.shape}")
+            if not np.isfinite(val).all():
+                raise ValueError("velocity callable returned a non-finite value")
+            return val
+
+        return checked, None
     const = np.atleast_1d(np.asarray(coeff, dtype=float))
     if const.shape != (dim,):
-        raise ValueError(f"constant coefficient must have shape ({dim},)")
+        raise ValueError(f"constant coefficient must have shape ({dim},), "
+                         f"got {const.shape}")
+    if not np.isfinite(const).all():
+        raise ValueError(f"constant coefficient {const} is not finite")
 
     def f(points):
         return np.broadcast_to(const, (points.shape[0], dim))
@@ -131,7 +145,14 @@ def assemble_mass(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,
 
 
 def _advective_local(mesh, basis, coeff_fun, const, quad_degree):
-    """Per-element blocks of integral phi_i (a . grad phi_j)."""
+    """Per-element blocks of integral phi_i (a . grad phi_j).
+
+    Both branches contract a reference tensor with per-element coefficients
+    c = J^-1 a: one vector per element when a is constant, its values at
+    the rule points when it varies.  In the variable branch the tensor
+    K[q, d, i, j] = w_q phi_i(x_q) d_d phi_j(x_q) is a (nq dim) x nloc^2
+    matrix, so every element's block comes out of one matrix product.
+    """
     rule = quad_rule(basis.domain, quad_degree)
     phi = tabulate(basis, rule.points)           # (nq, nloc)
     dphi = tabulate_grad(basis, rule.points)     # (nq, nloc, dim)
@@ -142,17 +163,26 @@ def _advective_local(mesh, basis, coeff_fun, const, quad_degree):
         c = np.einsum("edk,k->ed", inv, const)
         return det[:, None, None] * np.einsum("ed,dij->eij", c, T)
     pts, _ = physical_points(mesh, rule)
-    ne, nq = pts.shape[0], pts.shape[1]
-    aval = coeff_fun(pts.reshape(-1, mesh.dimension)).reshape(ne, nq, -1)
+    ne, nq, dim = pts.shape
+    nloc = phi.shape[1]
+    aval = coeff_fun(pts.reshape(-1, dim)).reshape(ne, nq, dim)
     c = np.einsum("edk,eqk->eqd", inv, aval)
-    local = np.einsum("q,qi,eqd,qjd->eij", rule.weights, phi, c, dphi)
-    return det[:, None, None] * local
+    K = np.einsum("q,qi,qjd->qdij", rule.weights, phi, dphi)
+    local = (c.reshape(ne, nq * dim) @ K.reshape(nq * dim, nloc * nloc)).reshape(
+        ne, nloc, nloc)
+    local *= det[:, None, None]
+    return local
 
 
 def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
                        quad_degree: int, split_alpha: float | None = None,
                        edge_quad_degree: int | None = None) -> sp.csr_matrix:
     """Stiffness Q_ij = integral phi_i (a . grad phi_j), optionally split.
+
+    The split form Q = (1 - alpha) A + alpha (Bq - A^T), A the advective
+    stiffness, is taken per element: the blocks (1 - alpha) A_e - alpha A_e^T
+    are scattered once and alpha Bq, which lives on the boundary faces, is
+    added after.
 
     Parameters
     ----------
@@ -170,13 +200,13 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
     if split_alpha is None:
         split_alpha = 0.0 if const is not None else 0.5
     adv_local = _advective_local(mesh, basis, coeff_fun, const, quad_degree)
-    adv = _scatter(dofmap, adv_local)
     if split_alpha == 0.0:
-        return adv
+        return _scatter(dofmap, adv_local)
     edge_deg = edge_quad_degree if edge_quad_degree is not None else quad_degree
     bq = assemble_boundary_quadratic(mesh, dofmap, basis, coeff, edge_deg)
-    q = split_alpha * (bq - adv.T) + (1.0 - split_alpha) * adv
-    return q.tocsr()
+    local = (1.0 - split_alpha) * adv_local
+    local -= split_alpha * np.swapaxes(adv_local, 1, 2)
+    return _scatter(dofmap, local) + split_alpha * bq
 
 
 def assemble_boundary_quadratic(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,

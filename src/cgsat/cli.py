@@ -24,6 +24,14 @@ _BOOLEANS = {"true": True, "1": True, "yes": True,
              "false": False, "0": False, "no": False}
 
 
+def _read_number(key: str, text: str, kind, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: expected {what}, "
+                         f"got {text!r}") from None
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs; round-trips losslessly through text."""
@@ -88,9 +96,9 @@ class RunConfig:
             elif sv == "none":
                 kwargs[f.name] = None
             elif f.type in ("int | None", "int", int):
-                kwargs[f.name] = int(sv)
+                kwargs[f.name] = _read_number(f.name, sv, int, "an integer")
             elif f.type in ("float | None", "float", float):
-                kwargs[f.name] = float(sv)
+                kwargs[f.name] = _read_number(f.name, sv, float, "a number")
             else:
                 kwargs[f.name] = sv
         if raw:

@@ -3,9 +3,11 @@
 None depends on the code it checks: the Jacobi sweep uses no LAPACK, the
 order-condition check and the reference step read only the Shu-Osher
 tables, the recording formulas apply the scalar M and ``value_op`` to
-each component column of the state, and the Lagrange basis is evaluated
+each component column of the state, the Lagrange basis is evaluated
 through monomials and the inverse Vandermonde matrix on the lattice, with
-no Bernstein code.
+no Bernstein code, and the variable-coefficient stiffness is the
+four-operand einsum per element and the split form the global sparse
+expression, with no reference tensor.
 """
 
 import math
@@ -13,6 +15,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from cgsat.assembly import _jacobians, physical_points
+from cgsat.basis import quad_rule, tabulate, tabulate_grad
 from cgsat.timeint import SCHEMES
 
 
@@ -157,3 +161,23 @@ def reference_lagrange_grad(spec, pts: np.ndarray) -> np.ndarray:
     """Lagrange reference gradients; shape (npts, n_dofs, dim)."""
     return np.einsum("pmd,mj->pjd", _monomials(spec, pts, grad=True),
                      _lagrange_coeffs(spec))
+
+
+def reference_advective_local(mesh, basis, coeff_fun, quad_degree) -> np.ndarray:
+    """Blocks of integral phi_i (a . grad phi_j) for a variable a, (ne, nloc, nloc)."""
+    rule = quad_rule(basis.domain, quad_degree)
+    phi = tabulate(basis, rule.points)
+    dphi = tabulate_grad(basis, rule.points)
+    _, det, inv = _jacobians(mesh)
+    pts, _ = physical_points(mesh, rule)
+    ne, nq = pts.shape[0], pts.shape[1]
+    aval = coeff_fun(pts.reshape(-1, mesh.dimension)).reshape(ne, nq, -1)
+    c = np.einsum("edk,eqk->eqd", inv, aval)
+    local = np.einsum("q,qi,eqd,qjd->eij", rule.weights, phi, c, dphi)
+    return det[:, None, None] * local
+
+
+def reference_split_stiffness(adv, bq, split_alpha: float):
+    """Split form alpha (Bq - A^T) + (1 - alpha) A on the global matrices."""
+    q = split_alpha * (bq - adv.T) + (1.0 - split_alpha) * adv
+    return q.tocsr()

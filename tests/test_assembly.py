@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_advective_local, reference_split_stiffness
 
-from cgsat.assembly import (as_coefficient, assemble_boundary_quadratic,
+from cgsat import problems
+from cgsat.assembly import (GlobalOperators, _advective_local, _scatter,
+                            as_coefficient, assemble_boundary_quadratic,
                             assemble_mass, assemble_stiffness, build_operators,
                             check_sbp, default_quad_degree)
 from cgsat.basis import BasisSpec, quad_rule, tabulate
@@ -152,6 +157,88 @@ def test_sbp_rotation_split_form():
     rep = check_sbp(ops)
     assert rep.passed, str(rep)
     assert rep.max_interior_residual <= rep.tolerance
+
+
+@pytest.mark.parametrize("kind", ["lagrange", "bernstein"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_variable_stiffness_matches_einsum_and_global_split_oracles(kind, p):
+    """The reference-tensor product and the per-element split form agree with
+    the four-operand einsum and the split form on global matrices to roundoff.
+
+    At alpha = 1/2, the form the rotation uses, each scattered block is
+    exactly antisymmetric, so the interior SBP defect is zero and the
+    boundary defect is no larger than the oracle's.  Other weights scale
+    the advective form's own defect by 1 - 2 alpha, roundoff either way.
+    """
+    prob = problems.rotation_2d(5)
+    mesh = generate_mesh(prob.mesh_recipe)
+    dm, bs = setup(mesh, p, kind)
+    vol = default_quad_degree(p)
+    fun, _ = as_coefficient(prob.velocity, 2)
+    ref_local = reference_advective_local(mesh, bs, prob.velocity, vol)
+    local = _advective_local(mesh, bs, fun, None, vol)
+    assert np.abs(local - ref_local).max() <= 1e-15 * np.abs(ref_local).max()
+    M = assemble_mass(mesh, dm, bs, vol)
+    bq = assemble_boundary_quadratic(mesh, dm, bs, prob.velocity, vol)
+    for alpha in (0.25, 0.5, 1.0):
+        q = assemble_stiffness(mesh, dm, bs, prob.velocity, vol,
+                               split_alpha=alpha, edge_quad_degree=vol)
+        q_ref = reference_split_stiffness(_scatter(dm, ref_local), bq, alpha)
+        scale = np.abs(q_ref.data).max()
+        assert abs(q - q_ref).max() <= 1e-15 * scale
+        rep = check_sbp(GlobalOperators(M, q, bq, dm, vol, vol))
+        assert rep.passed, str(rep)
+        if alpha == 0.5:
+            assert rep.max_interior_residual == 0.0
+            rep_ref = check_sbp(GlobalOperators(M, q_ref, bq, dm, vol, vol))
+            assert rep.max_boundary_residual <= rep_ref.max_boundary_residual
+
+
+def _digest(m):
+    h = hashlib.sha256()
+    for a in (m.data, m.indices, m.indptr):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# First 16 hex digits of the sha256 of data, indices and indptr of each
+# operator, recorded before the variable-coefficient stiffness became one
+# reference-tensor product with the split form taken per element.  Constant
+# coefficients do not take that path, so their operators keep every bit.
+CONSTANT_COEFFICIENT_DIGESTS = {
+    "wave1d": (lambda: problems.wave_1d(20, order=2, spacing="random", seed=7),
+               {"M": "ee1a4b588d96fd1f", "ops_sys": "8ac1120c2c78423a",
+                "bq_sys": "e6c7fd50183283c6", "rhs_matrix": "62aaa3e47ed74121"}),
+    "advection2d": (lambda: problems.advection_2d(6),
+                    {"M": "1fcc7fd6350da814", "ops_sys": "06944b38cc9eab2e",
+                     "bq_sys": "f9e6a7f67b65206f",
+                     "rhs_matrix": "899c2edd32327a38"}),
+    "r13": (lambda: problems.r13_heat(2),
+            {"M": "5867ee24c4a322d3", "ops_sys": "02bd9cb1f523c3ee",
+             "bq_sys": "ebe915dc45ad99ca", "rhs_matrix": "93dad1cd2c002f66"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_COEFFICIENT_DIGESTS))
+def test_constant_coefficient_operators_keep_every_bit(name):
+    make, digests = CONSTANT_COEFFICIENT_DIGESTS[name]
+    d = problems.discretize(make())
+    assert {k: _digest(getattr(d, k)) for k in digests} == digests
+
+
+@pytest.mark.parametrize("velocity, message", [
+    (lambda x: x[:, 0], r"shape \(n, 2\) for n = 648 points, got \(648,\)"),
+    (lambda x: np.stack([x[:, 1], -x[:, 0], x[:, 0]], axis=1),
+     r"shape \(n, 2\) for n = 648 points, got \(648, 3\)"),
+    (lambda x: np.full_like(x, np.nan), "non-finite"),
+    ([1.0, 0.0, 0.0], r"must have shape \(2,\), got \(3,\)"),
+    ([1.0, np.inf], "not finite"),
+], ids=["one-column", "three-columns", "nan", "constant-3", "constant-inf"])
+def test_bad_velocity_rejected(velocity, message):
+    mesh = unit_disk_mesh(3)
+    dm, bs = setup(mesh, 2, "bernstein")
+    with pytest.raises(ValueError, match=message):
+        build_operators(mesh, dm, bs, velocity)
 
 
 @settings(max_examples=25, deadline=None)

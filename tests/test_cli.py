@@ -44,6 +44,28 @@ def test_config_reads_every_boolean_spelling():
         assert cfg.skip_sbp_guard is flag and cfg.dt_order_scaling is flag
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("mesh_n", "x", "an integer"), ("order", "2.5", "an integer"),
+    ("steps", "", "an integer"), ("cfl", "fast", "a number"),
+    ("t_end", "1,5", "a number")])
+def test_config_rejects_unreadable_number(key, value, what):
+    with pytest.raises(ValueError, match=f"config key '{key}': expected {what}, "
+                                         f"got '{value}'"):
+        RunConfig.from_text(f"problem = advection2d\n{key} = {value}\n")
+
+
+def test_solve_rejects_unreadable_number_in_config(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = advection2d\nmesh_n = x\norder = 1\n"
+                      "steps = 2\n")
+    rc = main(["solve", "--config", str(config),
+               "--outdir", str(tmp_path / "s")])
+    assert rc == 1
+    assert "config key 'mesh_n': expected an integer, got 'x'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "s" / "summary.txt").exists()
+
+
 def test_solve_rejects_misspelt_boolean_in_config(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("problem = advection2d\nmesh_n = 2\norder = 1\n"
