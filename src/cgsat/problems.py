@@ -24,7 +24,8 @@ import scipy.sparse as sp
 from . import sat as sat_mod
 from .assembly import (GlobalOperators, assemble_boundary_quadratic,
                        assemble_mass, assemble_stiffness, build_operators,
-                       check_sbp, default_quad_degree, physical_points)
+                       check_sbp, default_quad_degree, face_quadrature,
+                       physical_points)
 from .basis import BasisSpec, lattice_inverse, quad_rule, tabulate
 from .mesh import (DofMap, Mesh, build_dofmap, check_spacing, first_owner,
                    generate_mesh, last_owner)
@@ -318,30 +319,41 @@ class Discretization:
 
 
 def _system_sat(problem, mesh, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
-    bc, faces = problem.bc, mesh.boundary_faces
-    entries = []
+    # one pointwise operator per boundary face, stacked for the one kernel
+    bc, faces, m = problem.bc, mesh.boundary_faces, problem.ncomp
+    fq = face_quadrature(dofmap, edge_deg)
+    nf, tags = len(faces), list(faces.tags)
+    on_faces = (dofmap, fq, np.arange(nf), fq.weights * fq.lengths[:, None])
     if isinstance(bc, CharacteristicBC):
-        for fidx, (normal, tag) in enumerate(zip(faces.normals, faces.tags)):
-            decomp = sat_mod.characteristic_decompose(
-                problem.A, problem.B, problem.symmetrizer, normal)
-            R = bc.reflections.get(tag)
-            po = sat_mod.build_pi_system(decomp, R, scale=problem.sat_scale)
-            gfun = bc.data.get(tag)
-            data_point = (lambda t, neg=-po.data_mat, gfun=gfun: neg @ gfun(t)) \
-                if gfun is not None else None
-            entries.append((fidx, po.pi_mat, data_point))
-    elif isinstance(bc, R13BC):
-        for fidx, (normal, tag) in enumerate(zip(faces.normals, faces.tags)):
-            gamma = float(np.arctan2(normal[1], normal[0]))
-            op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma,
-                                      bc.variant, bc.shift)
-            gfun = bc.data.get(tag)
-            data_point = None if gfun is None else \
-                problem.sat_scale * op.data_vec(gfun(gamma))
-            entries.append((fidx, problem.sat_scale * op.pi_mat, data_point))
-    else:
-        raise TypeError(f"unsupported boundary condition {type(bc)}")
-    return sat_mod.assemble_face_sat(dofmap, entries, problem.ncomp, edge_deg)
+        pos = [sat_mod.build_pi_system(
+            sat_mod.characteristic_decompose(problem.A, problem.B,
+                                             problem.symmetrizer, normal),
+            bc.reflections.get(tag), scale=problem.sat_scale)
+            for normal, tag in zip(faces.normals, tags)]
+        # the data are evaluated once per tag and stacked; a face's data
+        # matrix fills the columns of its own tag
+        widths = [pos[tags.index(t)].data_mat.shape[1] for t in bc.data]
+        data_mat = np.zeros((nf, 1, m, sum(widths)))
+        for t, c, wt in zip(bc.data, np.cumsum([0] + widths), widths):
+            for f in np.nonzero(faces.tags == t)[0]:
+                data_mat[f, 0, :, c:c + wt] = pos[f].data_mat
+        funs = list(bc.data.values())
+        return sat_mod.assemble_face_sat(
+            *on_faces, np.array([po.pi_mat for po in pos]),
+            (lambda t: data_mat @ np.concatenate([g(t) for g in funs]))
+            if funs else None)
+    if isinstance(bc, R13BC):
+        gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
+        op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma, bc.variant,
+                                  bc.shift)
+        s = problem.sat_scale
+        d = np.array([s * (op.pi[f] @ bc.data[t](gamma[f])) if t in bc.data
+                      else np.zeros(m) for f, t in enumerate(tags)])
+        pi = sat_mod.assemble_face_sat(*on_faces, s * op.pi_mat,
+                                       lambda t: d[:, None])
+        g = pi.data(0.0)         # the accommodation data do not depend on t
+        return replace(pi, data=lambda t: g)
+    raise TypeError(f"unsupported boundary condition {type(bc)}")
 
 
 def discretize(problem: ProblemSpec, mesh: Mesh | None = None,

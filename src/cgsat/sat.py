@@ -10,12 +10,12 @@ only on boundary-trace DoFs.  Constructors are provided for
 * the heat-conduction moment system with Maxwell accommodation boundary
   rows (two boundary conditions for six fields).
 
-All penalties are assembled from the same face kernel as the boundary
-quadratic form (``assembly.face_quadrature``), so penalty and Bq share one
-edge rule and the discrete energy estimate closes exactly; in 1D the kernel
-is one endpoint value per face.  The boundary data G(t) is computed face by
-face and the face vectors are added into the DoF vector in face order
-(``np.bincount`` over precomputed DoF indices).
+Every constructor is a thin caller of one kernel, ``assemble_face_sat``:
+weights per rule point, one m x m operator per face and one data callable
+give both the matrix and G(t).  Its rule and face basis are those of the
+boundary quadratic form (``assembly.face_quadrature``), so penalty and Bq
+share one edge rule and the discrete energy estimate closes exactly; in 1D
+a face is one point of weight 1.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import face_quadrature, scatter_blocks
+from .assembly import FaceQuadrature, face_quadrature, scatter_blocks
 from .basis import BasisSpec
 from .mesh import DofMap, Mesh
 
@@ -38,14 +38,13 @@ class StabilityViolationError(ValueError):
 class BoundaryOperator:
     """Sparse penalty matrix plus the boundary-data functional G(t).
 
-    ``matrix`` has shape (n_dofs * ncomp,) squared and support only on
+    ``matrix`` is square over the DoF-major state and has support only on
     boundary-trace DoFs.  ``data`` maps time to the assembled right-hand-side
     vector (None means homogeneous).
     """
 
     matrix: sp.csr_matrix
     data: object = None            # callable t -> (N,) or None
-    ncomp: int = 1
 
     def rhs_data(self, t: float) -> np.ndarray:
         if self.data is None:
@@ -71,33 +70,21 @@ def scalar_sat_1d(dofmap: DofMap, a: float, tau=-1.0,
     are negative, pulling the trace toward the boundary values b(t) in
     ``data``.  The boundary flux contributes -a u0^2 / +a uN^2 to the
     energy rate, so each active weight w must satisfy 2w + |a| <= 0,
-    which is tau < -1/2.
+    which is tau < -1/2.  Each weight is a_n^- (-tau), the 2D inflow
+    penalty of ``scalar_sat_2d`` with scale -tau.
     """
     if dofmap.mesh.dimension != 1:
         raise ValueError("scalar_sat_1d needs a 1D dofmap")
     tau0, tau1 = (tau if isinstance(tau, (tuple, list)) else (tau, tau))
     tau0, tau1 = _check_tau(tau0), _check_tau(tau1)
-    a = float(a)
-    w_left = tau0 * max(a, 0.0)
-    w_right = -tau1 * min(a, 0.0)
-    n = dofmap.n_dofs
-    facing_right = dofmap.mesh.boundary_faces.normals[:, 0] > 0
-    left = int(dofmap.face_dofs[~facing_right, 0][-1])
-    right = int(dofmap.face_dofs[facing_right, 0][-1])
-    mat = sp.coo_matrix(([w_left, w_right], ([left, right], [left, right])),
-                        shape=(n, n)).tocsr()
-    b0, b1 = data
-    if b0 is None and b1 is None:
-        fun = None
-    else:
-        def fun(t):
-            g = np.zeros(n)
-            if b0 is not None:
-                g[left] = -w_left * float(b0(t))
-            if b1 is not None:
-                g[right] = -w_right * float(b1(t))
-            return g
-    return BoundaryOperator(mat, fun)
+    fq = face_quadrature(dofmap, 0)            # a 1D face is one point
+    right = fq.normals[:, 0] > 0
+    w = np.minimum(float(a) * fq.normals[:, 0], 0.0) * -np.where(right, tau1, tau0)
+    faces = np.nonzero(w < 0.0)[0]
+    ends = [data[1] if r else data[0] for r in right[faces]]
+    fun = None if all(b is None for b in ends) else lambda t: np.array(
+        [0.0 if b is None else float(b(t)) for b in ends]).reshape(-1, 1, 1)
+    return assemble_face_sat(dofmap, fq, faces, w[faces, None], data=fun)
 
 
 def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
@@ -107,31 +94,18 @@ def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
 
     Outflow portions (a . n > 0) contribute nothing.  ``g`` is either None
     (homogeneous) or a callable g(points, t) -> values, evaluated once per
-    call at the quadrature points of all inflow faces; the face vectors of
-    G(t) are added in face order.
+    call at the quadrature points of all inflow faces.
     """
     if scale < 1.0:
         raise StabilityViolationError("SAT scale factor must be >= 1")
-    n = dofmap.n_dofs
     fq = face_quadrature(dofmap, edge_quad_degree)
     an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
-    inflow = np.any(an_m < 0.0, axis=1)
+    inflow = np.nonzero(np.any(an_m < 0.0, axis=1))[0]
     w = fq.weights * an_m[inflow] * fq.lengths[inflow, None]      # (nf, nq)
-    dofs = fq.dofs[inflow]
-    blocks = np.einsum("fq,qi,qj->fij", w, fq.basis, fq.basis)
-    mat = scatter_blocks(dofs, blocks, n)
-    if g is None or not inflow.any():
-        return BoundaryOperator(mat)
     pts = fq.points[inflow].reshape(-1, mesh.dimension)
-    rows = dofs.ravel()
-
-    def fun(t):
-        # contract each face, (w g) @ b, then add the faces in order
-        wg = w * np.asarray(g(pts, t), dtype=float).reshape(w.shape)
-        return np.bincount(rows, np.matmul(-wg[:, None, :], fq.basis).ravel(),
-                           minlength=n)
-
-    return BoundaryOperator(mat, fun)
+    fun = None if g is None else lambda t: np.asarray(
+        g(pts, t), dtype=float).reshape(*w.shape, 1)
+    return assemble_face_sat(dofmap, fq, inflow, w, data=fun)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +124,8 @@ class CharacteristicDecomposition:
     classified with threshold 1e-10 * ||C_n||, carry no penalty).
     """
 
-    normal: np.ndarray
     a_n: np.ndarray
     c_n: np.ndarray
-    symmetrizer: np.ndarray
     eigenvalues: np.ndarray      # descending
     X: np.ndarray                # orthonormal columns
     pos: np.ndarray              # indices of positive eigenvalues
@@ -161,14 +133,6 @@ class CharacteristicDecomposition:
     zero: np.ndarray
     p_sqrt: np.ndarray
     p_inv_sqrt: np.ndarray
-
-    @property
-    def lam_pos(self):
-        return self.eigenvalues[self.pos]
-
-    @property
-    def lam_neg(self):
-        return self.eigenvalues[self.neg]
 
 
 def characteristic_decompose(A, B, P, n) -> CharacteristicDecomposition:
@@ -214,8 +178,8 @@ def characteristic_decompose(A, B, P, n) -> CharacteristicDecomposition:
     zero = np.nonzero(np.abs(w) <= thr)[0]
     w = w.copy()
     w[zero] = 0.0
-    return CharacteristicDecomposition(n, a_n, c_n, P, w, v, pos, neg, zero,
-                                       p_sqrt, p_inv_sqrt)
+    return CharacteristicDecomposition(a_n, c_n, w, v, pos, neg, zero, p_sqrt,
+                                       p_inv_sqrt)
 
 
 @dataclass(frozen=True)
@@ -249,8 +213,8 @@ def build_pi_system(decomp: CharacteristicDecomposition, R=None,
         R = np.atleast_2d(np.asarray(R, dtype=float))
         if R.shape != (n_neg, n_pos):
             raise ValueError(f"R must have shape ({n_neg}, {n_pos})")
-    lam_p = decomp.lam_pos
-    lam_m = decomp.lam_neg
+    lam_p = decomp.eigenvalues[decomp.pos]
+    lam_m = decomp.eigenvalues[decomp.neg]
     cond = np.diag(lam_p) + R.T @ np.diag(lam_m) @ R
     if cond.size:
         if np.linalg.eigvalsh(0.5 * (cond + cond.T)).min() < -1e-12 * max(
@@ -304,36 +268,39 @@ def r13_matrices():
     return A, B, P
 
 
-def r13_normal_matrix(gamma: float) -> np.ndarray:
-    """cos(gamma) A + sin(gamma) B."""
+def r13_normal_matrix(gamma) -> np.ndarray:
+    """cos(gamma) A + sin(gamma) B; an array of angles gives (..., 6, 6)."""
     A, B, _ = r13_matrices()
+    gamma = np.asarray(gamma, dtype=float)[..., None, None]
     return np.cos(gamma) * A + np.sin(gamma) * B
 
 
-def r13_boundary_rows(gamma: float, alpha: float, beta: float) -> np.ndarray:
-    """Accommodation boundary rows L_n (2 x 6) at normal angle gamma."""
+def r13_boundary_rows(gamma, alpha: float, beta: float) -> np.ndarray:
+    """Accommodation boundary rows L_n (2 x 6, or (..., 2, 6)) at angle gamma."""
     c, s = np.cos(gamma), np.sin(gamma)
-    return np.array([
-        [-alpha, c, s, -alpha * c * c, -2.0 * alpha * c * s, -alpha * s * s],
-        [0.0, -beta * s, beta * c, -c * s, np.cos(2.0 * gamma), s * c],
+    z = np.zeros_like(c)
+    rows = np.array([
+        [z - alpha, c, s, -alpha * c * c, -2.0 * alpha * c * s, -alpha * s * s],
+        [z, -beta * s, beta * c, -c * s, np.cos(2.0 * gamma), s * c],
     ])
+    return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
 class R13PointOperator:
     """Composite penalty Pi (6 x 2) applied as Pi (L_n U - G_n)."""
 
-    pi: np.ndarray               # (6, 2)
-    l_n: np.ndarray              # (2, 6)
-    pi_mat: np.ndarray           # (6, 6) = pi @ l_n
+    pi: np.ndarray               # (..., 6, 2)
+    l_n: np.ndarray              # (..., 2, 6)
+    pi_mat: np.ndarray           # (..., 6, 6) = pi @ l_n
 
     def data_vec(self, g_n) -> np.ndarray:
         return -self.pi @ np.asarray(g_n, dtype=float)
 
 
-def build_pi_r13(alpha: float, beta: float, gamma: float,
+def build_pi_r13(alpha: float, beta: float, gamma,
                  variant: str = "delta", shift: float = -2.0) -> R13PointOperator:
-    """Boundary operator for the moment system at one boundary point.
+    """Boundary operator for the moment system at one or an array of angles.
 
     variant 'delta': Pi = (shift P^(-1/2) + A_n/2) L_n' (L_n L_n')^(-1),
     requiring shift < 0.  variant 'eigen-shift':
@@ -343,69 +310,62 @@ def build_pi_r13(alpha: float, beta: float, gamma: float,
     A, B, P = r13_matrices()
     a_n = r13_normal_matrix(gamma)
     l_n = r13_boundary_rows(gamma, alpha, beta)
+    l_t = np.swapaxes(l_n, -1, -2)
     if variant == "delta":
         if shift >= 0:
             raise StabilityViolationError("delta shift must be negative")
-        gram = l_n @ l_n.T
+        gram = l_n @ l_t
         p_inv_sqrt = np.diag(1.0 / np.sqrt(np.diag(P)))
-        pi = (shift * p_inv_sqrt + 0.5 * a_n) @ l_n.T @ np.linalg.inv(gram)
+        pi = (shift * p_inv_sqrt + 0.5 * a_n) @ l_t @ np.linalg.inv(gram)
     elif variant == "eigen-shift":
         lam_min = -np.sqrt(2.0)       # most negative wave speed of the system
         if shift > 0.5 * lam_min + 1e-14:
             raise StabilityViolationError(
                 f"eigen shift must be <= {0.5 * lam_min:.6f}")
-        gram = l_n @ P @ l_n.T
+        gram = l_n @ P @ l_t
         expect = np.diag([1.0 + 2.0 * alpha ** 2, 0.5 + beta ** 2])
         if np.abs(gram - expect).max() > 1e-10 * max(1.0, np.abs(expect).max()):
             raise StabilityViolationError("L_n P L_n' lost its closed form")
-        pi = (0.5 * a_n - shift * np.eye(6)) @ P @ l_n.T @ np.linalg.inv(gram)
+        pi = (0.5 * a_n - shift * np.eye(6)) @ P @ l_t @ np.linalg.inv(gram)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if abs(np.linalg.det(l_n @ l_n.T)) < 1e-12:
+    if np.any(np.abs(np.linalg.det(l_n @ l_t)) < 1e-12):
         raise StabilityViolationError("L_n L_n' is singular")
     return R13PointOperator(pi, l_n, pi @ l_n)
 
 
 # ---------------------------------------------------------------------------
-# assembly of system penalties over boundary faces
+# the penalty kernel
 # ---------------------------------------------------------------------------
 
-def assemble_face_sat(dofmap: DofMap, entries, ncomp: int,
-                      edge_quad_degree: int = 6) -> BoundaryOperator:
-    """Assemble a system penalty from per-face pointwise operators.
+def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, w, ops=None,
+                      data=None) -> BoundaryOperator:
+    """The penalty on ``faces`` (indices into ``fq``) and its data G(t).
 
-    ``entries`` is a list of (face_index, pi_mat (m,m), data_point) where
-    data_point is None, a static (m,) vector, or a callable t -> (m,).
-    The pointwise operator is constant along each (straight) face; the
-    edge rule supplies the phi_i phi_j weights.  State layout is DoF-major:
-    component c of DoF i sits at index i * ncomp + c.  G(t) adds the face
-    vectors in entry order; when no data point is callable, it is computed
-    once.
+    ``w[f, q]`` is the rule weight of ``fq`` times the face length times
+    any pointwise scalar such as a_n^-; ``ops[f]`` (m, m) is the pointwise
+    operator, constant along a straight face (omitted for m = 1).  The
+    matrix sum_q w phi_i phi_j (x) ops[f] is scattered DoF-major: component
+    c of DoF i sits at index i * m + c.  ``data`` is None (homogeneous) or
+    a callable t -> (nf, nq or 1, m) of boundary values d, pointwise or
+    constant along each face; G(t) = -sum_q w phi_i d, faces added in order.
     """
-    fq = face_quadrature(dofmap, edge_quad_degree)
-    n = dofmap.n_dofs * ncomp
-    fidx = np.array([e[0] for e in entries], dtype=np.int64)
-    pis = np.array([e[1] for e in entries], dtype=float).reshape(-1, ncomp, ncomp)
-    dofs = fq.dofs[fidx]                                          # (nf, p+1)
-    k = dofs.shape[1] * ncomp
-    eloc = fq.lengths[fidx, None, None] * np.einsum(
-        "q,qi,qj->ij", fq.weights, fq.basis, fq.basis)
-    blocks = eloc[:, :, None, :, None] * pis[:, None, :, None, :]
-    gidx = (dofs[:, :, None] * ncomp + np.arange(ncomp)).reshape(-1, k)
-    mat = scatter_blocks(gidx, blocks.reshape(-1, k, k), n)
-    values = [e[2] for e in entries if e[2] is not None]
-    if not values:
-        return BoundaryOperator(mat, None, ncomp)
-    with_data = np.array([e[2] is not None for e in entries])
-    phi_int = fq.lengths[fidx[with_data], None] * (fq.weights @ fq.basis)
-    rows = gidx[with_data].ravel()
+    m = 1 if ops is None else ops.shape[-1]
+    n = dofmap.n_dofs * m
+    dofs = fq.dofs[faces]                                         # (nf, p+1)
+    k = dofs.shape[1] * m
+    blocks = np.einsum("fq,qi,qj->fij", w, fq.basis, fq.basis)
+    if ops is not None:
+        blocks = (blocks[:, :, None, :, None]
+                  * ops[:, None, :, None, :]).reshape(-1, k, k)
+    gidx = (dofs[:, :, None] * m + np.arange(m)).reshape(-1, k)
+    mat = scatter_blocks(gidx, blocks, n)
+    if data is None or not len(faces):
+        return BoundaryOperator(mat)
+    rows, basis_t, neg_w = gidx.ravel(), fq.basis.T, -w[:, :, None]
 
     def fun(t):
-        vals = np.array([v(t) if callable(v) else v for v in values], dtype=float)
-        return np.bincount(rows, (phi_int[:, :, None] * vals[:, None, :]).ravel(),
+        return np.bincount(rows, np.matmul(basis_t, neg_w * data(t)).ravel(),
                            minlength=n)
 
-    if any(callable(v) for v in values):
-        return BoundaryOperator(mat, fun, ncomp)
-    const = fun(0.0)
-    return BoundaryOperator(mat, lambda t: const, ncomp)
+    return BoundaryOperator(mat, fun)

@@ -27,18 +27,39 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
+MIN_PIVOT_RATIO = 1e-10       # smallest / largest pivot of an accepted M
+
+
+class MassNotPositiveDefiniteError(ValueError):
+    """The mass matrix is not safely positive definite, so it is no norm."""
+
+
 def factor_mass(M):
     """Sparse factorization (SuperLU) of the SPD mass matrix.
 
     The ordering is symmetric (minimum degree on M + M^T) and no pivot
     leaves the diagonal, so L and U share the pattern of a sparse Cholesky
     factor; SuperLU's default column ordering with partial pivoting has
-    about three times the fill.
+    about three times the fill.  U's diagonal is then the D of LDL^T: an
+    under-integrated mass has pivots at roundoff, of either sign, and is
+    rejected.
     Every mass solve goes through the returned factor's ``solve``, which
     takes an (n,) or an (n, k) right-hand side.
     """
-    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    try:
+        lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:              # an exactly zero pivot
+        raise MassNotPositiveDefiniteError(f"mass matrix: {exc}") from None
+    U = getattr(lu, "U", None)               # timing stand-ins offer only solve
+    if U is not None:
+        d = U.diagonal()
+        if not d.min() > MIN_PIVOT_RATIO * d.max():
+            raise MassNotPositiveDefiniteError(
+                f"mass matrix is not positive definite: smallest / largest "
+                f"pivot of its LDL^T factor is {d.min() / d.max():.3e} "
+                f"(needs > {MIN_PIVOT_RATIO:g})")
+    return lu
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 import cgsat.cli as cli
 import cgsat.spectra as spectra
+import cgsat.timeint as timeint
 from cgsat.cli import RunConfig, main
 from cgsat.mesh import load_mesh
 
@@ -90,6 +91,23 @@ def test_solve_rejects_non_finite_mesh_vertex(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: line 3: bad vertex: coordinate 'nan' is not finite\n"
+    assert not (tmp_path / "run" / "summary.txt").exists()
+
+
+def test_solve_rejects_singular_mass_before_any_step(tmp_path, capsys,
+                                                    monkeypatch):
+    steps = []
+    real_step = timeint.step
+    monkeypatch.setattr(timeint, "step",
+                        lambda *a, **k: steps.append(1) or real_step(*a, **k))
+    rc = main(["solve", "--problem", "rotation2d", "--mesh-n", "8",
+               "--volume-quad", "4", "--steps", "5",
+               "--outdir", str(tmp_path / "run")])
+    assert rc == 1 and steps == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: mass matrix is not positive definite: "
+                          "smallest / largest pivot of its LDL^T factor is -")
+    assert not (tmp_path / "run" / "energy.csv").exists()
     assert not (tmp_path / "run" / "summary.txt").exists()
 
 

@@ -127,6 +127,30 @@ def test_r13_problem_facts():
     assert np.allclose(g_out, [-3.0 * 1.0, 0.0])  # -alpha * theta1
 
 
+def test_r13_boundary_data_run_once_per_face_at_build():
+    # the accommodation data do not depend on t: G is built once, and a
+    # march calls no data callable
+    calls = {"inner": 0, "outer": 0}
+    prob = r13_heat(2)
+
+    def counted(tag, fn):
+        def g(gamma):
+            calls[tag] += 1
+            return fn(gamma)
+        return g
+
+    bc = replace(prob.bc, data={tag: counted(tag, fn)
+                                for tag, fn in prob.bc.data.items()})
+    disc = discretize(replace(prob, bc=bc))
+    tags = list(disc.mesh.boundary_faces.tags)
+    per_face = {tag: tags.count(tag) for tag in calls}
+    assert calls == per_face and min(per_face.values()) > 0
+    g0 = disc.pi.rhs_data(0.0)
+    _, traj = solve_problem(prob, disc=disc, steps=3)
+    assert traj.steps == 3 and calls == per_face
+    assert np.array_equal(disc.pi.rhs_data(5.0), g0)
+
+
 def test_r13_flux_matrix_entries():
     prob = r13_heat()
     A, B = prob.A, prob.B

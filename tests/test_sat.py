@@ -176,38 +176,37 @@ def test_scalar_sat_2d_matches_face_loop():
 
 @pytest.mark.parametrize("recipe", ["annulus(0.5,1.0,2)", "interval(6,random,2)"])
 def test_assemble_face_sat_matches_face_loop(recipe):
-    # random pointwise operators; data points none, static or callable
+    # random pointwise operators on all faces but one in five; the data are
+    # zero on a third of them, static on a third, time dependent on the rest
     dm = build_dofmap(generate_mesh(recipe), 2, "lagrange")
     m = 3
     rng = np.random.default_rng(8)
-    entries = []
-    for f in range(len(dm.face_dofs)):
-        vec = rng.standard_normal(m)
-        data = [None, vec, lambda t, v=vec: np.sin(t) * v][f % 3]
-        entries.append((f, rng.standard_normal((m, m)), data))
-    pi = assemble_face_sat(dm, entries, m)
+    faces = np.array([f for f in range(len(dm.face_dofs)) if f % 5 != 4])
+    ops = rng.standard_normal((faces.size, m, m))
+    vecs = rng.standard_normal((faces.size, m)) * (faces % 3 != 0)[:, None]
+    static = (faces % 3 == 1)[:, None]
+
+    def data(t):
+        return np.where(static, vecs, np.sin(t) * vecs)[:, None, :]
+
+    fq = face_quadrature(dm, 6)
+    pi = assemble_face_sat(dm, fq, faces, fq.weights * fq.lengths[faces, None],
+                           ops, data)
     n = dm.n_dofs * m
     mat = np.zeros((n, n))
     weights, b, _ = edge_rule(dm, 6)
+    if dm.mesh.dimension == 1:
+        weights, b = np.ones(1), np.ones((1, 1))
     lengths = dm.mesh.boundary_faces.lengths
-    for f, pi_mat, _ in entries:
-        gidx = (dm.face_dofs[f][:, None] * m + np.arange(m)).ravel()
-        if dm.mesh.dimension == 1:
-            mat[np.ix_(gidx, gidx)] += pi_mat
-        else:
-            eloc = lengths[f] * np.einsum("q,qi,qj->ij", weights, b, b)
-            mat[np.ix_(gidx, gidx)] += np.kron(eloc, pi_mat)
+    gidx = [(dm.face_dofs[f][:, None] * m + np.arange(m)).ravel() for f in faces]
+    for gi, f, pi_mat in zip(gidx, faces, ops):
+        eloc = np.einsum("q,qi,qj->ij", weights * lengths[f], b, b)
+        mat[np.ix_(gi, gi)] += np.kron(eloc, pi_mat)
     assert np.array_equal(pi.matrix.toarray(), mat)
     for t in (0.0, 1.3):
         out = np.zeros(n)
-        for f, _, data in entries:
-            if data is None:
-                continue
-            gidx = (dm.face_dofs[f][:, None] * m + np.arange(m)).ravel()
-            phi_int = np.ones(1) if dm.mesh.dimension == 1 else \
-                lengths[f] * (weights @ b)
-            np.add.at(out, gidx, np.outer(phi_int, data(t) if callable(data)
-                                          else data).ravel())
+        for gi, f, d in zip(gidx, faces, data(t)):
+            np.add.at(out, gi, (b.T @ (-(weights * lengths[f])[:, None] * d)).ravel())
         assert np.array_equal(pi.rhs_data(t), out)
 
 
@@ -345,6 +344,21 @@ def test_r13_delta_variant():
         build_pi_r13(3.0, -0.5, 0.4, "delta", 0.5)
     with pytest.raises(StabilityViolationError):
         build_pi_r13(3.0, -0.5, 0.4, "delta", 0.0)
+
+
+@pytest.mark.parametrize("variant, shift", [("delta", -2.0),
+                                            ("eigen-shift", -1.0)])
+def test_r13_batched_angles_match_per_angle(variant, shift):
+    gamma = np.random.default_rng(6).uniform(-np.pi, np.pi, 40)
+    op = build_pi_r13(3.0, -0.5, gamma, variant, shift)
+    assert op.pi.shape == (40, 6, 2) and op.pi_mat.shape == (40, 6, 6)
+    for k, g in enumerate(gamma):
+        one = build_pi_r13(3.0, -0.5, float(g), variant, shift)
+        assert one.pi.shape == (6, 2) and one.pi_mat.shape == (6, 6)
+        for name in ("pi", "l_n", "pi_mat"):
+            ref = getattr(one, name)
+            dev = np.abs(getattr(op, name)[k] - ref).max()
+            assert dev <= 1e-15 * np.abs(ref).max()
 
 
 def test_r13_eigen_shift_variant():

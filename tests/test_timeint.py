@@ -11,7 +11,8 @@ from cgsat.assembly import assemble_mass, build_operators
 from cgsat.mesh import build_dofmap, interval_mesh
 from cgsat.problems import discretize, rotation_2d, solve_problem, wave_1d
 from cgsat.sat import BoundaryOperator, scalar_sat_1d
-from cgsat.timeint import (SCHEMES, IntegratorConfig, factor_mass, run,
+from cgsat.timeint import (SCHEMES, IntegratorConfig,
+                           MassNotPositiveDefiniteError, factor_mass, run,
                            stable_dt, step)
 from oracles import (reference_energy, reference_extrema, reference_step,
                      scheme_consistency_defect)
@@ -103,6 +104,26 @@ def test_factor_mass_fem_mass():
     r = np.random.default_rng(1).standard_normal((dm.n_dofs, 2))
     resid = M @ factor_mass(M).solve(r) - r
     assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("volume_degree", [4, 5])
+def test_factor_mass_rejects_a_mass_that_is_no_norm(volume_degree):
+    # P3 Bernstein under-integrated: degree 4 leaves negative pivots at
+    # roundoff, degree 5 positive ones 1e-14 of the largest
+    M = discretize(rotation_2d(8), volume_degree=volume_degree).M
+    with pytest.raises(MassNotPositiveDefiniteError,
+                       match=r"smallest / largest pivot of its LDL\^T factor "
+                             r"is -?\d\.\d{3}e-1\d \(needs > 1e-10\)"):
+        factor_mass(M)
+    assert issubclass(MassNotPositiveDefiniteError, ValueError)
+    factor_mass(discretize(rotation_2d(8)).M)      # the default rule is fine
+
+
+def test_factor_mass_pivot_ratio_threshold():
+    for d in ([1.0, -1.0], [1.0, 0.0], [1.0, 1e-10], [2.0, np.nan]):
+        with pytest.raises(MassNotPositiveDefiniteError):
+            factor_mass(sp.diags(d, format="csr"))
+    factor_mass(sp.diags([1.0, 2e-10], format="csr"))
 
 
 def test_factor_mass_is_symmetric_with_less_fill():
