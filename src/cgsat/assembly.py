@@ -75,14 +75,19 @@ def physical_points(mesh: Mesh, rule: QuadratureRule):
     """Volume rule points mapped to every element: (pts (ne, nq, dim), detJ)."""
     J, det, _ = _jacobians(mesh)
     x0 = mesh.vertices[mesh.elements[:, 0]]
-    return x0[:, None, :] + np.einsum("ekd,qd->eqk", J, rule.points), det
+    return x0[:, None, :] + np.matmul(rule.points, np.swapaxes(J, 1, 2)), det
 
 
 def scatter_blocks(idx: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
-    """Sum blocks (nb, k, k) into an n x n CSR at idx[b] x idx[b], in block order."""
-    k = idx.shape[1]
-    rows = np.repeat(idx, k, axis=1).ravel()
-    cols = np.tile(idx, (1, k)).ravel()
+    """Sum blocks (nb, k, k) into an n x n CSR at idx[b] x idx[b], in block order.
+
+    The indices are int32, scipy's own index type, unless n needs int64, so
+    scipy neither scans nor copies them down.
+    """
+    nb, k = idx.shape
+    idx = idx.astype(np.int32 if n < 2 ** 31 else np.int64, copy=False)
+    rows = np.broadcast_to(idx[:, :, None], (nb, k, k)).ravel()
+    cols = np.broadcast_to(idx[:, None, :], (nb, k, k)).ravel()
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -166,7 +171,7 @@ def _advective_local(mesh, basis, coeff_fun, const, quad_degree):
     ne, nq, dim = pts.shape
     nloc = phi.shape[1]
     aval = coeff_fun(pts.reshape(-1, dim)).reshape(ne, nq, dim)
-    c = np.einsum("edk,eqk->eqd", inv, aval)
+    c = np.matmul(aval, np.swapaxes(inv, 1, 2))             # c[e, q] = J_e^-1 a
     K = np.einsum("q,qi,qjd->qdij", rule.weights, phi, dphi)
     local = (c.reshape(ne, nq * dim) @ K.reshape(nq * dim, nloc * nloc)).reshape(
         ne, nloc, nloc)
@@ -196,17 +201,23 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
         Edge rule used by the conservative part of the split form; must
         match the rule used for Bq so the two cancel exactly.
     """
+    edge_deg = edge_quad_degree if edge_quad_degree is not None else quad_degree
+    return _stiffness(mesh, dofmap, basis, coeff, quad_degree, split_alpha,
+                      edge_deg)[0]
+
+
+def _stiffness(mesh, dofmap, basis, coeff, quad_degree, split_alpha, edge_deg):
+    """``assemble_stiffness`` and the Bq it assembled, None in advective form."""
     coeff_fun, const = as_coefficient(coeff, mesh.dimension)
     if split_alpha is None:
         split_alpha = 0.0 if const is not None else 0.5
     adv_local = _advective_local(mesh, basis, coeff_fun, const, quad_degree)
     if split_alpha == 0.0:
-        return _scatter(dofmap, adv_local)
-    edge_deg = edge_quad_degree if edge_quad_degree is not None else quad_degree
+        return _scatter(dofmap, adv_local), None
     bq = assemble_boundary_quadratic(mesh, dofmap, basis, coeff, edge_deg)
     local = (1.0 - split_alpha) * adv_local
     local -= split_alpha * np.swapaxes(adv_local, 1, 2)
-    return _scatter(dofmap, local) + split_alpha * bq
+    return _scatter(dofmap, local) + split_alpha * bq, bq
 
 
 def assemble_boundary_quadratic(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,
@@ -248,9 +259,9 @@ def build_operators(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
     vol = volume_degree if volume_degree is not None else default_quad_degree(dofmap.order)
     edge = edge_degree if edge_degree is not None else vol
     M = assemble_mass(mesh, dofmap, basis, vol)
-    Q = assemble_stiffness(mesh, dofmap, basis, coeff, vol,
-                           split_alpha=split_alpha, edge_quad_degree=edge)
-    Bq = assemble_boundary_quadratic(mesh, dofmap, basis, coeff, edge)
+    Q, Bq = _stiffness(mesh, dofmap, basis, coeff, vol, split_alpha, edge)
+    if Bq is None:
+        Bq = assemble_boundary_quadratic(mesh, dofmap, basis, coeff, edge)
     return GlobalOperators(M, Q, Bq, dofmap, vol, edge)
 
 

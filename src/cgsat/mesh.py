@@ -142,15 +142,14 @@ def _key_tuple(dim: int, key) -> tuple:
     return (int(key),) if dim == 1 else (int(key >> 32), int(key & 0xFFFFFFFF))
 
 
-def first_owner(ids: np.ndarray) -> np.ndarray:
-    """Flat index of the first entry naming each distinct id, in id order."""
-    return np.unique(ids.ravel(), return_index=True)[1]
-
-
-def last_owner(ids: np.ndarray) -> np.ndarray:
-    """Flat index of the last entry naming each distinct id, in id order."""
+def owners(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the first and the last entry naming each distinct id,
+    in id order, from one stable sort."""
     flat = ids.ravel()
-    return flat.size - 1 - first_owner(flat[::-1])
+    order = np.argsort(flat, kind="stable")
+    s = flat[order]
+    start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    return order[start], order[np.r_[start[1:], s.size] - 1]
 
 
 def _build_mesh(dim, vertices, elements, tagged_faces) -> Mesh:
@@ -201,7 +200,7 @@ def _build_mesh(dim, vertices, elements, tagged_faces) -> Mesh:
             f"face {_key_tuple(dim, tag_keys[np.argmax(bad)])} tagged as "
             f"boundary but not a boundary face")
     tag_of = np.full(keys.size, -1)
-    last = last_owner(pos)              # a face tagged twice keeps its last tag
+    last = owners(pos)[1]               # a face tagged twice keeps its last tag
     tag_of[pos[last]] = last
     boundary = np.flatnonzero(counts == 1)
     untagged = boundary[tag_of[boundary] < 0]
@@ -385,33 +384,29 @@ def unit_disk_mesh(n: int) -> Mesh:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    vertices = [(0.0, 0.0)]
-    ring_start = [0]
-    for k in range(1, n + 1):
-        ring_start.append(len(vertices))
-        r = k / n
-        for j in range(6 * k):
-            th = 2.0 * np.pi * j / (6 * k)
-            vertices.append((r * np.cos(th), r * np.sin(th)))
-    elements = []
-    # innermost fan
-    for j in range(6):
-        elements.append((0, 1 + j, 1 + (j + 1) % 6))
-    # bands between ring k-1 and ring k
-    for k in range(2, n + 1):
-        ni, no = 6 * (k - 1), 6 * k
-        si, so = ring_start[k - 1], ring_start[k]
-        for s in range(6):
-            for t in range(k):
-                o0 = so + (s * k + t) % no
-                o1 = so + (s * k + t + 1) % no
-                i0 = si + (s * (k - 1) + t) % ni
-                elements.append((o0, o1, i0))
-                if t < k - 1:
-                    i1 = si + (s * (k - 1) + t + 1) % ni
-                    elements.append((o1, i1, i0))
-    vertices = np.array(vertices)
-    elements = np.array(elements)
+    # ring k starts at vertex 1 + 3 k (k - 1); its vertex j sits at angle
+    # 2 pi j / 6k
+    k = np.repeat(np.arange(1, n + 1), 6 * np.arange(1, n + 1))
+    j = np.arange(k.size) - 3 * k * (k - 1)
+    th = 2.0 * np.pi * j / (6 * k)
+    r = k / n
+    vertices = np.vstack([[0.0, 0.0], np.stack([r * np.cos(th), r * np.sin(th)], 1)])
+    # the innermost fan, then band k (between rings k - 1 and k): 6 sectors
+    # of 2k - 1 triangles; in sector s, slot 2t is (o0, o1, i0) on outer
+    # edge t and slot 2t + 1 is (o1, i1, i0) on inner edge t
+    j = np.arange(6)
+    fan = np.stack([np.zeros(6, dtype=int), 1 + j, 1 + (j + 1) % 6], 1)
+    k = np.repeat(np.arange(2, n + 1), 6 * (2 * np.arange(2, n + 1) - 1))
+    s, slot = np.divmod(np.arange(k.size) - 6 * ((k - 1) ** 2 - 1), 2 * k - 1)
+    t, inner = np.divmod(slot, 2)
+    so, si = 1 + 3 * k * (k - 1), 1 + 3 * (k - 1) * (k - 2)
+    o0 = so + (s * k + t) % (6 * k)
+    o1 = so + (s * k + t + 1) % (6 * k)
+    i0 = si + (s * (k - 1) + t) % (6 * (k - 1))
+    i1 = si + (s * (k - 1) + t + 1) % (6 * (k - 1))
+    band = np.where(inner[:, None] == 1, np.stack([o1, i1, i0], 1),
+                    np.stack([o0, o1, i0], 1))
+    elements = np.vstack([fan, band])
     return _build_mesh(2, vertices, elements, _tagged_boundary(
         vertices, elements, lambda mid: np.full(len(mid), "circle")))
 
@@ -429,16 +424,13 @@ def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
     m = max(8, int(round(np.pi * (r0 + r1) * n / (r1 - r0))))
     m += m % 2          # even count keeps the angular layout mirror-symmetric
     radii = np.linspace(r0, r1, n + 1)
-    vertices = []
-    for r in radii:
-        for j in range(m):
-            th = 2.0 * np.pi * j / m
-            vertices.append((r * np.cos(th), r * np.sin(th)))
+    th = 2.0 * np.pi * np.arange(m) / m
+    vertices = np.stack([np.outer(radii, np.cos(th)).ravel(),
+                         np.outer(radii, np.sin(th)).ravel()], axis=1)
     k, j = np.divmod(np.arange(n * m), m)
     a, b = k * m + j, k * m + (j + 1) % m
     c, d = a + m, b + m
     elements = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
-    vertices = np.array(vertices)
     rmid = 0.5 * (r0 + r1)
     return _build_mesh(2, vertices, elements, _tagged_boundary(
         vertices, elements,
@@ -499,10 +491,12 @@ class DofMap:
     dof_coords: np.ndarray      # (n_dofs, dim) lattice positions
     boundary_dofs: np.ndarray   # sorted global ids on the physical boundary
     face_dofs: np.ndarray       # (nf, p+1) per boundary face, face-lattice order
+    first_owner: np.ndarray     # (n_dofs,) flat index into element_dofs of the
+    last_owner: np.ndarray      # first / last entry naming each DoF
 
     def __post_init__(self):
         _readonly(self.element_dofs, self.dof_coords, self.boundary_dofs,
-                  self.face_dofs)
+                  self.face_dofs, self.first_owner, self.last_owner)
 
     def interior_dofs(self) -> np.ndarray:
         mask = np.ones(self.n_dofs, dtype=bool)
@@ -559,8 +553,9 @@ def build_dofmap(mesh: Mesh, p: int, kind: str) -> DofMap:
         face_local = np.column_stack([lf, 3 + lf[:, None] * n_int + step,
                                       (lf + 1) % 3])
 
-    coords = local.reshape(-1, dim)[last_owner(element_dofs)]
+    first, last = owners(element_dofs)
+    coords = local.reshape(-1, dim)[last]
     bf = mesh.boundary_faces
     face_dofs = element_dofs[bf.element[:, None], face_local[bf.local_face]]
     return DofMap(p, kind, mesh, element_dofs, n_dofs, coords,
-                  np.unique(face_dofs), face_dofs)
+                  np.unique(face_dofs), face_dofs, first, last)

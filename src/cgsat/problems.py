@@ -27,8 +27,7 @@ from .assembly import (GlobalOperators, assemble_boundary_quadratic,
                        check_sbp, default_quad_degree, face_quadrature,
                        physical_points)
 from .basis import BasisSpec, lattice_inverse, quad_rule, tabulate
-from .mesh import (DofMap, Mesh, build_dofmap, check_spacing, first_owner,
-                   generate_mesh, last_owner)
+from .mesh import DofMap, Mesh, build_dofmap, check_spacing, generate_mesh
 from .timeint import (IntegratorConfig, factor_mass, run, scheme_for_order,
                       stable_dt)
 
@@ -266,7 +265,7 @@ def interpolate(fn, dofmap: DofMap, basis: BasisSpec, ncomp: int = 1) -> np.ndar
         inv = lattice_inverse(basis.domain, basis.order)
         ed = dofmap.element_dofs
         # a shared DoF takes the value of the last element listing it
-        out = np.matmul(inv, vals[ed]).reshape(-1, vals.shape[1])[last_owner(ed)]
+        out = np.matmul(inv, vals[ed]).reshape(-1, vals.shape[1])[dofmap.last_owner]
     return out.ravel() if ncomp == 1 and out.shape[1] == 1 else out
 
 
@@ -276,7 +275,7 @@ def nodal_value_operator(dofmap: DofMap, basis: BasisSpec) -> sp.csr_matrix:
         return sp.identity(dofmap.n_dofs, format="csr")
     lattice_eval = tabulate(basis, basis.lattice())
     ed = dofmap.element_dofs
-    e, iloc = np.divmod(first_owner(ed), ed.shape[1])
+    e, iloc = np.divmod(dofmap.first_owner, ed.shape[1])
     rows = np.broadcast_to(np.arange(dofmap.n_dofs)[:, None], (e.size, ed.shape[1]))
     return sp.coo_matrix((lattice_eval[iloc].ravel(), (rows.ravel(), ed[e].ravel())),
                          shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()

@@ -184,13 +184,10 @@ def characteristic_decompose(A, B, P, n) -> CharacteristicDecomposition:
 
 @dataclass(frozen=True)
 class PointOperator:
-    """Pointwise boundary penalty: SAT(x, t) = pi_mat @ u + data_vec(t)."""
+    """Pointwise boundary penalty: SAT(x, t) = pi_mat @ u - data_mat @ g(t)."""
 
     pi_mat: np.ndarray           # (m, m)
     data_mat: np.ndarray         # (m, q): maps boundary data to the penalty
-
-    def data_vec(self, g) -> np.ndarray:
-        return -self.data_mat @ np.asarray(g, dtype=float)
 
 
 def build_pi_system(decomp: CharacteristicDecomposition, R=None,
@@ -293,9 +290,6 @@ class R13PointOperator:
     pi: np.ndarray               # (..., 6, 2)
     l_n: np.ndarray              # (..., 2, 6)
     pi_mat: np.ndarray           # (..., 6, 6) = pi @ l_n
-
-    def data_vec(self, g_n) -> np.ndarray:
-        return -self.pi @ np.asarray(g_n, dtype=float)
 
 
 def build_pi_r13(alpha: float, beta: float, gamma,

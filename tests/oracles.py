@@ -6,8 +6,10 @@ tables, the recording formulas apply the scalar M and ``value_op`` to
 each component column of the state, the Lagrange basis is evaluated
 through monomials and the inverse Vandermonde matrix on the lattice, with
 no Bernstein code, and the variable-coefficient stiffness is the
-four-operand einsum per element and the split form the global sparse
-expression, with no reference tensor.
+four-operand einsum per element, at rule points mapped by einsum, and the
+split form the global sparse expression, with no reference tensor.  The
+DoF owners are read from ``np.unique``, and a block scatter is a dense
+``np.add.at``.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from cgsat.assembly import _jacobians, physical_points
+from cgsat.assembly import _jacobians
 from cgsat.basis import quad_rule, tabulate, tabulate_grad
 from cgsat.timeint import SCHEMES
 
@@ -163,13 +165,19 @@ def reference_lagrange_grad(spec, pts: np.ndarray) -> np.ndarray:
                      _lagrange_coeffs(spec))
 
 
+def reference_physical_points(mesh, J, xi) -> np.ndarray:
+    """Reference points ``xi`` (nq, dim) mapped to every element, (ne, nq, dim)."""
+    x0 = mesh.vertices[mesh.elements[:, 0]]
+    return x0[:, None, :] + np.einsum("ekd,qd->eqk", J, xi)
+
+
 def reference_advective_local(mesh, basis, coeff_fun, quad_degree) -> np.ndarray:
     """Blocks of integral phi_i (a . grad phi_j) for a variable a, (ne, nloc, nloc)."""
     rule = quad_rule(basis.domain, quad_degree)
     phi = tabulate(basis, rule.points)
     dphi = tabulate_grad(basis, rule.points)
-    _, det, inv = _jacobians(mesh)
-    pts, _ = physical_points(mesh, rule)
+    J, det, inv = _jacobians(mesh)
+    pts = reference_physical_points(mesh, J, rule.points)
     ne, nq = pts.shape[0], pts.shape[1]
     aval = coeff_fun(pts.reshape(-1, mesh.dimension)).reshape(ne, nq, -1)
     c = np.einsum("edk,eqk->eqd", inv, aval)
@@ -181,3 +189,21 @@ def reference_split_stiffness(adv, bq, split_alpha: float):
     """Split form alpha (Bq - A^T) + (1 - alpha) A on the global matrices."""
     q = split_alpha * (bq - adv.T) + (1.0 - split_alpha) * adv
     return q.tocsr()
+
+
+def first_owner(ids: np.ndarray) -> np.ndarray:
+    """Flat index of the first entry naming each distinct id, in id order."""
+    return np.unique(ids.ravel(), return_index=True)[1]
+
+
+def last_owner(ids: np.ndarray) -> np.ndarray:
+    """Flat index of the last entry naming each distinct id, in id order."""
+    flat = ids.ravel()
+    return flat.size - 1 - first_owner(flat[::-1])
+
+
+def reference_scatter(idx: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray:
+    """Dense sum of blocks (nb, k, k) at idx[b] x idx[b], one np.add.at."""
+    out = np.zeros((n, n))
+    np.add.at(out, (idx[:, :, None], idx[:, None, :]), blocks)
+    return out

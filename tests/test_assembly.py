@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_advective_local, reference_split_stiffness
+from oracles import (reference_advective_local, reference_scatter,
+                     reference_split_stiffness)
 
-from cgsat import problems
+from cgsat import assembly, problems
 from cgsat.assembly import (GlobalOperators, _advective_local, _scatter,
                             as_coefficient, assemble_boundary_quadratic,
                             assemble_mass, assemble_stiffness, build_operators,
-                            check_sbp, default_quad_degree)
+                            check_sbp, default_quad_degree, scatter_blocks)
 from cgsat.basis import BasisSpec, quad_rule, tabulate
 from cgsat.mesh import (build_dofmap, generate_mesh, interval_mesh,
                         unit_disk_mesh, unit_square_mesh, _build_mesh)
@@ -159,6 +160,30 @@ def test_sbp_rotation_split_form():
     assert rep.max_interior_residual <= rep.tolerance
 
 
+def same_csr(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("split_alpha", [None, 0.25, 0.0])
+def test_build_operators_assembles_bq_once(monkeypatch, split_alpha):
+    """The split form reuses the Bq it added to Q; both keep every bit of
+    the operators assembled one at a time."""
+    mesh = unit_disk_mesh(3)
+    dm, bs = setup(mesh, 2, "bernstein")
+    velocity = problems.rotation_2d().velocity
+    q = assemble_stiffness(mesh, dm, bs, velocity, 6, split_alpha=split_alpha,
+                           edge_quad_degree=5)
+    bq = assemble_boundary_quadratic(mesh, dm, bs, velocity, 5)
+    calls = []
+    real = assembly.assemble_boundary_quadratic
+    monkeypatch.setattr(assembly, "assemble_boundary_quadratic",
+                        lambda *args: calls.append(args) or real(*args))
+    ops = build_operators(mesh, dm, bs, velocity, 6, 5, split_alpha)
+    assert len(calls) == 1
+    assert same_csr(ops.Q, q) and same_csr(ops.Bq, bq)
+
+
 @pytest.mark.parametrize("kind", ["lagrange", "bernstein"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_variable_stiffness_matches_einsum_and_global_split_oracles(kind, p):
@@ -205,6 +230,8 @@ def _digest(m):
 # operator, recorded before the variable-coefficient stiffness became one
 # reference-tensor product with the split form taken per element.  Constant
 # coefficients do not take that path, so their operators keep every bit.
+# advection2d's value_op (Bernstein, so it reads the DoF owners) is pinned
+# as the value operator read them from np.unique and scattered int64 indices.
 # r13's rhs_matrix is pinned after its penalty went through the one face
 # kernel with weights w_q * length and batched closed-form operators: it
 # moved by at most 4.9e-16 of its largest entry (2.9e-16 for the penalty).
@@ -215,7 +242,8 @@ CONSTANT_COEFFICIENT_DIGESTS = {
     "advection2d": (lambda: problems.advection_2d(6),
                     {"M": "1fcc7fd6350da814", "ops_sys": "06944b38cc9eab2e",
                      "bq_sys": "f9e6a7f67b65206f",
-                     "rhs_matrix": "899c2edd32327a38"}),
+                     "rhs_matrix": "899c2edd32327a38",
+                     "value_op": "821a9db9f94a1ef3"}),
     "r13": (lambda: problems.r13_heat(2),
             {"M": "5867ee24c4a322d3", "ops_sys": "02bd9cb1f523c3ee",
              "bq_sys": "ebe915dc45ad99ca", "rhs_matrix": "62c52bf00c01fa6f"}),
@@ -227,6 +255,21 @@ def test_constant_coefficient_operators_keep_every_bit(name):
     make, digests = CONSTANT_COEFFICIENT_DIGESTS[name]
     d = problems.discretize(make())
     assert {k: _digest(getattr(d, k)) for k in digests} == digests
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), k=st.integers(1, 4),
+       nb=st.integers(0, 12), dtype=st.sampled_from([np.int32, np.int64]))
+def test_scatter_blocks_matches_dense_add_at(seed, n, k, nb, dtype):
+    """Blocks at random DoFs, repeated across and within blocks, sum like a
+    dense np.add.at.  The entries are small integers, so every summation
+    order gives the same exact sums."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=(nb, k)).astype(dtype)
+    blocks = rng.integers(-8, 9, size=(nb, k, k)).astype(float)
+    got = scatter_blocks(idx, blocks, n)
+    assert got.shape == (n, n) and got.indices.dtype == np.int32
+    assert np.array_equal(got.toarray(), reference_scatter(idx, blocks, n))
 
 
 @pytest.mark.parametrize("velocity, message", [

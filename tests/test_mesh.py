@@ -1,13 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import first_owner, last_owner
 
 from cgsat.basis import interval_lattice, n_local_dofs, triangle_multi_indices
 from cgsat.mesh import (DegenerateElementError, MeshFormatError,
                         NonconformingMeshError, annulus_mesh, build_dofmap,
-                        generate_mesh, interval_mesh, load_mesh, save_mesh,
-                        unit_disk_mesh, unit_square_mesh, _build_mesh)
+                        generate_mesh, interval_mesh, load_mesh, owners,
+                        save_mesh, unit_disk_mesh, unit_square_mesh,
+                        _build_mesh)
 
 
 def reference_triangle():
@@ -371,6 +375,60 @@ def test_perturbed_square_matches_reference(seed, n):
     assert_matches_reference(f"perturbed_square({n},{seed})")
 
 
+def mesh_digest(mesh):
+    """First 16 hex digits of the sha256 of the mesh arrays and the face table."""
+    h = hashlib.sha256()
+    bf = mesh.boundary_faces
+    for a in (mesh.vertices, mesh.elements, bf.element, bf.local_face,
+              bf.normals, bf.lengths):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update("\n".join(bf.tags).encode())
+    return h.hexdigest()[:16]
+
+
+# Recorded while the disk generator built its vertices and elements, and the
+# annulus generator its vertices, one at a time in Python loops.
+MESH_DIGESTS = {
+    "unit_disk(1)": (lambda: unit_disk_mesh(1), "bf25cf28582ab47e"),
+    "unit_disk(2)": (lambda: unit_disk_mesh(2), "52a7692e693c610a"),
+    "unit_disk(5)": (lambda: unit_disk_mesh(5), "aac0aad59b834fb5"),
+    "unit_disk(13)": (lambda: unit_disk_mesh(13), "4d1ef09efecf0a19"),
+    "annulus(0.5,1.0,2)": (lambda: annulus_mesh(0.5, 1.0, 2), "8567603f7dc6e5ab"),
+    "annulus(0.5,1.0,24)": (lambda: annulus_mesh(0.5, 1.0, 24), "b0d0e6f6f0cdbac0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_DIGESTS))
+def test_generated_meshes_keep_every_bit(name):
+    make, digest = MESH_DIGESTS[name]
+    assert mesh_digest(make()) == digest
+
+
+@pytest.mark.parametrize("recipe", ["interval(7,random,3)", "unit_square(3)",
+                                    "unit_disk(3)", "annulus(0.5,1.0,2)"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dofmap_owners_match_unique_oracle(recipe, p):
+    dm = build_dofmap(generate_mesh(recipe), p, "bernstein")
+    assert np.array_equal(dm.first_owner, first_owner(dm.element_dofs))
+    assert np.array_equal(dm.last_owner, last_owner(dm.element_dofs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(st.integers(0, 20), min_size=1, max_size=40))
+def test_owners_of_ids_with_gaps_match_unique_oracle(ids):
+    ids = np.array(ids)
+    first, last = owners(ids)
+    assert np.array_equal(first, first_owner(ids))
+    assert np.array_equal(last, last_owner(ids))
+
+
+def test_face_tagged_twice_keeps_its_last_tag():
+    mesh = _build_mesh(2, [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)],
+                       [(0, 0, "a"), (0, 1, "b"), (0, 0, "c"), (0, 2, "d")])
+    bf = mesh.boundary_faces
+    assert dict(zip(bf.local_face.tolist(), bf.tags)) == {0: "c", 1: "b", 2: "d"}
+
+
 @pytest.mark.parametrize("recipe", ["interval(3,random,1)", "unit_disk(2)"])
 def test_mesh_and_dofmap_arrays_read_only(recipe):
     mesh = generate_mesh(recipe)
@@ -378,7 +436,7 @@ def test_mesh_and_dofmap_arrays_read_only(recipe):
     bf = mesh.boundary_faces
     arrays = [mesh.vertices, mesh.elements, bf.element, bf.local_face, bf.tags,
               bf.normals, bf.lengths, dm.element_dofs, dm.dof_coords,
-              dm.boundary_dofs, dm.face_dofs]
+              dm.boundary_dofs, dm.face_dofs, dm.first_owner, dm.last_owner]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[1]

@@ -103,7 +103,7 @@ def test_wave_boundary_data_matches_face_loop():
                                               prob.symmetrizer, normal)
             po = build_pi_system(decomp, prob.bc.reflections[tag])
             gidx = (disc.dofmap.face_dofs[f][:, None] * m + np.arange(m)).ravel()
-            np.add.at(out, gidx, po.data_vec(prob.bc.data[tag](t)))
+            np.add.at(out, gidx, -po.data_mat @ prob.bc.data[tag](t))
         assert np.array_equal(disc.pi.rhs_data(t), out)
 
 

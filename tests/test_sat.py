@@ -5,6 +5,7 @@ from cgsat.assembly import build_operators, face_quadrature
 from cgsat.basis import BasisSpec, quad_rule, tabulate
 from cgsat.mesh import (build_dofmap, generate_mesh, interval_mesh,
                         unit_disk_mesh, unit_square_mesh)
+from cgsat.problems import discretize, r13_heat
 from cgsat.sat import (StabilityViolationError, assemble_face_sat,
                        build_pi_r13, build_pi_system, characteristic_decompose,
                        r13_boundary_rows, r13_matrices, r13_normal_matrix,
@@ -369,6 +370,23 @@ def test_r13_eigen_shift_variant():
 
 
 def test_r13_data_vector():
-    op = build_pi_r13(3.0, -0.5, 0.0, "delta", -2.0)
-    g = np.array([1.0, 2.0])
-    assert np.allclose(op.data_vec(g), -op.pi @ g)
+    """The assembled r13 G(t) is the face loop of -Pi g: per face, the edge
+    rule of w_q * length * phi_i times the data vector at the face angle."""
+    prob = r13_heat(2, ux=0.7, uy=-0.4)
+    disc = discretize(prob)
+    bc, bf, m = prob.bc, disc.mesh.boundary_faces, prob.ncomp
+    edge = disc.scalar_ops[0].edge_degree
+    rule = quad_rule("edge", edge)
+    phi = tabulate(BasisSpec(disc.basis.kind, disc.basis.order, "interval"),
+                   rule.points)
+    out = np.zeros(disc.dofmap.n_dofs * m)
+    for f, (normal, tag) in enumerate(zip(bf.normals, bf.tags)):
+        gamma = float(np.arctan2(normal[1], normal[0]))
+        op = build_pi_r13(bc.alpha, bc.beta, gamma, bc.variant, bc.shift)
+        vec = -op.pi @ bc.data[tag](gamma)
+        face = bf.lengths[f] * (phi.T @ rule.weights)
+        gidx = (disc.dofmap.face_dofs[f][:, None] * m + np.arange(m)).ravel()
+        np.add.at(out, gidx, np.outer(face, vec).ravel())
+    got = disc.pi.rhs_data(0.0)
+    assert np.abs(out).max() > 0.0
+    assert np.abs(got - out).max() <= 1e-15 * np.abs(out).max()
