@@ -10,7 +10,8 @@ they are scattered.  The discrete integration by parts identity
 
 holds to machine precision whenever the volume rule integrates the stiffness
 integrand exactly and the edge rule used for Bq matches the one used in any
-split-form assembly.  ``check_sbp`` measures the defect.
+split-form assembly.  ``check_sbp`` measures the defect.  Every assembler
+takes only the DoF map, so M, Q and Bq share its mesh and its basis.
 """
 
 from __future__ import annotations
@@ -138,13 +139,13 @@ def face_quadrature(dofmap: DofMap, edge_degree: int) -> FaceQuadrature:
         bf.normals, bf.lengths, weights, basis)
 
 
-def assemble_mass(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,
-                  quad_degree: int) -> sp.csr_matrix:
+def assemble_mass(dofmap: DofMap, quad_degree: int) -> sp.csr_matrix:
     """Gram matrix of the basis, M_ij = integral phi_i phi_j."""
+    basis = dofmap.basis_spec()
     rule = quad_rule(basis.domain, quad_degree)
     phi = tabulate(basis, rule.points)
     mref = np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
-    _, det, _ = _jacobians(mesh)
+    _, det, _ = _jacobians(dofmap.mesh)
     local = det[:, None, None] * mref[None, :, :]
     return _scatter(dofmap, local)
 
@@ -179,8 +180,8 @@ def _advective_local(mesh, basis, coeff_fun, const, quad_degree):
     return local
 
 
-def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
-                       quad_degree: int, split_alpha: float | None = None,
+def assemble_stiffness(dofmap: DofMap, coeff, quad_degree: int,
+                       split_alpha: float | None = None,
                        edge_quad_degree: int | None = None) -> sp.csr_matrix:
     """Stiffness Q_ij = integral phi_i (a . grad phi_j), optionally split.
 
@@ -202,26 +203,28 @@ def assemble_stiffness(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
         match the rule used for Bq so the two cancel exactly.
     """
     edge_deg = edge_quad_degree if edge_quad_degree is not None else quad_degree
-    return _stiffness(mesh, dofmap, basis, coeff, quad_degree, split_alpha,
-                      edge_deg)[0]
+    return _stiffness(dofmap, coeff, quad_degree, split_alpha, edge_deg)[0]
 
 
-def _stiffness(mesh, dofmap, basis, coeff, quad_degree, split_alpha, edge_deg):
+def _stiffness(dofmap, coeff, quad_degree, split_alpha, edge_deg):
     """``assemble_stiffness`` and the Bq it assembled, None in advective form."""
-    coeff_fun, const = as_coefficient(coeff, mesh.dimension)
+    coeff_fun, const = as_coefficient(coeff, dofmap.mesh.dimension)
     if split_alpha is None:
         split_alpha = 0.0 if const is not None else 0.5
-    adv_local = _advective_local(mesh, basis, coeff_fun, const, quad_degree)
+    elif not np.isfinite(split_alpha):
+        raise ValueError(f"split weight alpha = {split_alpha} is not finite")
+    adv_local = _advective_local(dofmap.mesh, dofmap.basis_spec(), coeff_fun,
+                                 const, quad_degree)
     if split_alpha == 0.0:
         return _scatter(dofmap, adv_local), None
-    bq = assemble_boundary_quadratic(mesh, dofmap, basis, coeff, edge_deg)
+    bq = assemble_boundary_quadratic(dofmap, coeff, edge_deg)
     local = (1.0 - split_alpha) * adv_local
     local -= split_alpha * np.swapaxes(adv_local, 1, 2)
     return _scatter(dofmap, local) + split_alpha * bq, bq
 
 
-def assemble_boundary_quadratic(mesh: Mesh, dofmap: DofMap, basis: BasisSpec,
-                                coeff, edge_quad_degree: int) -> sp.csr_matrix:
+def assemble_boundary_quadratic(dofmap: DofMap, coeff,
+                                edge_quad_degree: int) -> sp.csr_matrix:
     """Boundary form Bq_ij = contour integral phi_i phi_j (a . n).
 
     Supported only on DoFs whose basis functions are nonzero on the physical
@@ -251,17 +254,16 @@ class GlobalOperators:
         return float(np.max(np.abs(data))) if data.size else 0.0
 
 
-def build_operators(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
-                    volume_degree: int | None = None,
+def build_operators(dofmap: DofMap, coeff, volume_degree: int | None = None,
                     edge_degree: int | None = None,
                     split_alpha: float | None = None) -> GlobalOperators:
     """Assemble M, Q and Bq with matched (or explicitly overridden) rules."""
     vol = volume_degree if volume_degree is not None else default_quad_degree(dofmap.order)
     edge = edge_degree if edge_degree is not None else vol
-    M = assemble_mass(mesh, dofmap, basis, vol)
-    Q, Bq = _stiffness(mesh, dofmap, basis, coeff, vol, split_alpha, edge)
+    M = assemble_mass(dofmap, vol)
+    Q, Bq = _stiffness(dofmap, coeff, vol, split_alpha, edge)
     if Bq is None:
-        Bq = assemble_boundary_quadratic(mesh, dofmap, basis, coeff, edge)
+        Bq = assemble_boundary_quadratic(dofmap, coeff, edge)
     return GlobalOperators(M, Q, Bq, dofmap, vol, edge)
 
 

@@ -152,20 +152,23 @@ def owners(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[start], order[np.r_[start[1:], s.size] - 1]
 
 
-def _build_mesh(dim, vertices, elements, tagged_faces) -> Mesh:
+def _build_mesh(dim, vertices, elements, tags) -> Mesh:
     """Assemble a Mesh and enforce its invariants.
 
-    tagged_faces: iterable of (element, local_face, tag), with local faces
+    tags: either an iterable of (element, local_face, tag), with local faces
     referring to the element ordering as passed in (tags are matched by
-    vertex set, so a later orientation fix cannot misplace them).
+    vertex set, so a later orientation fix cannot misplace them), or a
+    callable mapping the (nf, 2) midpoints of the boundary edges, in face
+    table order, to nf tags.
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     if vertices.ndim == 1:
         vertices = vertices.reshape(-1, 1)
     elements = np.ascontiguousarray(np.asarray(elements, dtype=np.int64))
-    tagged = np.array(list(tagged_faces), dtype=object).reshape(-1, 3)
-    tag_keys = _face_keys(dim, elements)[tagged[:, 0].astype(np.int64),
-                                         tagged[:, 1].astype(np.int64)]
+    if not callable(tags):
+        tagged = np.array(list(tags), dtype=object).reshape(-1, 3)
+        tag_keys = _face_keys(dim, elements)[tagged[:, 0].astype(np.int64),
+                                             tagged[:, 1].astype(np.int64)]
     unused = np.flatnonzero(np.bincount(elements.ravel(),
                                         minlength=len(vertices)) == 0)
     if unused.size:
@@ -193,32 +196,34 @@ def _build_mesh(dim, vertices, elements, tagged_faces) -> Mesh:
         raise NonconformingMeshError(
             f"face {_key_tuple(dim, keys[i])} shared by {counts[i]} elements")
 
-    pos = np.minimum(np.searchsorted(keys, tag_keys), keys.size - 1)
-    bad = (keys[pos] != tag_keys) | (counts[pos] != 1)
-    if bad.any():
-        raise NonconformingMeshError(
-            f"face {_key_tuple(dim, tag_keys[np.argmax(bad)])} tagged as "
-            f"boundary but not a boundary face")
-    tag_of = np.full(keys.size, -1)
-    last = owners(pos)[1]               # a face tagged twice keeps its last tag
-    tag_of[pos[last]] = last
     boundary = np.flatnonzero(counts == 1)
-    untagged = boundary[tag_of[boundary] < 0]
-    if untagged.size:
-        raise NonconformingMeshError(
-            f"boundary face {_key_tuple(dim, keys[untagged[0]])} carries no tag")
+    if not callable(tags):
+        pos = np.minimum(np.searchsorted(keys, tag_keys), keys.size - 1)
+        bad = (keys[pos] != tag_keys) | (counts[pos] != 1)
+        if bad.any():
+            raise NonconformingMeshError(
+                f"face {_key_tuple(dim, tag_keys[np.argmax(bad)])} tagged as "
+                f"boundary but not a boundary face")
+        tag_of = np.full(keys.size, -1)
+        last = owners(pos)[1]           # a face tagged twice keeps its last tag
+        tag_of[pos[last]] = last
+        untagged = boundary[tag_of[boundary] < 0]
+        if untagged.size:
+            raise NonconformingMeshError(
+                f"boundary face {_key_tuple(dim, keys[untagged[0]])} carries no tag")
 
     element, local_face = np.divmod(first[boundary], dim + 1)
     if dim == 1:
         normals = np.where(local_face == 0, -1.0, 1.0)[:, None]
         lengths = np.ones(boundary.size)
     else:
-        d = (vertices[elements[element, (local_face + 1) % 3]]
-             - vertices[elements[element, local_face]])
+        a = vertices[elements[element, local_face]]
+        b = vertices[elements[element, (local_face + 1) % 3]]
+        d = b - a
         lengths = np.hypot(d[:, 0], d[:, 1])
         normals = np.stack([d[:, 1], -d[:, 0]], axis=1) / lengths[:, None]
-    faces = BoundaryFaces(element, local_face,
-                          tagged[tag_of[boundary], 2].astype(str),
+    names = tags(0.5 * (a + b)) if callable(tags) else tagged[tag_of[boundary], 2]
+    faces = BoundaryFaces(element, local_face, np.asarray(names).astype(str),
                           normals, lengths)
     return Mesh(dim, vertices, elements, faces)
 
@@ -331,18 +336,6 @@ def interval_mesh(n: int, spacing: str = "regular", seed=None) -> Mesh:
     return _build_mesh(1, nodes, elements, tagged)
 
 
-def _tagged_boundary(vertices, elements, tag_of):
-    """(element, local_face, tag) of every boundary edge of a triangulation.
-
-    ``tag_of`` maps the edge midpoints (nf, 2) to an array of nf tags.
-    """
-    _, first, counts = np.unique(_face_keys(2, elements), return_index=True,
-                                 return_counts=True)
-    e, k = np.divmod(first[counts == 1], 3)
-    mid = 0.5 * (vertices[elements[e, k]] + vertices[elements[e, (k + 1) % 3]])
-    return zip(e, k, tag_of(mid))
-
-
 def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
     """Structured 2 n^2-triangle mesh of [0,1]^2 (diagonal split).
 
@@ -371,8 +364,7 @@ def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
         return np.select([np.abs(x) < 1e-12, np.abs(x - 1.0) < 1e-12,
                           np.abs(y) < 1e-12], ["left", "right", "bottom"], "top")
 
-    return _build_mesh(2, vertices, elements,
-                       _tagged_boundary(vertices, elements, side))
+    return _build_mesh(2, vertices, elements, side)
 
 
 def unit_disk_mesh(n: int) -> Mesh:
@@ -407,8 +399,8 @@ def unit_disk_mesh(n: int) -> Mesh:
     band = np.where(inner[:, None] == 1, np.stack([o1, i1, i0], 1),
                     np.stack([o0, o1, i0], 1))
     elements = np.vstack([fan, band])
-    return _build_mesh(2, vertices, elements, _tagged_boundary(
-        vertices, elements, lambda mid: np.full(len(mid), "circle")))
+    return _build_mesh(2, vertices, elements,
+                       lambda mid: np.full(len(mid), "circle"))
 
 
 def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
@@ -432,9 +424,8 @@ def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
     c, d = a + m, b + m
     elements = np.stack([a, b, d, a, d, c], axis=1).reshape(-1, 3)
     rmid = 0.5 * (r0 + r1)
-    return _build_mesh(2, vertices, elements, _tagged_boundary(
-        vertices, elements,
-        lambda mid: np.where(np.hypot(mid[:, 0], mid[:, 1]) < rmid, "inner", "outer")))
+    return _build_mesh(2, vertices, elements, lambda mid: np.where(
+        np.hypot(mid[:, 0], mid[:, 1]) < rmid, "inner", "outer"))
 
 
 # recipe name -> (argument signature, builder from the argument strings)

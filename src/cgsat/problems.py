@@ -3,7 +3,8 @@
 Each constructor returns a :class:`ProblemSpec` holding coefficients,
 initial/boundary/exact data and discretization defaults.  ``discretize``
 assembles the global operators, the boundary penalty and the initial state;
-``solve_problem`` adds the time march.
+``solve_problem`` adds the time march.  All of it is built on one DoF map,
+the one source of the mesh and the basis.
 
 Problems
 --------
@@ -249,16 +250,23 @@ PROBLEMS = {
 # discretization glue
 # ---------------------------------------------------------------------------
 
-def interpolate(fn, dofmap: DofMap, basis: BasisSpec, ncomp: int = 1) -> np.ndarray:
+def interpolate(fn, dofmap: DofMap, ncomp: int = 1) -> np.ndarray:
     """Coefficients of the interpolant of ``fn`` at the DoF lattice.
 
+    ``fn`` must give finite values of shape (n, ncomp), or (n,) if scalar.
     Lagrange coefficients are plain nodal values; Bernstein coefficients are
     recovered per element from the lattice values (consistent across shared
     faces because the edge restriction only involves edge lattice values).
     """
+    n = dofmap.n_dofs
     vals = np.asarray(fn(dofmap.dof_coords), dtype=float)
-    if ncomp == 1 and vals.ndim == 1:
-        vals = vals[:, None]
+    if not (vals.shape == (n, ncomp) or ncomp == 1 and vals.shape == (n,)):
+        raise ValueError(f"data callable must return shape ({n}, {ncomp}) "
+                         f"for {n} DoFs, got {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError("data callable returned a non-finite value")
+    vals = vals.reshape(n, ncomp)
+    basis = dofmap.basis_spec()
     if basis.kind == "lagrange":
         out = vals
     else:
@@ -266,19 +274,22 @@ def interpolate(fn, dofmap: DofMap, basis: BasisSpec, ncomp: int = 1) -> np.ndar
         ed = dofmap.element_dofs
         # a shared DoF takes the value of the last element listing it
         out = np.matmul(inv, vals[ed]).reshape(-1, vals.shape[1])[dofmap.last_owner]
-    return out.ravel() if ncomp == 1 and out.shape[1] == 1 else out
+    return out.ravel() if ncomp == 1 else out
 
 
-def nodal_value_operator(dofmap: DofMap, basis: BasisSpec) -> sp.csr_matrix:
+def nodal_value_operator(dofmap: DofMap) -> sp.csr_matrix:
     """Sparse map from coefficients to solution values at the DoF lattice."""
+    basis, n = dofmap.basis_spec(), dofmap.n_dofs
     if basis.kind == "lagrange":
-        return sp.identity(dofmap.n_dofs, format="csr")
-    lattice_eval = tabulate(basis, basis.lattice())
+        return sp.identity(n, format="csr")
     ed = dofmap.element_dofs
     e, iloc = np.divmod(dofmap.first_owner, ed.shape[1])
-    rows = np.broadcast_to(np.arange(dofmap.n_dofs)[:, None], (e.size, ed.shape[1]))
-    return sp.coo_matrix((lattice_eval[iloc].ravel(), (rows.ravel(), ed[e].ravel())),
-                         shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
+    cols = ed[e].astype(np.int32)     # row i: the first element listing DoF i
+    op = sp.csr_matrix((tabulate(basis, basis.lattice())[iloc].ravel(), cols.ravel(),
+                        np.arange(0, cols.size + 1, ed.shape[1], dtype=np.int32)),
+                       shape=(n, n))
+    op.sort_indices()
+    return op
 
 
 @dataclass
@@ -286,9 +297,7 @@ class Discretization:
     """Assembled operators, penalty and initial state for one problem."""
 
     problem: ProblemSpec
-    mesh: Mesh
-    dofmap: DofMap
-    basis: BasisSpec
+    dofmap: DofMap                 # the one source of mesh and basis
     M: sp.csr_matrix               # scalar mass
     ops_sys: sp.csr_matrix         # system-level stiffness
     bq_sys: sp.csr_matrix
@@ -300,6 +309,14 @@ class Discretization:
     ncomp: int
     h_min: float
     norm_q: float
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.dofmap.mesh
+
+    @property
+    def basis(self) -> BasisSpec:
+        return self.dofmap.basis_spec()
 
     @property
     def rhs_matrix(self) -> sp.csr_matrix:
@@ -317,9 +334,9 @@ class Discretization:
         return [check_sbp(ops) for ops in self.scalar_ops]
 
 
-def _system_sat(problem, mesh, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
+def _system_sat(problem, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
     # one pointwise operator per boundary face, stacked for the one kernel
-    bc, faces, m = problem.bc, mesh.boundary_faces, problem.ncomp
+    bc, faces, m = problem.bc, dofmap.mesh.boundary_faces, problem.ncomp
     fq = face_quadrature(dofmap, edge_deg)
     nf, tags = len(faces), list(faces.tags)
     on_faces = (dofmap, fq, np.arange(nf), fq.weights * fq.lengths[:, None])
@@ -345,7 +362,7 @@ def _system_sat(problem, mesh, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
         gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
         op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma, bc.variant,
                                   bc.shift)
-        s = problem.sat_scale
+        s = sat_mod._check_scale(problem.sat_scale)
         d = np.array([s * (op.pi[f] @ bc.data[t](gamma[f])) if t in bc.data
                       else np.zeros(m) for f, t in enumerate(tags)])
         pi = sat_mod.assemble_face_sat(*on_faces, s * op.pi_mat,
@@ -387,41 +404,38 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
                          f"{sorted(named - set(tags))} that the mesh lacks "
                          f"(mesh tags: {tags})")
     dofmap = build_dofmap(mesh, p.order, p.basis)
-    basis = dofmap.basis_spec()
     vol = p.volume_degree if p.volume_degree is not None \
         else default_quad_degree(p.order)
     edge = p.edge_degree if p.edge_degree is not None else vol
 
     if p.ncomp == 1:
-        ops = build_operators(mesh, dofmap, basis, p.velocity, vol, edge,
-                              p.split_alpha)
+        ops = build_operators(dofmap, p.velocity, vol, edge, p.split_alpha)
         M, q_sys, bq_sys = ops.M, ops.Q, ops.Bq
         scalar_ops = [ops]
-        pi = sat_mod.scalar_sat_2d(mesh, dofmap, basis, p.velocity,
-                                   g=p.bc.g, edge_quad_degree=edge,
-                                   scale=p.sat_scale)
+        pi = sat_mod.scalar_sat_2d(dofmap, p.velocity, g=p.bc.g,
+                                   edge_quad_degree=edge, scale=p.sat_scale)
     else:
-        M = assemble_mass(mesh, dofmap, basis, vol)
+        M = assemble_mass(dofmap, vol)
         dirs = [np.array([1.0])] if mesh.dimension == 1 else \
             [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         mats = [p.A] if mesh.dimension == 1 else [p.A, p.B]
         scalar_ops = [GlobalOperators(
-            M, assemble_stiffness(mesh, dofmap, basis, d, vol),
-            assemble_boundary_quadratic(mesh, dofmap, basis, d, edge),
+            M, assemble_stiffness(dofmap, d, vol),
+            assemble_boundary_quadratic(dofmap, d, edge),
             dofmap, vol, edge) for d in dirs]
         q_sys = sum(sp.kron(o.Q, a, format="csr") for o, a in zip(scalar_ops, mats))
         bq_sys = sum(sp.kron(o.Bq, a, format="csr") for o, a in zip(scalar_ops, mats))
-        pi = _system_sat(p, mesh, dofmap, edge)
+        pi = _system_sat(p, dofmap, edge)
 
     source = None
     if p.source_matrix is not None:
         source = sp.kron(M, p.source_matrix, format="csr")
 
-    u0 = interpolate(p.initial, dofmap, basis, p.ncomp)
+    u0 = interpolate(p.initial, dofmap, p.ncomp)
     u0 = u0.reshape(-1)
-    value_op = nodal_value_operator(dofmap, basis)
+    value_op = nodal_value_operator(dofmap)
     norm_q = float(np.abs(q_sys.data).max()) if q_sys.nnz else 0.0
-    return Discretization(p, mesh, dofmap, basis, M, q_sys.tocsr(),
+    return Discretization(p, dofmap, M, q_sys.tocsr(),
                           bq_sys.tocsr(), scalar_ops, pi, source, u0,
                           value_op, p.ncomp, mesh.h_min(), norm_q)
 
@@ -506,7 +520,7 @@ def error_norms(state: np.ndarray, disc: Discretization, t: float) -> dict:
     exact = prob.exact
     dofmap, basis, mesh = disc.dofmap, disc.basis, disc.mesh
 
-    e_coeff = interpolate(lambda pts: exact(pts, t), dofmap, basis)
+    e_coeff = interpolate(lambda pts: exact(pts, t), dofmap)
     diff = state - e_coeff
     l2m = float(np.sqrt(diff @ (disc.M @ diff)))
 

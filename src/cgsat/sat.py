@@ -15,7 +15,8 @@ weights per rule point, one m x m operator per face and one data callable
 give both the matrix and G(t).  Its rule and face basis are those of the
 boundary quadratic form (``assembly.face_quadrature``), so penalty and Bq
 share one edge rule and the discrete energy estimate closes exactly; in 1D
-a face is one point of weight 1.
+a face is one point of weight 1.  Mesh and basis come from the DoF map
+alone, and every penalty scale must be finite and at least 1.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import FaceQuadrature, face_quadrature, scatter_blocks
-from .basis import BasisSpec
-from .mesh import DofMap, Mesh
+from .mesh import DofMap
 
 
 class StabilityViolationError(ValueError):
@@ -60,6 +60,14 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
+def _check_scale(scale: float) -> float:
+    scale = float(scale)
+    if not (np.isfinite(scale) and scale >= 1.0):
+        raise StabilityViolationError(
+            f"SAT scale factor {scale} must be finite and >= 1")
+    return scale
+
+
 def scalar_sat_1d(dofmap: DofMap, a: float, tau=-1.0,
                   data=(None, None)) -> BoundaryOperator:
     """Endpoint penalties for 1D scalar advection with speed ``a``.
@@ -87,8 +95,7 @@ def scalar_sat_1d(dofmap: DofMap, a: float, tau=-1.0,
     return assemble_face_sat(dofmap, fq, faces, w[faces, None], data=fun)
 
 
-def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
-                  g=None, edge_quad_degree: int = 6,
+def scalar_sat_2d(dofmap: DofMap, coeff, g=None, edge_quad_degree: int = 6,
                   scale: float = 1.0) -> BoundaryOperator:
     """Inflow penalty  a_n^-(u - g)  assembled with the edge rule.
 
@@ -96,13 +103,12 @@ def scalar_sat_2d(mesh: Mesh, dofmap: DofMap, basis: BasisSpec, coeff,
     (homogeneous) or a callable g(points, t) -> values, evaluated once per
     call at the quadrature points of all inflow faces.
     """
-    if scale < 1.0:
-        raise StabilityViolationError("SAT scale factor must be >= 1")
+    scale = _check_scale(scale)
     fq = face_quadrature(dofmap, edge_quad_degree)
     an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
     inflow = np.nonzero(np.any(an_m < 0.0, axis=1))[0]
     w = fq.weights * an_m[inflow] * fq.lengths[inflow, None]      # (nf, nq)
-    pts = fq.points[inflow].reshape(-1, mesh.dimension)
+    pts = fq.points[inflow].reshape(-1, dofmap.mesh.dimension)
     fun = None if g is None else lambda t: np.asarray(
         g(pts, t), dtype=float).reshape(*w.shape, 1)
     return assemble_face_sat(dofmap, fq, inflow, w, data=fun)
@@ -201,8 +207,7 @@ def build_pi_system(decomp: CharacteristicDecomposition, R=None,
     boundary quadratic form is strictly dissipative; otherwise a
     StabilityViolationError is raised.
     """
-    if scale < 1.0:
-        raise StabilityViolationError("SAT scale factor must be >= 1")
+    scale = _check_scale(scale)
     n_neg, n_pos = decomp.neg.size, decomp.pos.size
     if R is None:
         R = np.zeros((n_neg, n_pos))

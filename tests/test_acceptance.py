@@ -40,11 +40,9 @@ class Config:
     def __init__(self, label, mesh, order, kind):
         self.label = f"{label}/p{order}/{kind}"
         dm = build_dofmap(mesh, order, kind)
-        basis = dm.basis_spec()
         coeff = [1.0] if mesh.dimension == 1 else [1.0, 0.0]
-        self.ops = build_operators(mesh, dm, basis, coeff)
-        self.pi = scalar_sat_2d(mesh, dm, basis, coeff,
-                                edge_quad_degree=self.ops.edge_degree)
+        self.ops = build_operators(dm, coeff)
+        self.pi = scalar_sat_2d(dm, coeff, edge_quad_degree=self.ops.edge_degree)
         self.dofmap = dm
 
 
@@ -97,7 +95,7 @@ def test_criterion_3_sat_sharpness():
     """tau = -0.49 rejected; tau = -0.51 certified; analytic 3x3 matches."""
     mesh = generate_mesh("interval(2)")
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(mesh, dm, dm.basis_spec(), [1.0])
+    ops = build_operators(dm, [1.0])
     with pytest.raises(StabilityViolationError):
         scalar_sat_1d(dm, a=1.0, tau=-0.49)
     pi = scalar_sat_1d(dm, a=1.0, tau=-0.51)

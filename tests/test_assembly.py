@@ -27,7 +27,7 @@ def setup(mesh, p, kind):
 def test_mass_interval_p1():
     mesh = interval_mesh(2)
     dm, bs = setup(mesh, 1, "lagrange")
-    M = assemble_mass(mesh, dm, bs, 6).toarray()
+    M = assemble_mass(dm, 6).toarray()
     expected = np.array([[2, 1, 0], [1, 4, 1], [0, 1, 2]]) / 12.0
     assert np.abs(M - expected).max() < 1e-15
 
@@ -36,7 +36,7 @@ def test_mass_reference_triangle_p1():
     mesh = _build_mesh(2, [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)],
                        [(0, 0, "a"), (0, 1, "b"), (0, 2, "c")])
     dm, bs = setup(mesh, 1, "lagrange")
-    M = assemble_mass(mesh, dm, bs, 6).toarray()
+    M = assemble_mass(dm, 6).toarray()
     area = 0.5
     expected = area / 12.0 * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
     assert np.abs(M - expected).max() < 1e-15
@@ -47,7 +47,7 @@ def test_mass_reference_triangle_p1():
 def test_mass_properties(kind, p):
     mesh = unit_square_mesh(3, perturb_seed=1)
     dm, bs = setup(mesh, p, kind)
-    M = assemble_mass(mesh, dm, bs, default_quad_degree(p))
+    M = assemble_mass(dm, default_quad_degree(p))
     Md = M.toarray()
     assert np.abs(Md - Md.T).max() < 1e-14
     one = np.ones(dm.n_dofs)
@@ -59,7 +59,7 @@ def test_mass_properties(kind, p):
 def test_stiffness_interval_p1():
     mesh = interval_mesh(2)
     dm, bs = setup(mesh, 1, "lagrange")
-    Q = assemble_stiffness(mesh, dm, bs, [1.0], 6).toarray()
+    Q = assemble_stiffness(dm, [1.0], 6).toarray()
     expected = 0.5 * np.array([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     assert np.abs(Q - expected).max() < 1e-15
     assert np.abs((Q + Q.T) - np.diag([-1.0, 0.0, 1.0])).max() < 1e-15
@@ -68,7 +68,7 @@ def test_stiffness_interval_p1():
 def test_constants_in_kernel():
     mesh = unit_disk_mesh(3)
     dm, bs = setup(mesh, 2, "bernstein")
-    Q = assemble_stiffness(mesh, dm, bs, [1.0, 0.0], 6)
+    Q = assemble_stiffness(dm, [1.0, 0.0], 6)
     assert np.abs(Q @ np.ones(dm.n_dofs)).max() < 1e-13
 
 
@@ -77,7 +77,7 @@ def test_boundary_quadratic_1d():
     for p in (1, 2, 3):
         dm, bs = setup(mesh, p, "lagrange")
         a = 1.7
-        Bq = assemble_boundary_quadratic(mesh, dm, bs, [a], 6).toarray()
+        Bq = assemble_boundary_quadratic(dm, [a], 6).toarray()
         expected = np.zeros_like(Bq)
         normal = mesh.boundary_faces.normals[:, 0]
         left = dm.face_dofs[0, 0] if normal[0] < 0 else dm.face_dofs[1, 0]
@@ -117,14 +117,14 @@ def test_boundary_quadratic_matches_face_loop(recipe, p, kind):
     dm, bs = setup(mesh, p, kind)
     dim = mesh.dimension
     for coeff in ([0.7, -1.3][:dim], lambda x: np.cos(x + 0.3 * x[:, ::-1])):
-        got = assemble_boundary_quadratic(mesh, dm, bs, coeff, 6).toarray()
+        got = assemble_boundary_quadratic(dm, coeff, 6).toarray()
         assert np.array_equal(got, face_loop_bq(dm, coeff, 6))
 
 
 def test_boundary_quadratic_flux_identities():
     mesh = unit_square_mesh(4)
     dm, bs = setup(mesh, 2, "lagrange")
-    Bq = assemble_boundary_quadratic(mesh, dm, bs, [1.0, 0.0], 6)
+    Bq = assemble_boundary_quadratic(dm, [1.0, 0.0], 6)
     one = np.ones(dm.n_dofs)
     assert abs(one @ Bq @ one) < 1e-13           # closed-surface flux of 1
     x = dm.dof_coords[:, 0]
@@ -142,7 +142,7 @@ def test_sbp_identity_matched(kind, p, recipe):
     mesh = generate_mesh(recipe)
     dm, bs = setup(mesh, p, kind)
     coeff = [1.0] if mesh.dimension == 1 else [1.0, 0.0]
-    ops = build_operators(mesh, dm, bs, coeff)
+    ops = build_operators(dm, coeff)
     rep = check_sbp(ops)
     assert rep.passed, str(rep)
 
@@ -154,7 +154,7 @@ def test_sbp_rotation_split_form():
     def rot(pts):
         return np.stack([2 * np.pi * pts[:, 1], -2 * np.pi * pts[:, 0]], axis=1)
 
-    ops = build_operators(mesh, dm, bs, rot, split_alpha=0.5)
+    ops = build_operators(dm, rot, split_alpha=0.5)
     rep = check_sbp(ops)
     assert rep.passed, str(rep)
     assert rep.max_interior_residual <= rep.tolerance
@@ -172,14 +172,14 @@ def test_build_operators_assembles_bq_once(monkeypatch, split_alpha):
     mesh = unit_disk_mesh(3)
     dm, bs = setup(mesh, 2, "bernstein")
     velocity = problems.rotation_2d().velocity
-    q = assemble_stiffness(mesh, dm, bs, velocity, 6, split_alpha=split_alpha,
+    q = assemble_stiffness(dm, velocity, 6, split_alpha=split_alpha,
                            edge_quad_degree=5)
-    bq = assemble_boundary_quadratic(mesh, dm, bs, velocity, 5)
+    bq = assemble_boundary_quadratic(dm, velocity, 5)
     calls = []
     real = assembly.assemble_boundary_quadratic
     monkeypatch.setattr(assembly, "assemble_boundary_quadratic",
                         lambda *args: calls.append(args) or real(*args))
-    ops = build_operators(mesh, dm, bs, velocity, 6, 5, split_alpha)
+    ops = build_operators(dm, velocity, 6, 5, split_alpha)
     assert len(calls) == 1
     assert same_csr(ops.Q, q) and same_csr(ops.Bq, bq)
 
@@ -203,10 +203,10 @@ def test_variable_stiffness_matches_einsum_and_global_split_oracles(kind, p):
     ref_local = reference_advective_local(mesh, bs, prob.velocity, vol)
     local = _advective_local(mesh, bs, fun, None, vol)
     assert np.abs(local - ref_local).max() <= 1e-15 * np.abs(ref_local).max()
-    M = assemble_mass(mesh, dm, bs, vol)
-    bq = assemble_boundary_quadratic(mesh, dm, bs, prob.velocity, vol)
+    M = assemble_mass(dm, vol)
+    bq = assemble_boundary_quadratic(dm, prob.velocity, vol)
     for alpha in (0.25, 0.5, 1.0):
-        q = assemble_stiffness(mesh, dm, bs, prob.velocity, vol,
+        q = assemble_stiffness(dm, prob.velocity, vol,
                                split_alpha=alpha, edge_quad_degree=vol)
         q_ref = reference_split_stiffness(_scatter(dm, ref_local), bq, alpha)
         scale = np.abs(q_ref.data).max()
@@ -284,7 +284,7 @@ def test_bad_velocity_rejected(velocity, message):
     mesh = unit_disk_mesh(3)
     dm, bs = setup(mesh, 2, "bernstein")
     with pytest.raises(ValueError, match=message):
-        build_operators(mesh, dm, bs, velocity)
+        build_operators(dm, velocity)
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,9 +310,9 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
         return np.stack([c[0] + c[2] * pts[:, 1], c[1] + c[2] * pts[:, 0]], axis=1)
 
     for coeff, alpha in ((smooth, 0.5), (affine, 0.0)):
-        rep = check_sbp(build_operators(mesh, dm, bs, coeff, split_alpha=alpha))
+        rep = check_sbp(build_operators(dm, coeff, split_alpha=alpha))
         assert rep.passed, str(rep)
-    bq = build_operators(mesh, dm, bs, list(c[:2])).Bq
+    bq = build_operators(dm, list(c[:2])).Bq
     one = np.ones(dm.n_dofs)
     assert abs(one @ bq @ one) <= 1e-13 * (1.0 + abs(c[0]) + abs(c[1]))
 
@@ -320,7 +320,7 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
 def test_sbp_degraded_edge_quadrature_fails():
     mesh = unit_square_mesh(4)
     dm, bs = setup(mesh, 3, "lagrange")
-    ops = build_operators(mesh, dm, bs, [1.0, 0.0],
+    ops = build_operators(dm, [1.0, 0.0],
                           volume_degree=6, edge_degree=5)
     rep = check_sbp(ops)
     assert not rep.passed
@@ -331,7 +331,7 @@ def test_sbp_degraded_edge_quadrature_fails():
 def test_sbp_zero_velocity():
     mesh = unit_square_mesh(2)
     dm, bs = setup(mesh, 1, "lagrange")
-    ops = build_operators(mesh, dm, bs, [0.0, 0.0])
+    ops = build_operators(dm, [0.0, 0.0])
     rep = check_sbp(ops)
     assert rep.passed
     assert rep.max_interior_residual == 0.0
@@ -344,13 +344,13 @@ def test_galerkin_derivative_exact_on_polynomials(kind, p):
     # M^-1 Q applied to x^j reproduces j x^(j-1) in coefficient space
     mesh = interval_mesh(5, "random", seed=1)
     dm, bs = setup(mesh, p, kind)
-    ops = build_operators(mesh, dm, bs, [1.0])
+    ops = build_operators(dm, [1.0])
     lu = factor_mass(ops.M)
     from cgsat.problems import interpolate
     for j in range(p + 1):
-        cj = interpolate(lambda pts: pts[:, 0] ** j, dm, bs)
+        cj = interpolate(lambda pts: pts[:, 0] ** j, dm)
         cd = interpolate(lambda pts: j * pts[:, 0] ** (j - 1) if j else
-                         np.zeros(pts.shape[0]), dm, bs)
+                         np.zeros(pts.shape[0]), dm)
         deriv = lu.solve(ops.Q @ cj)
         assert np.abs(deriv - cd).max() < 1e-10
 
@@ -359,7 +359,7 @@ def test_system_mass_is_kron_identity():
     import scipy.sparse as sp
     mesh = interval_mesh(4)
     dm, bs = setup(mesh, 2, "lagrange")
-    M = assemble_mass(mesh, dm, bs, 6)
+    M = assemble_mass(dm, 6)
     Msys = sp.kron(M, np.eye(3)).tocsr()
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -306,7 +306,12 @@ def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
 @pytest.mark.parametrize("flags,message", [
     (["--t-end", "-1"], "t_end -1.0 is not after t0 0.0"),
     (["--steps", "-2"], "steps must be at least 1"),
-    (["--amplitude-limit", "-1"], "amplitude_limit must be positive")])
+    (["--amplitude-limit", "-1"], "amplitude_limit must be positive"),
+    (["--sat-scale", "nan"], "SAT scale factor nan must be finite and >= 1"),
+    (["--sat-scale", "inf"], "SAT scale factor inf must be finite and >= 1"),
+    (["--split-alpha", "nan"], "split weight alpha = nan is not finite"),
+    (["--problem", "r13", "--steps", "3", "--sat-scale", "0"],
+     "SAT scale factor 0.0 must be finite and >= 1")])
 def test_solve_rejects_meaningless_march(tmp_path, capsys, flags, message):
     rc = main(["solve", "--problem", "advection2d", "--mesh-n", "2",
                "--order", "1", "--outdir", str(tmp_path / "s")] + flags)

@@ -1,12 +1,14 @@
-from dataclasses import replace
+import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from cgsat import assembly, problems, sat
 from cgsat.basis import tabulate
 from cgsat.mesh import build_dofmap, generate_mesh
-from cgsat.problems import (advection_2d, discretize, error_norms,
-                            interpolate, l2_project_initial,
+from cgsat.problems import (Discretization, advection_2d, discretize,
+                            error_norms, interpolate, l2_project_initial,
                             nodal_value_operator, r13_heat, rotation_2d,
                             sine_advection_2d, solve_problem, wave_1d)
 from cgsat.sat import (StabilityViolationError, build_pi_system,
@@ -175,9 +177,45 @@ def test_interpolation_reproduces_polynomials():
     prob = advection_2d(n=3, order=2, basis="bernstein")
     disc = discretize(prob)
     f = lambda pts: 1.0 + 2 * pts[:, 0] - pts[:, 1] + pts[:, 0] * pts[:, 1]
-    c = interpolate(f, disc.dofmap, disc.basis)
+    c = interpolate(f, disc.dofmap)
     vals = disc.value_op @ c
     assert np.abs(vals - f(disc.dofmap.dof_coords)).max() < 1e-12
+
+
+@pytest.mark.parametrize("prob, initial, message", [
+    (advection_2d(n=2, order=1), lambda pts: 1.0,
+     r"shape \(9, 1\) for 9 DoFs, got \(\)"),
+    (wave_1d(4), lambda pts: np.zeros((pts.shape[0], 3)),
+     r"shape \(9, 2\) for 9 DoFs, got \(9, 3\)"),
+    (wave_1d(4), lambda pts: np.full((pts.shape[0], 2), np.nan), "non-finite")],
+    ids=["constant", "three-columns", "nan"])
+def test_discretize_rejects_malformed_initial_data(prob, initial, message):
+    with pytest.raises(ValueError, match=message):
+        discretize(replace(prob, initial=initial))
+
+
+def test_error_norms_reject_malformed_exact_values():
+    disc = discretize(advection_2d(n=2, order=1))
+    bad = replace(disc, problem=replace(disc.problem,
+                                        exact=lambda pts, t: np.ones((3, 2))))
+    with pytest.raises(ValueError, match=r"got \(3, 2\)"):
+        error_norms(disc.u0, bad, 0.0)
+
+
+def test_dofmap_is_the_one_source_of_mesh_and_basis():
+    """No public function that takes a DoF map also takes a mesh or a basis,
+    so operators cannot be assembled in two bases or on two meshes."""
+    for module in (assembly, sat, problems):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            params = set(inspect.signature(fn).parameters)
+            if "dofmap" in params:
+                assert not params & {"mesh", "basis"}, f"{module.__name__}.{name}"
+    assert not {"mesh", "basis"} & {f.name for f in fields(Discretization)}
+    disc = discretize(advection_2d(n=2, order=1, basis="bernstein"))
+    assert disc.mesh is disc.dofmap.mesh
+    assert disc.basis == disc.dofmap.basis_spec()
 
 
 @pytest.mark.parametrize("recipe", ["unit_disk(3)", "interval(7,random,3)"])
@@ -205,9 +243,9 @@ def test_bernstein_owner_maps_match_element_loops(recipe, ncomp):
             if not owned[g]:
                 owned[g] = True
                 value_op[g, gd] = lattice_eval[iloc]
-    got = interpolate(fn, dm, bs, ncomp)
+    got = interpolate(fn, dm, ncomp)
     assert np.array_equal(got, coef.ravel() if ncomp == 1 else coef)
-    assert np.array_equal(nodal_value_operator(dm, bs).toarray(), value_op)
+    assert np.array_equal(nodal_value_operator(dm).toarray(), value_op)
 
 
 def test_l2_projection_of_smooth_data_matches_interpolation():
@@ -226,8 +264,7 @@ def test_error_norms_basics():
     assert e["Linf"] < 5e-3
     # pure constant offset c against the interpolant: L2_M = c on |Omega| = 1
     c = 0.37
-    ecoeff = interpolate(lambda pts: prob.exact(pts, 0.0),
-                         disc.dofmap, disc.basis)
+    ecoeff = interpolate(lambda pts: prob.exact(pts, 0.0), disc.dofmap)
     e = error_norms(ecoeff + c, disc, 0.0)
     assert abs(e["L2_M"] - c) < 1e-12
     assert abs(e["Linf"] - c) < 1e-12

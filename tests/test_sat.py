@@ -54,7 +54,7 @@ def test_scalar_sat_1d_tau_validation():
 def test_scalar_sat_1d_certificate():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(mesh, dm, dm.basis_spec(), [1.0])
+    ops = build_operators(dm, [1.0])
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
     S = stability_matrix(ops, pi).toarray()
     w, _ = symmetric_eig(S)
@@ -65,7 +65,7 @@ def test_scalar_sat_1d_certificate_negative_speed():
     # mirrored configuration: inflow at the right endpoint
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(mesh, dm, dm.basis_spec(), [-1.0])
+    ops = build_operators(dm, [-1.0])
     pi = scalar_sat_1d(dm, a=-1.0, tau=-1.0)
     S = stability_matrix(ops, pi).toarray()
     assert np.abs(S - np.diag([-1.0, 0.0, -3.0])).max() < 1e-14
@@ -74,7 +74,7 @@ def test_scalar_sat_1d_certificate_negative_speed():
 def test_scalar_sat_2d_inflow_only():
     mesh = unit_square_mesh(3)
     dm = build_dofmap(mesh, 2, "lagrange")
-    pi = scalar_sat_2d(mesh, dm, dm.basis_spec(), [1.0, 0.0],
+    pi = scalar_sat_2d(dm, [1.0, 0.0],
                        edge_quad_degree=6)
     mat = pi.matrix.toarray()
     x = dm.dof_coords[:, 0]
@@ -91,8 +91,8 @@ def test_scalar_sat_2d_inflow_only():
 def test_scalar_sat_2d_certificate_unit_square():
     mesh = unit_square_mesh(4)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(mesh, dm, dm.basis_spec(), [1.0, 0.0])
-    pi = scalar_sat_2d(mesh, dm, dm.basis_spec(), [1.0, 0.0],
+    ops = build_operators(dm, [1.0, 0.0])
+    pi = scalar_sat_2d(dm, [1.0, 0.0],
                        edge_quad_degree=ops.edge_degree)
     S = stability_matrix(ops, pi)
     w, _ = symmetric_eig(S)
@@ -124,7 +124,7 @@ def test_scalar_sat_2d_on_interval_matches_1d(a):
         return np.where(pts[:, 0] < 0.5, b0(t), b1(t))
 
     ref = scalar_sat_1d(dm, a=a, tau=-1.0, data=(b0, b1))
-    pi = scalar_sat_2d(dm.mesh, dm, dm.basis_spec(), [a], g=g)
+    pi = scalar_sat_2d(dm, [a], g=g)
     assert np.array_equal(pi.matrix.toarray(), ref.matrix.toarray())
     for t in (0.0, 0.4, 2.5):
         assert np.array_equal(pi.rhs_data(t), ref.rhs_data(t))
@@ -154,7 +154,7 @@ def test_scalar_sat_2d_matches_face_loop():
     def g(pts, t):
         return np.sin(2.0 * pts[:, 0] - t) * np.cos(pts[:, 1])
 
-    pi = scalar_sat_2d(dm.mesh, dm, dm.basis_spec(), a, g=g, scale=1.5)
+    pi = scalar_sat_2d(dm, a, g=g, scale=1.5)
     weights, b, points = edge_rule(dm, 6)
     mat = np.zeros((dm.n_dofs, dm.n_dofs))
     faces = []
@@ -215,7 +215,17 @@ def test_sat_scale_validation():
     mesh = unit_square_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
     with pytest.raises(StabilityViolationError):
-        scalar_sat_2d(mesh, dm, dm.basis_spec(), [1.0, 0.0], scale=0.5)
+        scalar_sat_2d(dm, [1.0, 0.0], scale=0.5)
+    # NaN fails every comparison, so it must not pass for "not below 1"
+    decomp = characteristic_decompose(WAVE_A, None, np.eye(2), [1.0])
+    for scale in (np.nan, np.inf):
+        with pytest.raises(StabilityViolationError, match=f"factor {scale}"):
+            scalar_sat_2d(dm, [1.0, 0.0], scale=scale)
+        with pytest.raises(StabilityViolationError, match=f"factor {scale}"):
+            build_pi_system(decomp, scale=scale)
+    for scale in (0.0, -1.0, np.nan):
+        with pytest.raises(StabilityViolationError, match=f"factor {scale}"):
+            discretize(r13_heat(2), sat_scale=scale)
 
 
 # characteristic decompositions ----------------------------------------------

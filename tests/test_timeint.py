@@ -88,7 +88,7 @@ def test_run_rejects_dt_not_positive_and_finite(dt, steps, monkeypatch):
 def test_factor_mass_fem_mass():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    M = assemble_mass(mesh, dm, dm.basis_spec(), 6)
+    M = assemble_mass(dm, 6)
     lu = factor_mass(M)
     x = np.array([1.0, 2.0, 3.0])
     assert np.abs(lu.solve(M @ x) - x).max() < 1e-11
@@ -100,7 +100,7 @@ def test_factor_mass_fem_mass():
     # the residual of a direct solve is at roundoff, not at a CG tolerance
     mesh = interval_mesh(40)
     dm = build_dofmap(mesh, 3, "bernstein")
-    M = assemble_mass(mesh, dm, dm.basis_spec(), 6)
+    M = assemble_mass(dm, 6)
     r = np.random.default_rng(1).standard_normal((dm.n_dofs, 2))
     resid = M @ factor_mass(M).solve(r) - r
     assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(r)
@@ -243,7 +243,7 @@ def test_run_energy_decay_with_sat():
     # homogeneous advection with the endpoint penalty: M-norm nonincreasing
     mesh = interval_mesh(16)
     dm = build_dofmap(mesh, 2, "lagrange")
-    ops = build_operators(mesh, dm, dm.basis_spec(), [1.0])
+    ops = build_operators(dm, [1.0])
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
     rhs = (pi.matrix - ops.Q).tocsr()
     x = dm.dof_coords[:, 0]
@@ -259,7 +259,7 @@ def test_run_energy_decay_with_sat():
 def test_run_linearity():
     mesh = interval_mesh(8)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(mesh, dm, dm.basis_spec(), [1.0])
+    ops = build_operators(dm, [1.0])
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
     rhs = (pi.matrix - ops.Q).tocsr()
     rng = np.random.default_rng(8)
