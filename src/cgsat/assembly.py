@@ -24,6 +24,9 @@ import scipy.sparse as sp
 from .basis import BasisSpec, QuadratureRule, quad_rule, tabulate, tabulate_grad
 from .mesh import DofMap, Mesh
 
+# relative roundoff allowed in Q + Q^T = Bq and in the stability certificate
+STABILITY_RTOL = 1e-12
+
 
 def default_quad_degree(p: int) -> int:
     """Volume/edge exactness used unless overridden: max(2p, p+2), floor 6."""
@@ -281,11 +284,12 @@ class SbpReport:
                 f"tol {self.tolerance:.3e} -> {status}")
 
 
-def check_sbp(ops: GlobalOperators, rel_tol: float = 1e-12) -> SbpReport:
+def check_sbp(ops: GlobalOperators) -> SbpReport:
     """Measure the defect of Q + Q^T = Bq, split into interior/boundary parts.
 
-    The defect is reported relative to the largest stiffness entry; entries
-    in rows or columns of strictly interior DoFs count as interior residual.
+    The defect passes up to STABILITY_RTOL times the largest stiffness
+    entry; entries in rows or columns of strictly interior DoFs count as
+    interior residual.
     """
     resid = (ops.Q + ops.Q.T - ops.Bq).tocoo()
     on_boundary = np.zeros(ops.dofmap.n_dofs, dtype=bool)
@@ -297,6 +301,6 @@ def check_sbp(ops: GlobalOperators, rel_tol: float = 1e-12) -> SbpReport:
         max_int = float(a[~both].max()) if (~both).any() else 0.0
     else:
         max_bnd = max_int = 0.0
-    tol = rel_tol * max(ops.norm_q, 1e-300)
+    tol = STABILITY_RTOL * max(ops.norm_q, 1e-300)
     return SbpReport(max_int, max_bnd, tol,
                      max_int <= tol and max_bnd <= tol)

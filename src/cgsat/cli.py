@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import output
 from .mesh import generate_mesh, load_mesh, save_mesh
 from .problems import (PROBLEMS, discretize, error_norms, solve_problem)
-from .spectra import build_spectrum_report, write_spectrum_csv
+from .spectra import spectrum_report, write_spectrum_csv
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True,
@@ -120,12 +120,7 @@ def _build_problem(cfg: RunConfig):
                              f"(random cell spacing); {cfg.problem!r} does not")
         kwargs["spacing"] = "random"
         kwargs["seed"] = cfg.seed
-    prob = ctor(**kwargs)
-    if cfg.cfl is not None:
-        prob.cfl = cfg.cfl
-    if cfg.t_end is not None:
-        prob.t_end = cfg.t_end
-    return prob
+    return ctor(**kwargs)
 
 
 def _discretize_from_config(cfg: RunConfig):
@@ -182,9 +177,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
     prob, disc = _discretize_from_config(cfg)
-    rep = build_spectrum_report(disc.ops_sys, disc.pi, k=10,
-                                interior_dofs=disc.dofmap.interior_dofs(),
-                                ncomp=disc.ncomp, norm_q=disc.norm_q)
+    rep = spectrum_report(disc)
     write_spectrum_csv(rep, os.path.join(cfg.outdir, "spectrum.csv"))
     sys.stdout.write(
         f"dofs = {rep.n_dofs}\n"
@@ -207,9 +200,7 @@ def cmd_convergence(cfg: RunConfig, levels: int = 4) -> int:
     rows = []
     for lvl in range(levels):
         n = base * 2 ** lvl
-        sub = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
-        sub.mesh_n = n
-        prob, disc = _discretize_from_config(sub)
+        prob, disc = _discretize_from_config(replace(cfg, mesh_n=n))
         disc, traj = solve_problem(prob, disc=disc, cfl=cfg.cfl,
                                    t_end=cfg.t_end, scheme=cfg.scheme)
         norms = error_norms(traj.state, disc, traj.t)

@@ -264,6 +264,12 @@ def load_mesh(path) -> Mesh:
     dim, nv, ne, nb = parse(0, 4, int, "header 'dim nv ne nb'")
     if dim not in (1, 2):
         raise MeshFormatError(lines[0][0], f"dimension must be 1 or 2, got {dim}")
+    for what, count, least in (("vertex count nv", nv, 1),
+                               ("element count ne", ne, 1),
+                               ("boundary face count nb", nb, 0)):
+        if count < least:
+            raise MeshFormatError(lines[0][0],
+                                  f"{what} must be at least {least}, got {count}")
     needed = 1 + nv + ne + nb
     if len(lines) < needed:
         raise MeshFormatError(lines[-1][0],

@@ -250,13 +250,10 @@ PROBLEMS = {
 # discretization glue
 # ---------------------------------------------------------------------------
 
-def interpolate(fn, dofmap: DofMap, ncomp: int = 1) -> np.ndarray:
-    """Coefficients of the interpolant of ``fn`` at the DoF lattice.
+def _lattice_values(fn, dofmap: DofMap, ncomp: int) -> np.ndarray:
+    """Values of ``fn`` at the DoF lattice as an (n, ncomp) array.
 
     ``fn`` must give finite values of shape (n, ncomp), or (n,) if scalar.
-    Lagrange coefficients are plain nodal values; Bernstein coefficients are
-    recovered per element from the lattice values (consistent across shared
-    faces because the edge restriction only involves edge lattice values).
     """
     n = dofmap.n_dofs
     vals = np.asarray(fn(dofmap.dof_coords), dtype=float)
@@ -265,7 +262,18 @@ def interpolate(fn, dofmap: DofMap, ncomp: int = 1) -> np.ndarray:
                          f"for {n} DoFs, got {vals.shape}")
     if not np.isfinite(vals).all():
         raise ValueError("data callable returned a non-finite value")
-    vals = vals.reshape(n, ncomp)
+    return vals.reshape(n, ncomp)
+
+
+def interpolate(fn, dofmap: DofMap, ncomp: int = 1) -> np.ndarray:
+    """Coefficients of the interpolant of ``fn`` at the DoF lattice.
+
+    ``fn`` must give finite values of shape (n, ncomp), or (n,) if scalar.
+    Lagrange coefficients are plain nodal values; Bernstein coefficients are
+    recovered per element from the lattice values (consistent across shared
+    faces because the edge restriction only involves edge lattice values).
+    """
+    vals = _lattice_values(fn, dofmap, ncomp)
     basis = dofmap.basis_spec()
     if basis.kind == "lagrange":
         out = vals
@@ -440,7 +448,10 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
                           value_op, p.ncomp, mesh.h_min(), norm_q)
 
 
-def l2_project_initial(disc: Discretization, degree: int = 8) -> np.ndarray:
+PROJECTION_RULE_DEGREE = 8     # exactness of the projection's load rule
+
+
+def l2_project_initial(disc: Discretization) -> np.ndarray:
     """Galerkin (mass-weighted) projection of the initial data.
 
     Unlike interpolation this has global support, so discontinuous data
@@ -448,7 +459,7 @@ def l2_project_initial(disc: Discretization, degree: int = 8) -> np.ndarray:
     to seed boundary modes the way a projection-based solver would.
     """
     prob, mesh, dofmap, basis = disc.problem, disc.mesh, disc.dofmap, disc.basis
-    rule = quad_rule(basis.domain, degree)
+    rule = quad_rule(basis.domain, PROJECTION_RULE_DEGREE)
     phi = tabulate(basis, rule.points)
     pts, det = physical_points(mesh, rule)
     fvals = np.asarray(prob.initial(pts.reshape(-1, mesh.dimension)))
@@ -466,7 +477,7 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
                   amplitude_limit: float | None = None,
                   initial: str = "interp",
                   dt_order_scaling: bool = True,
-                  skip_sbp_guard: bool = False, **disc_kwargs):
+                  skip_sbp_guard: bool = False):
     """Discretize (unless given) and march the problem. Returns (disc, traj).
 
     Unless ``skip_sbp_guard`` is set, a failed integration-by-parts check
@@ -479,7 +490,7 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
         raise ValueError(f"initial must be 'interp' or 'project', "
                          f"got {initial!r}")
     if disc is None:
-        disc = discretize(problem, **disc_kwargs)
+        disc = discretize(problem)
     if not skip_sbp_guard:
         for rep in disc.sbp_reports():
             if not rep.passed:
@@ -520,8 +531,9 @@ def error_norms(state: np.ndarray, disc: Discretization, t: float) -> dict:
     exact = prob.exact
     dofmap, basis, mesh = disc.dofmap, disc.basis, disc.mesh
 
-    e_coeff = interpolate(lambda pts: exact(pts, t), dofmap)
-    diff = state - e_coeff
+    # the exact field at the DoF lattice, evaluated once for L2_M and Linf
+    nodal_exact = _lattice_values(lambda pts: exact(pts, t), dofmap, 1)
+    diff = state - interpolate(lambda pts: nodal_exact, dofmap)
     l2m = float(np.sqrt(diff @ (disc.M @ diff)))
 
     rule = quad_rule(basis.domain, disc.scalar_ops[0].volume_degree)
@@ -532,5 +544,5 @@ def error_norms(state: np.ndarray, disc: Discretization, t: float) -> dict:
     l1 = float(np.einsum("e,q,eq->", np.abs(det), rule.weights, np.abs(uh - ex)))
 
     nodal = disc.value_op @ state
-    linf = float(np.abs(nodal - np.asarray(exact(dofmap.dof_coords, t))).max())
+    linf = float(np.abs(nodal - nodal_exact.ravel()).max())
     return {"L1": l1, "L2_M": l2m, "Linf": linf}

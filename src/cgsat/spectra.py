@@ -1,20 +1,25 @@
 """Stability test matrix, boundary-block eigensolve and spectrum reports.
 
 A discretization is certified stable when the symmetric test matrix built
-from the stiffness Q and the boundary penalty Pi has no positive eigenvalue
-beyond roundoff.  Without a penalty the test matrix is Q + Q^T, whose
-nonzero spectrum pairs as +-lambda on boundary modes and vanishes on
+from the stiffness matrix Q and the penalty matrix Pi has no positive
+eigenvalue beyond roundoff.  Without a penalty the test matrix is Q + Q^T,
+whose nonzero spectrum pairs as +-lambda on boundary modes and vanishes on
 interior modes; with a penalty the assembled operator is Q1 = Q - Pi and
 the certificate matrix is
 
     S = (Pi - Q1) + (Pi - Q1)^T = 2 (Pi + Pi^T) - (Q + Q^T).
 
-The verdict is ``stable`` iff max eig(S) <= 1e-12 * max|Q|.
+The verdict is ``stable`` iff max eig(S) <= STABILITY_RTOL * max|Q|.
 
 When Q is summation-by-parts, Q + Q^T = Bq and Pi act on boundary-trace
 unknowns only, so S vanishes outside a block of boundary rows.  Reports
 eigensolve that block (``boundary_block``, read off S itself) with LAPACK
 and pad the spectrum with exact zeros.
+
+``stability_matrix(Q, pi)`` takes matrices; ``build_spectrum_report(Q, pi,
+k, interior_dofs, ncomp, norm_q)`` takes the stiffness matrix and the
+``BoundaryOperator``; ``spectrum_report(disc, k)`` reads all of it off a
+``Discretization``.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import STABILITY_RTOL
+
 DENSE_EIG_CAP = 5000
-STABILITY_RTOL = 1e-12
 
 
 class EigenSolverError(RuntimeError):
@@ -37,7 +43,7 @@ class EigenSolverError(RuntimeError):
 # dense symmetric eigensolver
 # ---------------------------------------------------------------------------
 
-def symmetric_eig(S, vectors: bool = True):
+def symmetric_eig(S):
     """All eigenvalues (ascending) of a symmetric matrix, with eigenvectors.
 
     Dense LAPACK path; the only place a dense matrix is built for an
@@ -55,8 +61,6 @@ def symmetric_eig(S, vectors: bool = True):
         raise ValueError("matrix is not symmetric")
     A = 0.5 * (A + A.T)
     try:
-        if not vectors:
-            return np.linalg.eigvalsh(A), None
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"LAPACK eigensolver failed: {exc}") from exc
@@ -67,34 +71,33 @@ def symmetric_eig(S, vectors: bool = True):
 # stability test matrix and reports
 # ---------------------------------------------------------------------------
 
-def stability_matrix(ops, pi=None):
-    """Symmetric stability test matrix.
+def stability_matrix(Q, pi=None):
+    """Symmetric stability test matrix of a stiffness and a penalty matrix.
 
-    Without a boundary operator: Q + Q^T.  With one, the penalty is folded
-    into the operator (Q1 = Q - Pi) and tested against itself:
+    Without a penalty: Q + Q^T.  With one, the penalty is folded into the
+    operator (Q1 = Q - Pi) and tested against itself:
     S = (Pi - Q1) + (Pi - Q1)^T = 2 (Pi + Pi^T) - (Q + Q^T).
+    Both are symmetric entry by entry, since floating-point addition
+    commutes.
     """
-    Q = ops.Q if hasattr(ops, "Q") else ops
     S = Q + Q.T
     if pi is not None:
-        mat = pi.matrix if hasattr(pi, "matrix") else pi
-        if mat.shape != S.shape:
+        if pi.shape != S.shape:
             raise ValueError(
-                f"dimension mismatch: Q is {S.shape}, Pi is {mat.shape}")
-        S = 2.0 * (mat + mat.T) - S
-    S = 0.5 * (S + S.T)
+                f"dimension mismatch: Q is {S.shape}, Pi is {pi.shape}")
+        S = 2.0 * (pi + pi.T) - S
     return S.tocsr() if sp.issparse(S) else S
 
 
-def boundary_block(S, budget: float = 0.0):
+def boundary_block(S, budget: float):
     """Rows of a symmetric S to eigensolve, and a bound on what the rest moves.
 
     Rows are dropped lightest first while sqrt(2) * ||S[dropped, :]||_F
     stays within ``budget``.  The dropped entries form a symmetric E with
     ||E||_2 <= ||E||_F <= that value, so by Weyl's theorem each sorted
     eigenvalue of S lies within it of the matching one of
-    S[rows][:, rows] padded with zeros.  With the default budget only rows
-    that are identically zero are dropped.  Returns (rows, dropped).
+    S[rows][:, rows] padded with zeros.  With a zero budget only rows that
+    are identically zero are dropped.  Returns (rows, dropped).
     """
     S = sp.csr_matrix(S)
     mass = np.asarray(S.multiply(S).sum(axis=1)).ravel()
@@ -105,23 +108,21 @@ def boundary_block(S, budget: float = 0.0):
     return np.sort(order[n_drop:]), dropped
 
 
-def extreme_eigs(S, k: int, rows=None):
+def extreme_eigs(S, k: int, rows):
     """k most negative and k most positive eigenvalues of a symmetric matrix.
 
-    Only the block S[rows][:, rows] is eigensolved (default: the rows of
-    ``boundary_block(S)``); the other eigenvalues are taken as zeros.
+    Only the block S[rows][:, rows] is eigensolved (``boundary_block``
+    picks the rows); the other eigenvalues are taken as zeros.
     Returns (neg, pos): ``neg`` ascending from the most negative, ``pos``
     descending from the most positive.  Residuals ||S v - w v|| of the
     block's extreme pairs are verified against 1e-10 * ||S||; the rows
     outside the block move them by at most ``boundary_block``'s bound.
     """
     S = sp.csr_matrix(S)
-    if rows is None:
-        rows, _ = boundary_block(S)
     n, m = S.shape[0], rows.size
     k = min(k, n)
     block = S[rows][:, rows]
-    w, V = symmetric_eig(block, vectors=True)
+    w, V = symmetric_eig(block)
     norm = max(np.abs(w).max(initial=0.0), 1e-300)
     idx = np.unique(np.r_[0:min(k, m), max(m - k, 0):m])
     res = np.linalg.norm(block @ V[:, idx] - V[:, idx] * w[idx],
@@ -161,17 +162,16 @@ class SpectrumReport:
         return STABILITY_RTOL * max(self.norm_q, 1e-300)
 
 
-def build_spectrum_report(Q, pi, k: int = 10, interior_dofs=None,
-                          ncomp: int = 1,
-                          norm_q: float | None = None) -> SpectrumReport:
-    """Four-column eigenvalue report for an assembled stiffness/penalty pair."""
-    if norm_q is None:
-        qmat = Q.Q if hasattr(Q, "Q") else Q
-        data = qmat.data if sp.issparse(qmat) else np.asarray(qmat)
-        norm_q = float(np.abs(data).max()) if np.size(data) else 0.0
+def build_spectrum_report(Q, pi, k: int, interior_dofs, ncomp: int,
+                          norm_q: float) -> SpectrumReport:
+    """Four-column eigenvalue report for a stiffness matrix and a penalty.
+
+    ``pi`` is the ``BoundaryOperator``; ``interior_dofs`` are scalar DoF
+    indices, each standing for ``ncomp`` unknowns; ``norm_q`` is max|Q|.
+    """
     tol = STABILITY_RTOL * max(norm_q, 1e-300)
     s0 = stability_matrix(Q)
-    s1 = stability_matrix(Q, pi)
+    s1 = stability_matrix(Q, pi.matrix)
     columns, support, dropped = [], 0, 0.0
     for S in (s0, s1):
         # dropped rows may move the verdict's eigenvalue by a tenth of tol
@@ -180,20 +180,15 @@ def build_spectrum_report(Q, pi, k: int = 10, interior_dofs=None,
         support, dropped = max(support, rows.size), max(dropped, bound)
     neg0, pos0, neg1, pos1 = columns
     verdict = "stable" if (pos1.size == 0 or pos1[0] <= tol) else "unstable"
-    max_int = 0.0
-    if interior_dofs is not None and len(interior_dofs):
-        rows = np.asarray(interior_dofs)
-        if ncomp > 1:
-            rows = (rows[:, None] * ncomp + np.arange(ncomp)[None, :]).ravel()
-        max_int = float(abs(s0[rows]).max())
+    interior = (np.asarray(interior_dofs)[:, None] * ncomp
+                + np.arange(ncomp)[None, :]).ravel()
+    max_int = float(abs(s0[interior]).max()) if interior.size else 0.0
     return SpectrumReport(s0.shape[0], neg0, pos0, neg1, pos1,
                           max_int, norm_q, verdict, support, dropped)
 
 
-def spectrum_report(problem, k: int = 10, **overrides) -> SpectrumReport:
-    """Assemble a named problem and report its operator spectrum."""
-    from .problems import discretize
-    disc = discretize(problem, **overrides)
+def spectrum_report(disc, k: int = 10) -> SpectrumReport:
+    """Operator spectrum report of a ``Discretization``."""
     return build_spectrum_report(disc.ops_sys, disc.pi, k,
                                  interior_dofs=disc.dofmap.interior_dofs(),
                                  ncomp=disc.ncomp, norm_q=disc.norm_q)

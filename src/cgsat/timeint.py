@@ -28,6 +28,7 @@ import scipy.sparse.linalg as spla
 
 
 MIN_PIVOT_RATIO = 1e-10       # smallest / largest pivot of an accepted M
+STEADY_CHECK_EVERY = 25       # steps between steady-state residual checks
 
 
 class MassNotPositiveDefiniteError(ValueError):
@@ -168,7 +169,6 @@ class IntegratorConfig:
     steps: int | None = None          # exact step count overrides t_end
     amplitude_limit: float | None = None
     steady_tol: float | None = None
-    steady_check_every: int = 25
 
     def __post_init__(self):
         if not self.cfl > 0:
@@ -179,8 +179,6 @@ class IntegratorConfig:
             raise ValueError("amplitude_limit must be positive")
         if self.steady_tol is not None and not self.steady_tol > 0:
             raise ValueError("steady_tol must be positive")
-        if self.steady_check_every < 1:
-            raise ValueError("steady_check_every must be at least 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -210,9 +208,9 @@ class Trajectory:
 
 
 def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
-        config: IntegratorConfig, ncomp: int = 1, value_op=None,
-        t0: float = 0.0) -> Trajectory:
-    """March M du/dt = rhs_matrix u + G(t) from u0.
+        config: IntegratorConfig, ncomp: int = 1,
+        value_op=None) -> Trajectory:
+    """March M du/dt = rhs_matrix u + G(t) from u0 at t = 0.
 
     ``M`` is the scalar mass matrix (applied blockwise to each of ``ncomp``
     components); ``rhs_matrix`` and ``data_fun`` act on the flattened
@@ -226,8 +224,8 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         raise ValueError("state size does not match mass matrix and ncomp")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if config.steps is None and not config.t_end > t0:
-        raise ValueError(f"t_end {config.t_end} is not after t0 {t0}")
+    if config.steps is None and not config.t_end > 0:
+        raise ValueError(f"t_end {config.t_end} is not positive")
     lu = factor_mass(M)
     shape = (n_scalar, ncomp)
 
@@ -249,27 +247,22 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         vals = v if value_op is None else value_op @ v.reshape(shape)
         return float(vals.max()), float(vals.min())
 
-    if config.steps is not None:
-        n_steps = config.steps
-        t_final = t0 + n_steps * dt
-    else:
-        span = config.t_end - t0
-        n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
-        t_final = config.t_end
+    n_steps = config.steps if config.steps is not None else \
+        max(1, int(np.ceil(config.t_end / dt - 1e-12)))
 
-    times = [t0]
+    times = [0.0]
     energies = [energy(u)]
     mx, mn = extrema(u)
     umax, umin = [mx], [mn]
     status = "completed"
     blowup_step = None
     steady_res = None
-    t = t0
+    t = 0.0
     for k in range(1, n_steps + 1):
         dt_k = dt
-        if config.steps is None and t + dt > t_final:
-            dt_k = t_final - t
-            if dt_k <= 1e-15 * max(1.0, abs(t_final)):
+        if config.steps is None and t + dt > config.t_end:
+            dt_k = config.t_end - t
+            if dt_k <= 1e-15 * max(1.0, config.t_end):
                 break
         u = step(u, t, dt_k, rhs, config.scheme)
         t = t + dt_k
@@ -286,7 +279,7 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
                 max(abs(mx), abs(mn)) > config.amplitude_limit:
             status, blowup_step = "aborted", k
             break
-        if config.steady_tol is not None and k % config.steady_check_every == 0:
+        if config.steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
             steady_res = float(np.sqrt(energy(rhs(t, u))))
             if steady_res < config.steady_tol:
                 status = "steady"

@@ -62,7 +62,8 @@ def test_criterion_1_sbp_identity(battery):
     t0 = time.time()
     worst = ("", 0.0)
     for cfg in battery:
-        rep = check_sbp(cfg.ops, rel_tol=STABILITY_RTOL)
+        rep = check_sbp(cfg.ops)
+        assert rep.tolerance == STABILITY_RTOL * cfg.ops.norm_q
         assert rep.passed, f"{cfg.label}: {rep}"
         defect = max(rep.max_interior_residual, rep.max_boundary_residual)
         if defect > worst[1]:
@@ -77,11 +78,11 @@ def test_criterion_2_stability_certificate(battery):
     """With SAT: no positive eigenvalue; without: paired +-lambda spectrum."""
     for cfg in battery:
         tol = STABILITY_RTOL * cfg.ops.norm_q
-        s1 = stability_matrix(cfg.ops, cfg.pi)
-        w1, _ = symmetric_eig(s1, vectors=False)
+        s1 = stability_matrix(cfg.ops.Q, cfg.pi.matrix)
+        w1, _ = symmetric_eig(s1)
         assert w1.max() <= tol, f"{cfg.label}: lambda_max = {w1.max():.3e}"
-        s0 = stability_matrix(cfg.ops)
-        w0, _ = symmetric_eig(s0, vectors=False)
+        s0 = stability_matrix(cfg.ops.Q)
+        w0, _ = symmetric_eig(s0)
         pairing = np.abs(w0 + w0[::-1]).max()
         assert pairing <= 1e-10, f"{cfg.label}: pairing defect {pairing:.3e}"
         interior = cfg.dofmap.interior_dofs()
@@ -99,10 +100,10 @@ def test_criterion_3_sat_sharpness():
     with pytest.raises(StabilityViolationError):
         scalar_sat_1d(dm, a=1.0, tau=-0.49)
     pi = scalar_sat_1d(dm, a=1.0, tau=-0.51)
-    w, _ = symmetric_eig(stability_matrix(ops, pi))
+    w, _ = symmetric_eig(stability_matrix(ops.Q, pi.matrix))
     assert w.max() <= STABILITY_RTOL * ops.norm_q
     pi1 = scalar_sat_1d(dm, a=1.0, tau=-1.0)
-    S = stability_matrix(ops, pi1).toarray()
+    S = stability_matrix(ops.Q, pi1.matrix).toarray()
     assert np.abs(S - np.diag([-3.0, 0.0, -1.0])).max() < 1e-14
     print("\nACCEPTANCE 3 (1D SAT sharpness): PASS - "
           "-0.49 rejected, -0.51 certified, 3x3 = diag(-3,0,-1)")
@@ -115,12 +116,15 @@ def test_criterion_4_mismatch_flips_verdict():
     rep_sbp = disc.sbp_reports()[0]
     assert not rep_sbp.passed
     assert rep_sbp.max_boundary_residual > 1e-8
-    rep = build_spectrum_report(disc.ops_sys, disc.pi, k=5, norm_q=disc.norm_q)
+    rep = build_spectrum_report(disc.ops_sys, disc.pi, k=5,
+                                interior_dofs=disc.dofmap.interior_dofs(),
+                                ncomp=disc.ncomp, norm_q=disc.norm_q)
     assert rep.verdict == "unstable"
     assert rep.pos_sat[0] > 0.0
     matched = discretize(prob)
     rep0 = build_spectrum_report(matched.ops_sys, matched.pi, k=5,
-                                 norm_q=matched.norm_q)
+                                 interior_dofs=matched.dofmap.interior_dofs(),
+                                 ncomp=matched.ncomp, norm_q=matched.norm_q)
     assert rep0.verdict == "stable"
     print(f"\nACCEPTANCE 4a (mismatch flips spectrum verdict): PASS - "
           f"lambda_max = {rep.pos_sat[0]:.2e} > 0, "
@@ -329,7 +333,7 @@ def test_criterion_10_random_state_energy(battery):
     """u' S u <= 1e-10 |u|^2 |Q|_max for 1000 random states per config."""
     rng = np.random.default_rng(99)
     for cfg in battery:
-        S = stability_matrix(cfg.ops, cfg.pi)
+        S = stability_matrix(cfg.ops.Q, cfg.pi.matrix)
         n = S.shape[0]
         U = rng.standard_normal((n, 1000))
         quads = np.einsum("ij,ij->j", U, S @ U)

@@ -94,6 +94,17 @@ def test_solve_rejects_non_finite_mesh_vertex(tmp_path, capsys):
     assert not (tmp_path / "run" / "summary.txt").exists()
 
 
+def test_solve_rejects_impossible_mesh_header(tmp_path, capsys):
+    mesh = tmp_path / "empty.mesh"
+    mesh.write_text("2 0 0 0\n")
+    rc = main(["solve", "--problem", "advection2d", "--mesh", str(mesh),
+               "--steps", "2", "--outdir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: line 1: vertex count nv must be at least 1, got 0\n"
+    assert not (tmp_path / "run" / "summary.txt").exists()
+
+
 def test_solve_rejects_singular_mass_before_any_step(tmp_path, capsys,
                                                     monkeypatch):
     steps = []
@@ -304,7 +315,7 @@ def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--t-end", "-1"], "t_end -1.0 is not after t0 0.0"),
+    (["--t-end", "-1"], "t_end -1.0 is not positive"),
     (["--steps", "-2"], "steps must be at least 1"),
     (["--amplitude-limit", "-1"], "amplitude_limit must be positive"),
     (["--sat-scale", "nan"], "SAT scale factor nan must be finite and >= 1"),

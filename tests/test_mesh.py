@@ -444,6 +444,19 @@ def test_mesh_and_dofmap_arrays_read_only(recipe):
 
 # input checks ---------------------------------------------------------------
 
+@pytest.mark.parametrize("header, message", [
+    ("2 -1 0 0", "vertex count nv must be at least 1, got -1"),
+    ("2 0 0 0", "vertex count nv must be at least 1, got 0"),
+    ("2 3 -1 0", "element count ne must be at least 1, got -1"),
+    ("2 3 1 -1", "boundary face count nb must be at least 0, got -1")])
+def test_impossible_header_counts_rejected(tmp_path, header, message):
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"{header}\n0 0\n1 0\n0 1\n0 1 2\n0 0 a\n0 1 b\n0 2 c\n")
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh(path)
+    assert str(err.value) == f"line 1: {message}"
+
+
 @pytest.mark.parametrize("line, message", [
     ("5 0 a", "element index 5"), ("-1 0 a", "element index -1"),
     ("0 7 a", "local face 7"), ("0 -1 a", "local face -1")])

@@ -280,6 +280,20 @@ def test_error_norms_exact_in_space():
     assert e["L1"] < 1e-13 and e["L2_M"] < 1e-13 and e["Linf"] < 1e-13
 
 
+def test_error_norms_accept_a_column_shaped_exact_solution():
+    # an exact field of shape (n, 1), which interpolate accepts for a
+    # scalar, gives the same norms as the (n,) form: the interpolant's own
+    # nodal error is zero
+    prob = sine_advection_2d(n=4)
+    disc = discretize(prob)
+    state = interpolate(lambda pts: prob.exact(pts, 0.1), disc.dofmap)
+    flat = error_norms(state, disc, 0.1)
+    column = replace(prob, exact=lambda pts, t: prob.exact(pts, t)[:, None])
+    e = error_norms(state, replace(disc, problem=column), 0.1)
+    assert e == flat
+    assert e["Linf"] == 0.0
+
+
 def test_error_norms_zero():
     prob = sine_advection_2d(n=4, order=1)
     prob.exact = lambda pts, t: np.zeros(pts.shape[0])
@@ -324,11 +338,12 @@ def test_l2_projection_of_system_matches_each_component():
 
 def test_solve_problem_guard_on_degraded_quadrature():
     prob = advection_2d(n=3, order=3)
+    degraded = discretize(prob, volume_degree=6, edge_degree=5)
     with pytest.raises(RuntimeError):
-        solve_problem(prob, volume_degree=6, edge_degree=5)
+        solve_problem(prob, disc=degraded)
     # explicit opt-out marches anyway
-    disc, traj = solve_problem(prob, volume_degree=6, edge_degree=5,
-                               steps=3, skip_sbp_guard=True)
+    disc, traj = solve_problem(prob, disc=degraded, steps=3,
+                               skip_sbp_guard=True)
     assert traj.steps == 3
 
 

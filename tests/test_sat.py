@@ -56,7 +56,7 @@ def test_scalar_sat_1d_certificate():
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [1.0])
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
-    S = stability_matrix(ops, pi).toarray()
+    S = stability_matrix(ops.Q, pi.matrix).toarray()
     w, _ = symmetric_eig(S)
     assert w.max() <= 1e-15
 
@@ -67,7 +67,7 @@ def test_scalar_sat_1d_certificate_negative_speed():
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [-1.0])
     pi = scalar_sat_1d(dm, a=-1.0, tau=-1.0)
-    S = stability_matrix(ops, pi).toarray()
+    S = stability_matrix(ops.Q, pi.matrix).toarray()
     assert np.abs(S - np.diag([-1.0, 0.0, -3.0])).max() < 1e-14
 
 
@@ -94,7 +94,7 @@ def test_scalar_sat_2d_certificate_unit_square():
     ops = build_operators(dm, [1.0, 0.0])
     pi = scalar_sat_2d(dm, [1.0, 0.0],
                        edge_quad_degree=ops.edge_degree)
-    S = stability_matrix(ops, pi)
+    S = stability_matrix(ops.Q, pi.matrix)
     w, _ = symmetric_eig(S)
     assert w.max() <= 1e-13
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 import cgsat.spectra as spectra
 from cgsat.assembly import build_operators
 from cgsat.mesh import build_dofmap, interval_mesh, unit_square_mesh
-from cgsat.problems import advection_2d, discretize
-from cgsat.sat import scalar_sat_1d, scalar_sat_2d
+from cgsat.problems import advection_2d, discretize, r13_heat, rotation_2d
+from cgsat.sat import BoundaryOperator, scalar_sat_1d, scalar_sat_2d
 from cgsat.spectra import (STABILITY_RTOL, EigenSolverError,
                            boundary_block, build_spectrum_report,
                            extreme_eigs, spectrum_report, stability_matrix,
@@ -60,15 +62,18 @@ def test_eigensolver_cap_names_the_order(monkeypatch):
         symmetric_eig(np.eye(4))
     # the report has no separate size check: the block hits the same cap
     with pytest.raises(ValueError, match="capped at 3 unknowns"):
-        spectrum_report(advection_2d(n=3, order=1, basis="lagrange"))
+        spectrum_report(discretize(advection_2d(n=3, order=1,
+                                                basis="lagrange")))
 
 
 def test_extreme_eigs_diagonal():
-    neg, pos = extreme_eigs(np.diag([-3.0, 0.0, -1.0]), 2)
+    S = np.diag([-3.0, 0.0, -1.0])
+    neg, pos = extreme_eigs(S, 2, boundary_block(S, 0.0)[0])
     assert np.allclose(neg, [-3.0, -1.0])
     assert abs(pos[0]) < 1e-15          # most positive eigenvalue is zero
     # an all-zero matrix has an empty block and an all-zero spectrum
-    neg, pos = extreme_eigs(np.zeros((4, 4)), 3)
+    Z = np.zeros((4, 4))
+    neg, pos = extreme_eigs(Z, 3, boundary_block(Z, 0.0)[0])
     assert neg.tolist() == [0.0] * 3 and pos.tolist() == [0.0] * 3
 
 
@@ -76,7 +81,7 @@ def test_stability_matrix_1d_no_sat():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [1.0])
-    S = stability_matrix(ops).toarray()
+    S = stability_matrix(ops.Q).toarray()
     assert np.abs(S - np.diag([-1.0, 0.0, 1.0])).max() < 1e-14
 
 
@@ -85,7 +90,7 @@ def test_stability_matrix_1d_with_sat():
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [1.0])
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
-    S = stability_matrix(ops, pi).toarray()
+    S = stability_matrix(ops.Q, pi.matrix).toarray()
     assert np.abs(S - np.diag([-3.0, 0.0, -1.0])).max() < 1e-14
 
 
@@ -106,8 +111,28 @@ def test_spectrum_symmetric_explicitly():
     mesh = unit_square_mesh(3)
     dm = build_dofmap(mesh, 2, "lagrange")
     ops = build_operators(dm, [1.0, 0.0])
-    S = stability_matrix(ops).toarray()
+    S = stability_matrix(ops.Q).toarray()
     assert np.abs(S - S.T).max() < 1e-14
+
+
+@pytest.mark.parametrize("problem, kwargs", [
+    (rotation_2d(n=5), {}),                     # split form, with Pi
+    (r13_heat(n=2), {}),                        # six-field system
+    (replace(advection_2d(order=3, basis="bernstein"),
+             mesh_recipe="perturbed_square(8,11)"),
+     {"volume_degree": 6, "edge_degree": 5})])   # degraded edge rule
+def test_stability_matrix_exactly_symmetric(problem, kwargs):
+    # no symmetrization is needed: floating-point addition commutes
+    disc = discretize(problem, **kwargs)
+    for S in (stability_matrix(disc.ops_sys),
+              stability_matrix(disc.ops_sys, disc.pi.matrix)):
+        T = S.T.tocsr()
+        S.sort_indices()
+        T.sort_indices()
+        assert S.nnz > 0
+        assert np.array_equal(S.indptr, T.indptr)
+        assert np.array_equal(S.indices, T.indices)
+        assert np.array_equal(S.data, T.data)
 
 
 def test_report_unit_square_pairing_and_verdict():
@@ -117,7 +142,7 @@ def test_report_unit_square_pairing_and_verdict():
     pi = scalar_sat_2d(dm, [1.0, 0.0],
                        edge_quad_degree=ops.edge_degree)
     rep = build_spectrum_report(ops.Q, pi, k=8,
-                                interior_dofs=dm.interior_dofs(),
+                                interior_dofs=dm.interior_dofs(), ncomp=1,
                                 norm_q=ops.norm_q)
     assert rep.verdict == "stable"
     assert rep.pos_sat[0] <= rep.tolerance()
@@ -126,8 +151,8 @@ def test_report_unit_square_pairing_and_verdict():
     # interior rows of Q + Q^T vanish
     assert rep.max_interior_residual <= 1e-12
     # the penalty deepens the negative end and adds negative modes
-    s0 = stability_matrix(ops).toarray()
-    s1 = stability_matrix(ops, pi).toarray()
+    s0 = stability_matrix(ops.Q).toarray()
+    s1 = stability_matrix(ops.Q, pi.matrix).toarray()
     w0, _ = symmetric_eig(s0)
     w1, _ = symmetric_eig(s1)
     tol = 1e-12 * ops.norm_q
@@ -143,19 +168,22 @@ def test_report_degraded_edge_quadrature_unstable():
     prob = advection_2d(n=4, order=3, basis="bernstein")
     disc = discretize(prob, volume_degree=6, edge_degree=5)
     rep = build_spectrum_report(disc.ops_sys, disc.pi, k=5,
-                                norm_q=disc.norm_q)
+                                interior_dofs=disc.dofmap.interior_dofs(),
+                                ncomp=disc.ncomp, norm_q=disc.norm_q)
     assert rep.verdict == "unstable"
     assert rep.pos_sat[0] > 0.0
 
 
 def test_spectrum_report_from_problem():
-    rep = spectrum_report(advection_2d(n=3, order=1, basis="lagrange"), k=5)
+    rep = spectrum_report(
+        discretize(advection_2d(n=3, order=1, basis="lagrange")), k=5)
     assert rep.verdict == "stable"
     assert rep.n_dofs == 16
 
 
 def test_spectrum_csv(tmp_path):
-    rep = spectrum_report(advection_2d(n=3, order=1, basis="lagrange"), k=4)
+    rep = spectrum_report(
+        discretize(advection_2d(n=3, order=1, basis="lagrange")), k=4)
     path = tmp_path / "spec.csv"
     write_spectrum_csv(rep, path)
     lines = path.read_text().splitlines()
@@ -169,7 +197,7 @@ def test_interior_supported_vectors_annihilated():
     mesh = unit_square_mesh(4)
     dm = build_dofmap(mesh, 2, "bernstein")
     ops = build_operators(dm, [1.0, 0.0])
-    S = stability_matrix(ops)
+    S = stability_matrix(ops.Q)
     interior = dm.interior_dofs()
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -237,7 +265,9 @@ def test_reduced_report_equals_full_eigh(seed, n, data, stable, k,
                                          noise_frac):
     m = data.draw(st.integers(1, n))
     Q, pi, B, rest = _boundary_supported_pair(seed, n, m, noise_frac, stable)
-    rep = build_spectrum_report(Q, pi, k=k, interior_dofs=rest)
+    rep = build_spectrum_report(Q, BoundaryOperator(pi), k=k,
+                                interior_dofs=rest, ncomp=1,
+                                norm_q=np.abs(Q).max())
     w0 = np.linalg.eigvalsh(stability_matrix(Q))
     w1 = np.linalg.eigvalsh(stability_matrix(Q, pi))
     scale = max(np.abs(w0).max(), np.abs(w1).max())
@@ -264,7 +294,9 @@ def test_noise_above_budget_joins_the_block(seed, n, data, stable, k,
     assert np.intersect1d(rows, rest).size >= 1
     heavy = rest[np.sqrt(2.0) * np.linalg.norm(s0[rest], axis=1) > budget]
     assert np.isin(heavy, rows).all()
-    rep = build_spectrum_report(Q, pi, k=k)
+    rep = build_spectrum_report(Q, BoundaryOperator(pi), k=k,
+                                interior_dofs=rest, ncomp=1,
+                                norm_q=np.abs(Q).max())
     assert rep.support >= rows.size > m
     assert rep.dropped <= 0.1 * rep.tolerance()
     w0 = np.linalg.eigvalsh(s0)

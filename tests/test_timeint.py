@@ -173,7 +173,7 @@ def test_config_validation():
 @pytest.mark.parametrize("setting,message", [
     ({"steps": -2}, "steps must be at least 1"),
     ({"steps": 0}, "steps must be at least 1"),
-    ({"steady_check_every": 0}, "steady_check_every must be at least 1"),
+    ({"scheme": "RK4"}, "unknown scheme 'RK4'"),
     ({"amplitude_limit": -1.0}, "amplitude_limit must be positive"),
     ({"amplitude_limit": float("nan")}, "amplitude_limit must be positive"),
     ({"cfl": float("nan")}, "cfl must be positive"),
@@ -185,12 +185,12 @@ def test_config_rejects_meaningless_settings(setting, message):
         IntegratorConfig(**setting)
 
 
-@pytest.mark.parametrize("t_end", [-1.0, 0.5, float("nan")])
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, float("nan")])
 def test_run_rejects_t_end_not_after_t0(t_end):
     M, A = _decay_setup()
     cfg = IntegratorConfig(scheme="SSPRK22", t_end=t_end)
-    with pytest.raises(ValueError, match="is not after t0"):
-        run(M, A, None, np.ones(4), 0.1, cfg, t0=0.5)
+    with pytest.raises(ValueError, match="is not positive"):
+        run(M, A, None, np.ones(4), 0.1, cfg)
 
 
 def _decay_setup():
@@ -233,7 +233,7 @@ def test_run_steady_detection():
     M, A = _decay_setup()
     g = np.array([1.0, 0.0, 0.0, 0.0])
     cfg = IntegratorConfig(scheme="SSPRK33", cfl=1.0, t_end=200.0,
-                           steady_tol=1e-10, steady_check_every=10)
+                           steady_tol=1e-10)
     traj = run(M, A, lambda t: g, np.zeros(4), 0.05, cfg)
     assert traj.status == "steady"
     assert abs(traj.state[0] - 1.0) < 1e-9      # fixed point of u' = -u + g
