@@ -257,17 +257,14 @@ class GlobalOperators:
         return float(np.max(np.abs(data))) if data.size else 0.0
 
 
-def build_operators(dofmap: DofMap, coeff, volume_degree: int | None = None,
-                    edge_degree: int | None = None,
-                    split_alpha: float | None = None) -> GlobalOperators:
-    """Assemble M, Q and Bq with matched (or explicitly overridden) rules."""
-    vol = volume_degree if volume_degree is not None else default_quad_degree(dofmap.order)
-    edge = edge_degree if edge_degree is not None else vol
-    M = assemble_mass(dofmap, vol)
-    Q, Bq = _stiffness(dofmap, coeff, vol, split_alpha, edge)
+def build_operators(dofmap: DofMap, coeff, volume_degree: int, edge_degree: int,
+                    split_alpha: float | None) -> GlobalOperators:
+    """Assemble M, Q and Bq; ``split_alpha`` as in ``assemble_stiffness``."""
+    M = assemble_mass(dofmap, volume_degree)
+    Q, Bq = _stiffness(dofmap, coeff, volume_degree, split_alpha, edge_degree)
     if Bq is None:
-        Bq = assemble_boundary_quadratic(dofmap, coeff, edge)
-    return GlobalOperators(M, Q, Bq, dofmap, vol, edge)
+        Bq = assemble_boundary_quadratic(dofmap, coeff, edge_degree)
+    return GlobalOperators(M, Q, Bq, dofmap, volume_degree, edge_degree)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def _build_problem(cfg: RunConfig):
 def _discretize_from_config(cfg: RunConfig):
     prob = _build_problem(cfg)
     mesh = load_mesh(cfg.mesh_file) if cfg.mesh_file else None
-    return prob, discretize(
+    return discretize(
         prob, mesh=mesh, order=cfg.order, basis_kind=cfg.basis,
         volume_degree=cfg.volume_quad, edge_degree=cfg.edge_quad,
         split_alpha=cfg.split_alpha, sat_scale=cfg.sat_scale)
@@ -134,9 +134,9 @@ def _discretize_from_config(cfg: RunConfig):
 
 def cmd_solve(cfg: RunConfig) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
-    prob, disc = _discretize_from_config(cfg)
+    disc = _discretize_from_config(cfg)
     disc, traj = solve_problem(
-        prob, disc=disc, cfl=cfg.cfl, t_end=cfg.t_end, steps=cfg.steps,
+        disc.problem, disc=disc, cfl=cfg.cfl, t_end=cfg.t_end, steps=cfg.steps,
         scheme=cfg.scheme, amplitude_limit=cfg.amplitude_limit,
         initial=cfg.init, dt_order_scaling=cfg.dt_order_scaling,
         skip_sbp_guard=cfg.skip_sbp_guard)
@@ -153,9 +153,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         output.write_vtk(os.path.join(cfg.outdir, "solution_final.vtk"),
                          disc.mesh,
                          {nm: vdata[:, c] for c, nm in enumerate(names)},
-                         title=prob.name)
+                         title=disc.problem.name)
     summary = [
-        f"problem = {prob.name}",
+        f"problem = {disc.problem.name}",
         f"dofs = {disc.dofmap.n_dofs} x {disc.ncomp}",
         f"steps = {traj.steps}",
         f"t_final = {traj.t!r}",
@@ -176,8 +176,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
-    prob, disc = _discretize_from_config(cfg)
-    rep = spectrum_report(disc)
+    rep = spectrum_report(_discretize_from_config(cfg))
     write_spectrum_csv(rep, os.path.join(cfg.outdir, "spectrum.csv"))
     sys.stdout.write(
         f"dofs = {rep.n_dofs}\n"
@@ -200,8 +199,8 @@ def cmd_convergence(cfg: RunConfig, levels: int = 4) -> int:
     rows = []
     for lvl in range(levels):
         n = base * 2 ** lvl
-        prob, disc = _discretize_from_config(replace(cfg, mesh_n=n))
-        disc, traj = solve_problem(prob, disc=disc, cfl=cfg.cfl,
+        disc = _discretize_from_config(replace(cfg, mesh_n=n))
+        disc, traj = solve_problem(disc.problem, disc=disc, cfl=cfg.cfl,
                                    t_end=cfg.t_end, scheme=cfg.scheme)
         norms = error_norms(traj.state, disc, traj.t)
         rows.append((1.0 / n, norms["L1"], norms["L2_M"]))
@@ -234,7 +233,7 @@ def cmd_mesh_gen(recipe: str, out: str) -> int:
 def cmd_dump_operators(cfg: RunConfig) -> int:
     from scipy.io import mmwrite
     os.makedirs(cfg.outdir, exist_ok=True)
-    prob, disc = _discretize_from_config(cfg)
+    disc = _discretize_from_config(cfg)
     mmwrite(os.path.join(cfg.outdir, "M.mtx"), disc.M)
     mmwrite(os.path.join(cfg.outdir, "Q.mtx"), disc.ops_sys)
     mmwrite(os.path.join(cfg.outdir, "Bq.mtx"), disc.bq_sys)

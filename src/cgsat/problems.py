@@ -1,10 +1,11 @@
 """Ready-made problem setups and the glue that discretizes them.
 
-Each constructor returns a :class:`ProblemSpec` holding coefficients,
-initial/boundary/exact data and discretization defaults.  ``discretize``
-assembles the global operators, the boundary penalty and the initial state;
-``solve_problem`` adds the time march.  All of it is built on one DoF map,
-the one source of the mesh and the basis.
+Each constructor returns a :class:`ProblemSpec`: coefficients, data, mesh
+recipe, order, basis and march defaults.  ``discretize`` assembles the
+global operators, the boundary penalty and the initial state, with its own
+quadrature, split and penalty-scale arguments; ``solve_problem`` adds the
+time march.  All of it is built on one DoF map, the one source of the mesh
+and the basis.
 
 Problems
 --------
@@ -70,7 +71,8 @@ class R13BC:
 
 @dataclass
 class ProblemSpec:
-    """Equation coefficients, data and discretization defaults."""
+    """Coefficients, data, mesh recipe, order, basis and march defaults
+    (CFL, end time, steady tolerance); the scheme follows from the order."""
 
     name: str
     dimension: int
@@ -82,19 +84,18 @@ class ProblemSpec:
     basis: str
     cfl: float
     t_end: float
-    scheme: str
     max_speed: float
     velocity: object = None              # scalar problems
     A: np.ndarray | None = None          # systems
     B: np.ndarray | None = None
     symmetrizer: np.ndarray | None = None
     exact: object = None                 # (points, t) -> values
-    volume_degree: int | None = None
-    edge_degree: int | None = None
-    split_alpha: float | None = None
     source_matrix: np.ndarray | None = None
-    sat_scale: float = 1.0
     steady_tol: float | None = None
+
+    @property
+    def scheme(self) -> str:
+        return scheme_for_order(self.order)
 
 
 def gaussian_bump(center, radius: float = 0.25, sharpness: float = 40.0):
@@ -130,8 +131,7 @@ def advection_2d(n: int = 23, order: int = 3, basis: str = "bernstein") -> Probl
         name="advection2d", dimension=2, ncomp=1,
         bc=ScalarBC(None), initial=bump, exact=exact,
         mesh_recipe=f"unit_square({n})", order=order, basis=basis,
-        cfl=0.3, t_end=0.2, scheme=scheme_for_order(order),
-        max_speed=1.0, velocity=np.array([1.0, 0.0]))
+        cfl=0.3, t_end=0.2, max_speed=1.0, velocity=np.array([1.0, 0.0]))
 
 
 def sine_advection_2d(n: int = 8, order: int = 2, basis: str = "lagrange") -> ProblemSpec:
@@ -147,8 +147,7 @@ def sine_advection_2d(n: int = 8, order: int = 2, basis: str = "lagrange") -> Pr
         name="sine_advection2d", dimension=2, ncomp=1,
         bc=ScalarBC(g), initial=lambda pts: exact(pts, 0.0), exact=exact,
         mesh_recipe=f"unit_square({n})", order=order, basis=basis,
-        cfl=0.3, t_end=0.25, scheme=scheme_for_order(order),
-        max_speed=1.0, velocity=np.array([1.0, 0.0]))
+        cfl=0.3, t_end=0.25, max_speed=1.0, velocity=np.array([1.0, 0.0]))
 
 
 def rotation_2d(n: int = 13, order: int = 3, basis: str = "bernstein") -> ProblemSpec:
@@ -156,8 +155,8 @@ def rotation_2d(n: int = 13, order: int = 3, basis: str = "bernstein") -> Proble
 
     The velocity (2 pi y, -2 pi x) is divergence free and tangent to the
     exact circle, so the polygonal-boundary penalty is O(h); the stiffness
-    uses the split form with alpha = 1/2.  Period one revolution per unit
-    time (clockwise).
+    uses the split form, alpha = 1/2 unless ``discretize`` is given another
+    weight.  Period one revolution per unit time (clockwise).
     """
     bump = gaussian_bump((0.0, 0.5))
 
@@ -175,9 +174,7 @@ def rotation_2d(n: int = 13, order: int = 3, basis: str = "bernstein") -> Proble
         name="rotation2d", dimension=2, ncomp=1,
         bc=ScalarBC(None), initial=bump, exact=exact,
         mesh_recipe=f"unit_disk({n})", order=order, basis=basis,
-        cfl=0.2, t_end=2.0, scheme=scheme_for_order(order),
-        max_speed=2.0 * np.pi, velocity=velocity,
-        split_alpha=0.5)
+        cfl=0.2, t_end=2.0, max_speed=2.0 * np.pi, velocity=velocity)
 
 
 def wave_1d(n: int = 100, order: int = 2, spacing: str = "regular",
@@ -204,8 +201,7 @@ def wave_1d(n: int = 100, order: int = 2, spacing: str = "regular",
         name="wave1d", dimension=1, ncomp=2,
         bc=bc, initial=lambda pts: np.zeros((pts.shape[0], 2)),
         mesh_recipe=recipe, order=order, basis=basis,
-        cfl=0.1, t_end=50.0, scheme=scheme_for_order(order),
-        max_speed=1.0, A=A, symmetrizer=np.eye(2))
+        cfl=0.1, t_end=50.0, max_speed=1.0, A=A, symmetrizer=np.eye(2))
 
 
 def r13_heat(n: int = 5, order: int = 2, basis: str = "lagrange",
@@ -232,9 +228,8 @@ def r13_heat(n: int = 5, order: int = 2, basis: str = "lagrange",
         name="r13", dimension=2, ncomp=6,
         bc=bc, initial=lambda pts: np.zeros((pts.shape[0], 6)),
         mesh_recipe=f"annulus(0.5,1.0,{n})", order=order, basis=basis,
-        cfl=0.1, t_end=80.0, scheme=scheme_for_order(order),
-        max_speed=float(np.sqrt(2.0)), A=A, B=B, symmetrizer=P,
-        source_matrix=relax, steady_tol=1e-8)
+        cfl=0.1, t_end=80.0, max_speed=float(np.sqrt(2.0)), A=A, B=B,
+        symmetrizer=P, source_matrix=relax, steady_tol=1e-8)
 
 
 PROBLEMS = {
@@ -314,9 +309,15 @@ class Discretization:
     source: sp.csr_matrix | None
     u0: np.ndarray
     value_op: sp.csr_matrix
-    ncomp: int
-    h_min: float
-    norm_q: float
+
+    @property
+    def ncomp(self) -> int:
+        return self.problem.ncomp
+
+    @property
+    def norm_q(self) -> float:
+        q = self.ops_sys.data
+        return float(np.abs(q).max()) if q.size else 0.0
 
     @property
     def mesh(self) -> Mesh:
@@ -333,16 +334,11 @@ class Discretization:
             m = m + self.source
         return m.tocsr()
 
-    def dt(self, cfl: float | None = None) -> float:
-        c = cfl if cfl is not None else self.problem.cfl
-        return stable_dt(c, self.h_min, self.problem.max_speed,
-                         self.dofmap.order)
-
     def sbp_reports(self):
         return [check_sbp(ops) for ops in self.scalar_ops]
 
 
-def _system_sat(problem, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
+def _system_sat(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
     # one pointwise operator per boundary face, stacked for the one kernel
     bc, faces, m = problem.bc, dofmap.mesh.boundary_faces, problem.ncomp
     fq = face_quadrature(dofmap, edge_deg)
@@ -352,7 +348,7 @@ def _system_sat(problem, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
         pos = [sat_mod.build_pi_system(
             sat_mod.characteristic_decompose(problem.A, problem.B,
                                              problem.symmetrizer, normal),
-            bc.reflections.get(tag), scale=problem.sat_scale)
+            bc.reflections.get(tag), scale=scale)
             for normal, tag in zip(faces.normals, tags)]
         # the data are evaluated once per tag and stacked; a face's data
         # matrix fills the columns of its own tag
@@ -370,7 +366,7 @@ def _system_sat(problem, dofmap, edge_deg) -> sat_mod.BoundaryOperator:
         gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
         op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma, bc.variant,
                                   bc.shift)
-        s = sat_mod._check_scale(problem.sat_scale)
+        s = sat_mod._check_scale(scale)
         d = np.array([s * (op.pi[f] @ bc.data[t](gamma[f])) if t in bc.data
                       else np.zeros(m) for f, t in enumerate(tags)])
         pi = sat_mod.assemble_face_sat(*on_faces, s * op.pi_mat,
@@ -385,21 +381,16 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
                volume_degree: int | None = None, edge_degree: int | None = None,
                split_alpha: float | None = None,
                sat_scale: float | None = None) -> Discretization:
-    """Assemble everything needed to march or analyze ``problem``."""
-    p = replace(problem)
-    if order is not None:
-        p.order = order
-        p.scheme = scheme_for_order(order)
-    if basis_kind is not None:
-        p.basis = basis_kind
-    if volume_degree is not None:
-        p.volume_degree = volume_degree
-    if edge_degree is not None:
-        p.edge_degree = edge_degree
-    if split_alpha is not None:
-        p.split_alpha = split_alpha
-    if sat_scale is not None:
-        p.sat_scale = sat_scale
+    """Assemble everything needed to march or analyze ``problem``.
+
+    The result's ``problem`` is ``problem`` itself, or a copy if ``order``
+    or ``basis_kind`` is given.  The edge rule defaults to the volume rule.
+    """
+    p = problem
+    if order is not None or basis_kind is not None:
+        p = replace(p, order=p.order if order is None else order,
+                    basis=p.basis if basis_kind is None else basis_kind)
+    scale = 1.0 if sat_scale is None else sat_scale
     if mesh is None:
         mesh = generate_mesh(p.mesh_recipe)
     if mesh.dimension != p.dimension:
@@ -412,16 +403,15 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
                          f"{sorted(named - set(tags))} that the mesh lacks "
                          f"(mesh tags: {tags})")
     dofmap = build_dofmap(mesh, p.order, p.basis)
-    vol = p.volume_degree if p.volume_degree is not None \
-        else default_quad_degree(p.order)
-    edge = p.edge_degree if p.edge_degree is not None else vol
+    vol = default_quad_degree(p.order) if volume_degree is None else volume_degree
+    edge = vol if edge_degree is None else edge_degree
 
     if p.ncomp == 1:
-        ops = build_operators(dofmap, p.velocity, vol, edge, p.split_alpha)
+        ops = build_operators(dofmap, p.velocity, vol, edge, split_alpha)
         M, q_sys, bq_sys = ops.M, ops.Q, ops.Bq
         scalar_ops = [ops]
         pi = sat_mod.scalar_sat_2d(dofmap, p.velocity, g=p.bc.g,
-                                   edge_quad_degree=edge, scale=p.sat_scale)
+                                   edge_quad_degree=edge, scale=scale)
     else:
         M = assemble_mass(dofmap, vol)
         dirs = [np.array([1.0])] if mesh.dimension == 1 else \
@@ -433,7 +423,7 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
             dofmap, vol, edge) for d in dirs]
         q_sys = sum(sp.kron(o.Q, a, format="csr") for o, a in zip(scalar_ops, mats))
         bq_sys = sum(sp.kron(o.Bq, a, format="csr") for o, a in zip(scalar_ops, mats))
-        pi = _system_sat(p, dofmap, edge)
+        pi = _system_sat(p, dofmap, edge, scale)
 
     source = None
     if p.source_matrix is not None:
@@ -442,10 +432,8 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
     u0 = interpolate(p.initial, dofmap, p.ncomp)
     u0 = u0.reshape(-1)
     value_op = nodal_value_operator(dofmap)
-    norm_q = float(np.abs(q_sys.data).max()) if q_sys.nnz else 0.0
-    return Discretization(p, dofmap, M, q_sys.tocsr(),
-                          bq_sys.tocsr(), scalar_ops, pi, source, u0,
-                          value_op, p.ncomp, mesh.h_min(), norm_q)
+    return Discretization(p, dofmap, M, q_sys.tocsr(), bq_sys.tocsr(), scalar_ops,
+                          pi, source, u0, value_op)
 
 
 PROJECTION_RULE_DEGREE = 8     # exactness of the projection's load rule
@@ -480,6 +468,7 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
                   skip_sbp_guard: bool = False):
     """Discretize (unless given) and march the problem. Returns (disc, traj).
 
+    A given ``disc`` must be built from ``problem`` (``disc.problem``).
     Unless ``skip_sbp_guard`` is set, a failed integration-by-parts check
     aborts before time stepping; the quadrature-mismatch experiment disables
     the guard deliberately.  ``initial`` selects interpolated ('interp') or
@@ -491,21 +480,23 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
                          f"got {initial!r}")
     if disc is None:
         disc = discretize(problem)
+    elif disc.problem is not problem:
+        raise ValueError(f"disc was built from another spec than this "
+                         f"{problem.name!r} one; pass disc.problem")
     if not skip_sbp_guard:
         for rep in disc.sbp_reports():
             if not rep.passed:
                 raise RuntimeError(
                     f"operators violate the integration-by-parts identity "
                     f"({rep}); pass skip_sbp_guard=True to march anyway")
-    prob = disc.problem
     config = IntegratorConfig(
-        scheme=scheme or prob.scheme,
-        cfl=cfl if cfl is not None else prob.cfl,
-        t_end=t_end if t_end is not None else prob.t_end,
+        scheme=scheme or problem.scheme,
+        t_end=t_end if t_end is not None else problem.t_end,
         steps=steps,
         amplitude_limit=amplitude_limit,
-        steady_tol=prob.steady_tol)
-    dt = disc.dt(config.cfl)
+        steady_tol=problem.steady_tol)
+    dt = stable_dt(cfl if cfl is not None else problem.cfl,
+                   disc.mesh.h_min(), problem.max_speed, disc.dofmap.order)
     if not dt_order_scaling:
         dt = dt * (2 * disc.dofmap.order + 1)
     u0 = disc.u0 if initial == "interp" else l2_project_initial(disc)

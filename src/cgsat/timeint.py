@@ -152,6 +152,8 @@ def stable_dt(cfl: float, h_min: float, max_speed: float, order: int) -> float:
     The (2p+1) factor accounts for the growth of the discrete operator norm
     with the polynomial order.
     """
+    if not cfl > 0:
+        raise ValueError("cfl must be positive")
     if not max_speed > 0:
         raise ValueError("max_speed must be positive")
     return cfl * h_min / (max_speed * (2 * order + 1))
@@ -164,15 +166,12 @@ def stable_dt(cfl: float, h_min: float, max_speed: float, order: int) -> float:
 @dataclass
 class IntegratorConfig:
     scheme: str = "SSPRK54"
-    cfl: float = 0.3
     t_end: float = 1.0
     steps: int | None = None          # exact step count overrides t_end
     amplitude_limit: float | None = None
     steady_tol: float | None = None
 
     def __post_init__(self):
-        if not self.cfl > 0:
-            raise ValueError("cfl must be positive")
         if self.steps is not None and self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if self.amplitude_limit is not None and not self.amplitude_limit > 0:
@@ -216,7 +215,7 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
     components); ``rhs_matrix`` and ``data_fun`` act on the flattened
     DoF-major state.  ``value_op`` maps coefficients to nodal values for
     extrema recording (identity if omitted).  ``dt`` must be positive and
-    finite.
+    finite, and so must ``config.t_end`` unless ``config.steps`` is set.
     """
     u = np.array(u0, dtype=float)
     n_scalar = M.shape[0]
@@ -226,6 +225,8 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if config.steps is None and not config.t_end > 0:
         raise ValueError(f"t_end {config.t_end} is not positive")
+    if config.steps is None and not math.isfinite(config.t_end):
+        raise ValueError(f"t_end {config.t_end} is not finite")
     lu = factor_mass(M)
     shape = (n_scalar, ncomp)
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgsat.assembly import build_operators, check_sbp
+from cgsat.assembly import build_operators, check_sbp, default_quad_degree
 from cgsat.mesh import build_dofmap, generate_mesh
 from cgsat.problems import (advection_2d, discretize, error_norms,
                             gaussian_bump, r13_heat, rotation_2d,
@@ -41,7 +41,8 @@ class Config:
         self.label = f"{label}/p{order}/{kind}"
         dm = build_dofmap(mesh, order, kind)
         coeff = [1.0] if mesh.dimension == 1 else [1.0, 0.0]
-        self.ops = build_operators(dm, coeff)
+        deg = default_quad_degree(order)
+        self.ops = build_operators(dm, coeff, deg, deg, None)
         self.pi = scalar_sat_2d(dm, coeff, edge_quad_degree=self.ops.edge_degree)
         self.dofmap = dm
 
@@ -96,7 +97,7 @@ def test_criterion_3_sat_sharpness():
     """tau = -0.49 rejected; tau = -0.51 certified; analytic 3x3 matches."""
     mesh = generate_mesh("interval(2)")
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, 6, None)
     with pytest.raises(StabilityViolationError):
         scalar_sat_1d(dm, a=1.0, tau=-0.49)
     pi = scalar_sat_1d(dm, a=1.0, tau=-0.51)

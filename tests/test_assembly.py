@@ -142,7 +142,8 @@ def test_sbp_identity_matched(kind, p, recipe):
     mesh = generate_mesh(recipe)
     dm, bs = setup(mesh, p, kind)
     coeff = [1.0] if mesh.dimension == 1 else [1.0, 0.0]
-    ops = build_operators(dm, coeff)
+    deg = default_quad_degree(p)
+    ops = build_operators(dm, coeff, deg, deg, None)
     rep = check_sbp(ops)
     assert rep.passed, str(rep)
 
@@ -154,7 +155,7 @@ def test_sbp_rotation_split_form():
     def rot(pts):
         return np.stack([2 * np.pi * pts[:, 1], -2 * np.pi * pts[:, 0]], axis=1)
 
-    ops = build_operators(dm, rot, split_alpha=0.5)
+    ops = build_operators(dm, rot, 6, 6, 0.5)
     rep = check_sbp(ops)
     assert rep.passed, str(rep)
     assert rep.max_interior_residual <= rep.tolerance
@@ -284,7 +285,7 @@ def test_bad_velocity_rejected(velocity, message):
     mesh = unit_disk_mesh(3)
     dm, bs = setup(mesh, 2, "bernstein")
     with pytest.raises(ValueError, match=message):
-        build_operators(dm, velocity)
+        build_operators(dm, velocity, 6, 6, None)
 
 
 @settings(max_examples=25, deadline=None)
@@ -310,9 +311,9 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
         return np.stack([c[0] + c[2] * pts[:, 1], c[1] + c[2] * pts[:, 0]], axis=1)
 
     for coeff, alpha in ((smooth, 0.5), (affine, 0.0)):
-        rep = check_sbp(build_operators(dm, coeff, split_alpha=alpha))
+        rep = check_sbp(build_operators(dm, coeff, 6, 6, alpha))
         assert rep.passed, str(rep)
-    bq = build_operators(dm, list(c[:2])).Bq
+    bq = build_operators(dm, list(c[:2]), 6, 6, None).Bq
     one = np.ones(dm.n_dofs)
     assert abs(one @ bq @ one) <= 1e-13 * (1.0 + abs(c[0]) + abs(c[1]))
 
@@ -320,8 +321,7 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
 def test_sbp_degraded_edge_quadrature_fails():
     mesh = unit_square_mesh(4)
     dm, bs = setup(mesh, 3, "lagrange")
-    ops = build_operators(dm, [1.0, 0.0],
-                          volume_degree=6, edge_degree=5)
+    ops = build_operators(dm, [1.0, 0.0], 6, 5, None)
     rep = check_sbp(ops)
     assert not rep.passed
     assert rep.max_boundary_residual > 1e-8
@@ -331,7 +331,7 @@ def test_sbp_degraded_edge_quadrature_fails():
 def test_sbp_zero_velocity():
     mesh = unit_square_mesh(2)
     dm, bs = setup(mesh, 1, "lagrange")
-    ops = build_operators(dm, [0.0, 0.0])
+    ops = build_operators(dm, [0.0, 0.0], 6, 6, None)
     rep = check_sbp(ops)
     assert rep.passed
     assert rep.max_interior_residual == 0.0
@@ -344,7 +344,8 @@ def test_galerkin_derivative_exact_on_polynomials(kind, p):
     # M^-1 Q applied to x^j reproduces j x^(j-1) in coefficient space
     mesh = interval_mesh(5, "random", seed=1)
     dm, bs = setup(mesh, p, kind)
-    ops = build_operators(dm, [1.0])
+    deg = default_quad_degree(p)
+    ops = build_operators(dm, [1.0], deg, deg, None)
     lu = factor_mass(ops.M)
     from cgsat.problems import interpolate
     for j in range(p + 1):

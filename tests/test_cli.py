@@ -322,7 +322,8 @@ def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
     (["--sat-scale", "inf"], "SAT scale factor inf must be finite and >= 1"),
     (["--split-alpha", "nan"], "split weight alpha = nan is not finite"),
     (["--problem", "r13", "--steps", "3", "--sat-scale", "0"],
-     "SAT scale factor 0.0 must be finite and >= 1")])
+     "SAT scale factor 0.0 must be finite and >= 1"),
+    (["--t-end", "inf"], "t_end inf is not finite")])
 def test_solve_rejects_meaningless_march(tmp_path, capsys, flags, message):
     rc = main(["solve", "--problem", "advection2d", "--mesh-n", "2",
                "--order", "1", "--outdir", str(tmp_path / "s")] + flags)

@@ -13,6 +13,7 @@ from cgsat.problems import (Discretization, advection_2d, discretize,
                             sine_advection_2d, solve_problem, wave_1d)
 from cgsat.sat import (StabilityViolationError, build_pi_system,
                        characteristic_decompose)
+from cgsat.timeint import IntegratorConfig
 
 
 def test_advection_bump_values():
@@ -148,7 +149,7 @@ def test_r13_boundary_data_run_once_per_face_at_build():
     per_face = {tag: tags.count(tag) for tag in calls}
     assert calls == per_face and min(per_face.values()) > 0
     g0 = disc.pi.rhs_data(0.0)
-    _, traj = solve_problem(prob, disc=disc, steps=3)
+    _, traj = solve_problem(disc.problem, disc=disc, steps=3)
     assert traj.steps == 3 and calls == per_face
     assert np.array_equal(disc.pi.rhs_data(5.0), g0)
 
@@ -216,6 +217,56 @@ def test_dofmap_is_the_one_source_of_mesh_and_basis():
     disc = discretize(advection_2d(n=2, order=1, basis="bernstein"))
     assert disc.mesh is disc.dofmap.mesh
     assert disc.basis == disc.dofmap.basis_spec()
+
+
+# ncomp, max|Q| and h_min as Discretization stored them before it computed them
+STORED_AT_BUILD = [
+    (lambda: wave_1d(), 2, "0x1.5555555555559p-1", "0x1.47ae147ae1440p-7"),
+    (lambda: wave_1d(n=20, spacing="random", seed=7), 2,
+     "0x1.5555555555559p-1", "0x1.f4513f0855460p-7"),
+    (lambda: advection_2d(n=4), 1, "0x1.2492492492494p-5", "0x1.2bec333018867p-3"),
+    (lambda: rotation_2d(n=5), 1, "0x1.690f02c5e5382p-4", "0x1.d8f7208e6b82cp-4"),
+    (lambda: r13_heat(n=2), 6, "0x1.5aae2e711e70fp-4", "0x1.b6a23dc79d70cp-4"),
+    (lambda: sine_advection_2d(n=3), 1,
+     "0x1.6c16c16c16c18p-4", "0x1.8fe5999576089p-3"),
+]
+
+
+def test_each_setting_has_one_home():
+    """The spec holds no setting that ``discretize`` takes or the order
+    implies, the march config has no CFL, and the discretization computes
+    what it used to store, bit for bit."""
+    spec = {f.name for f in fields(problems.ProblemSpec)}
+    assert len(spec) == 18
+    assert not spec & {"scheme", "volume_degree", "edge_degree",
+                       "split_alpha", "sat_scale"}
+    assert "cfl" not in {f.name for f in fields(IntegratorConfig)}
+    assert len(fields(Discretization)) == 10
+    assert not hasattr(Discretization, "dt")
+    params = inspect.signature(assembly.build_operators).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in params)
+    prob = wave_1d(n=10)
+    assert discretize(prob, order=3).problem.scheme == "SSPRK54"
+    assert (prob.order, prob.scheme) == (2, "SSPRK33")
+    for factory, ncomp, norm_q, h_min in STORED_AT_BUILD:
+        disc = discretize(factory())
+        assert disc.ncomp == ncomp
+        assert disc.norm_q == float.fromhex(norm_q)
+        assert disc.mesh.h_min() == float.fromhex(h_min)
+
+
+def test_solve_problem_marches_only_the_problem_it_is_given():
+    prob = advection_2d(n=2, order=1)
+    disc = discretize(prob, volume_degree=6, edge_degree=6, sat_scale=1.5)
+    assert disc.problem is prob
+    with pytest.raises(ValueError, match="pass disc.problem"):
+        solve_problem(wave_1d(n=4), disc=disc, steps=1)
+    other = discretize(prob, order=2)
+    assert other.problem is not prob and (other.problem.order, prob.order) == (2, 1)
+    with pytest.raises(ValueError, match="pass disc.problem"):
+        solve_problem(prob, disc=other, steps=1)
+    _, traj = solve_problem(other.problem, disc=other, steps=1)
+    assert traj.steps == 1
 
 
 @pytest.mark.parametrize("recipe", ["unit_disk(3)", "interval(7,random,3)"])
@@ -331,8 +382,8 @@ def test_l2_projection_of_system_matches_each_component():
         [f(pts[:, 0]) for f in fields], axis=1))
     proj = l2_project_initial(replace(disc, problem=both)).reshape(-1, 2)
     for c, f in enumerate(fields):
-        one = replace(disc.problem, initial=lambda pts: f(pts[:, 0]))
-        ref = l2_project_initial(replace(disc, problem=one, ncomp=1))
+        one = replace(disc.problem, ncomp=1, initial=lambda pts: f(pts[:, 0]))
+        ref = l2_project_initial(replace(disc, problem=one))
         assert np.abs(proj[:, c] - ref).max() < 1e-13
 
 
@@ -350,13 +401,13 @@ def test_solve_problem_guard_on_degraded_quadrature():
 def test_wave_temporal_order_refinement():
     # fixed mesh, shrinking dt: errors against a small-dt reference recover
     # the scheme order (smooth boundary-driven data)
-    from cgsat.timeint import IntegratorConfig, run
+    from cgsat.timeint import run
     prob = wave_1d(n=8, order=2)
     disc = discretize(prob)
     g = disc.pi.rhs_data
 
     def march(dt):
-        cfg = IntegratorConfig(scheme="SSPRK33", cfl=0.1, t_end=1.0)
+        cfg = IntegratorConfig(scheme="SSPRK33", t_end=1.0)
         return run(disc.M, disc.rhs_matrix, g, disc.u0, dt, cfg,
                    ncomp=2, value_op=disc.value_op).state
 

@@ -54,7 +54,7 @@ def test_scalar_sat_1d_tau_validation():
 def test_scalar_sat_1d_certificate():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, 6, None)
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
     S = stability_matrix(ops.Q, pi.matrix).toarray()
     w, _ = symmetric_eig(S)
@@ -65,7 +65,7 @@ def test_scalar_sat_1d_certificate_negative_speed():
     # mirrored configuration: inflow at the right endpoint
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [-1.0])
+    ops = build_operators(dm, [-1.0], 6, 6, None)
     pi = scalar_sat_1d(dm, a=-1.0, tau=-1.0)
     S = stability_matrix(ops.Q, pi.matrix).toarray()
     assert np.abs(S - np.diag([-1.0, 0.0, -3.0])).max() < 1e-14
@@ -91,7 +91,7 @@ def test_scalar_sat_2d_inflow_only():
 def test_scalar_sat_2d_certificate_unit_square():
     mesh = unit_square_mesh(4)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0, 0.0])
+    ops = build_operators(dm, [1.0, 0.0], 6, 6, None)
     pi = scalar_sat_2d(dm, [1.0, 0.0],
                        edge_quad_degree=ops.edge_degree)
     S = stability_matrix(ops.Q, pi.matrix)

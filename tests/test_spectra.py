@@ -80,7 +80,7 @@ def test_extreme_eigs_diagonal():
 def test_stability_matrix_1d_no_sat():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, 6, None)
     S = stability_matrix(ops.Q).toarray()
     assert np.abs(S - np.diag([-1.0, 0.0, 1.0])).max() < 1e-14
 
@@ -88,7 +88,7 @@ def test_stability_matrix_1d_no_sat():
 def test_stability_matrix_1d_with_sat():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, 6, None)
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
     S = stability_matrix(ops.Q, pi.matrix).toarray()
     assert np.abs(S - np.diag([-3.0, 0.0, -1.0])).max() < 1e-14
@@ -110,7 +110,7 @@ def test_stability_matrix_dimension_mismatch():
 def test_spectrum_symmetric_explicitly():
     mesh = unit_square_mesh(3)
     dm = build_dofmap(mesh, 2, "lagrange")
-    ops = build_operators(dm, [1.0, 0.0])
+    ops = build_operators(dm, [1.0, 0.0], 6, 6, None)
     S = stability_matrix(ops.Q).toarray()
     assert np.abs(S - S.T).max() < 1e-14
 
@@ -138,7 +138,7 @@ def test_stability_matrix_exactly_symmetric(problem, kwargs):
 def test_report_unit_square_pairing_and_verdict():
     mesh = unit_square_mesh(4)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0, 0.0])
+    ops = build_operators(dm, [1.0, 0.0], 6, 6, None)
     pi = scalar_sat_2d(dm, [1.0, 0.0],
                        edge_quad_degree=ops.edge_degree)
     rep = build_spectrum_report(ops.Q, pi, k=8,
@@ -196,7 +196,7 @@ def test_spectrum_csv(tmp_path):
 def test_interior_supported_vectors_annihilated():
     mesh = unit_square_mesh(4)
     dm = build_dofmap(mesh, 2, "bernstein")
-    ops = build_operators(dm, [1.0, 0.0])
+    ops = build_operators(dm, [1.0, 0.0], 6, 6, None)
     S = stability_matrix(ops.Q)
     interior = dm.interior_dofs()
     rng = np.random.default_rng(0)

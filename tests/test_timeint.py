@@ -161,11 +161,11 @@ def test_stable_dt_rule():
     for speed in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="max_speed must be positive"):
             stable_dt(0.3, 0.1, speed, 1)
+    with pytest.raises(ValueError, match="cfl must be positive"):
+        stable_dt(0.0, 0.1, 2.0, 1)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(cfl=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(scheme="RK4")
 
@@ -181,15 +181,21 @@ def test_config_validation():
     ({"steady_tol": 0.0}, "steady_tol must be positive"),
     ({"steady_tol": float("nan")}, "steady_tol must be positive")])
 def test_config_rejects_meaningless_settings(setting, message):
+    # The CFL number belongs to the step rule, not to the integrator.
     with pytest.raises(ValueError, match=message):
-        IntegratorConfig(**setting)
+        if "cfl" in setting:
+            stable_dt(setting["cfl"], 0.1, 2.0, 1)
+        else:
+            IntegratorConfig(**setting)
 
 
-@pytest.mark.parametrize("t_end", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, float("nan"), float("inf")])
 def test_run_rejects_t_end_not_after_t0(t_end):
     M, A = _decay_setup()
     cfg = IntegratorConfig(scheme="SSPRK22", t_end=t_end)
-    with pytest.raises(ValueError, match="is not positive"):
+    message = "t_end inf is not finite" if t_end == float("inf") \
+        else "is not positive"
+    with pytest.raises(ValueError, match=message):
         run(M, A, None, np.ones(4), 0.1, cfg)
 
 
@@ -201,7 +207,7 @@ def _decay_setup():
 
 def test_run_decay_and_histories():
     M, A = _decay_setup()
-    cfg = IntegratorConfig(scheme="SSPRK33", cfl=1.0, t_end=1.0)
+    cfg = IntegratorConfig(scheme="SSPRK33", t_end=1.0)
     traj = run(M, A, None, np.ones(4), 0.01, cfg)
     assert traj.status == "completed"
     assert traj.steps == 100
@@ -213,7 +219,7 @@ def test_run_decay_and_histories():
 
 def test_run_exact_step_count():
     M, A = _decay_setup()
-    cfg = IntegratorConfig(scheme="SSPRK22", cfl=1.0, t_end=99.0, steps=17)
+    cfg = IntegratorConfig(scheme="SSPRK22", t_end=99.0, steps=17)
     traj = run(M, A, None, np.ones(4), 0.1, cfg)
     assert traj.steps == 17
 
@@ -221,7 +227,7 @@ def test_run_exact_step_count():
 def test_run_blowup_detection():
     M, _ = _decay_setup()
     A = sp.diags([50.0] * 4).tocsr()
-    cfg = IntegratorConfig(scheme="SSPRK22", cfl=1.0, t_end=10.0,
+    cfg = IntegratorConfig(scheme="SSPRK22", t_end=10.0,
                            amplitude_limit=100.0)
     traj = run(M, A, None, np.ones(4), 0.05, cfg)
     assert traj.status == "aborted"
@@ -232,7 +238,7 @@ def test_run_blowup_detection():
 def test_run_steady_detection():
     M, A = _decay_setup()
     g = np.array([1.0, 0.0, 0.0, 0.0])
-    cfg = IntegratorConfig(scheme="SSPRK33", cfl=1.0, t_end=200.0,
+    cfg = IntegratorConfig(scheme="SSPRK33", t_end=200.0,
                            steady_tol=1e-10)
     traj = run(M, A, lambda t: g, np.zeros(4), 0.05, cfg)
     assert traj.status == "steady"
@@ -243,13 +249,13 @@ def test_run_energy_decay_with_sat():
     # homogeneous advection with the endpoint penalty: M-norm nonincreasing
     mesh = interval_mesh(16)
     dm = build_dofmap(mesh, 2, "lagrange")
-    ops = build_operators(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, 6, None)
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
     rhs = (pi.matrix - ops.Q).tocsr()
     x = dm.dof_coords[:, 0]
     u0 = np.exp(-50 * (x - 0.5) ** 2)
     dt = stable_dt(0.2, mesh.h_min(), 1.0, 2)
-    cfg = IntegratorConfig(scheme="SSPRK33", cfl=0.2, t_end=1.5)
+    cfg = IntegratorConfig(scheme="SSPRK33", t_end=1.5)
     traj = run(ops.M, rhs, None, u0, dt, cfg)
     assert traj.status == "completed"
     growth = np.diff(traj.energies)
@@ -259,13 +265,13 @@ def test_run_energy_decay_with_sat():
 def test_run_linearity():
     mesh = interval_mesh(8)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, 6, None)
     pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
     rhs = (pi.matrix - ops.Q).tocsr()
     rng = np.random.default_rng(8)
     u0, v0 = rng.standard_normal((2, dm.n_dofs))
     a, b = 1.3, -0.7
-    cfg = IntegratorConfig(scheme="SSPRK33", cfl=0.2, t_end=0.5)
+    cfg = IntegratorConfig(scheme="SSPRK33", t_end=0.5)
     dt = 0.01
     su = run(ops.M, rhs, None, u0, dt, cfg).state
     sv = run(ops.M, rhs, None, v0, dt, cfg).state
