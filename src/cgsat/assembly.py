@@ -128,10 +128,10 @@ def face_quadrature(dofmap: DofMap, edge_degree: int) -> FaceQuadrature:
     """Face DoFs, points, normals, lengths, weights and basis of all faces."""
     mesh = dofmap.mesh
     dim = mesh.dimension
+    rule = quad_rule("edge", edge_degree)   # rejects a bad degree in 1D too
     if dim == 1:
         xi, weights, basis = np.zeros((1, 1)), np.ones(1), np.ones((1, 1))
     else:
-        rule = quad_rule("edge", edge_degree)
         xi, weights = rule.points, rule.weights
         basis = tabulate(BasisSpec(dofmap.kind, dofmap.order, "interval"), xi)
     bf = mesh.boundary_faces
@@ -186,44 +186,9 @@ def _advective_local(mesh, basis, coeff_fun, const, quad_degree):
 def assemble_stiffness(dofmap: DofMap, coeff, quad_degree: int,
                        split_alpha: float | None = None,
                        edge_quad_degree: int | None = None) -> sp.csr_matrix:
-    """Stiffness Q_ij = integral phi_i (a . grad phi_j), optionally split.
-
-    The split form Q = (1 - alpha) A + alpha (Bq - A^T), A the advective
-    stiffness, is taken per element: the blocks (1 - alpha) A_e - alpha A_e^T
-    are scattered once and alpha Bq, which lives on the boundary faces, is
-    added after.
-
-    Parameters
-    ----------
-    coeff : constant vector or callable
-        Velocity field a(x).  Constant coefficients are assembled in
-        advective form; variable coefficients default to the split form.
-    split_alpha : float or None
-        Weight of the conservative form.  None selects advective form for
-        constant coefficients and alpha = 0.5 for variable ones.
-    edge_quad_degree : int or None
-        Edge rule used by the conservative part of the split form; must
-        match the rule used for Bq so the two cancel exactly.
-    """
+    """The Q of ``build_operators``; the edge rule defaults to the volume rule."""
     edge_deg = edge_quad_degree if edge_quad_degree is not None else quad_degree
-    return _stiffness(dofmap, coeff, quad_degree, split_alpha, edge_deg)[0]
-
-
-def _stiffness(dofmap, coeff, quad_degree, split_alpha, edge_deg):
-    """``assemble_stiffness`` and the Bq it assembled, None in advective form."""
-    coeff_fun, const = as_coefficient(coeff, dofmap.mesh.dimension)
-    if split_alpha is None:
-        split_alpha = 0.0 if const is not None else 0.5
-    elif not np.isfinite(split_alpha):
-        raise ValueError(f"split weight alpha = {split_alpha} is not finite")
-    adv_local = _advective_local(dofmap.mesh, dofmap.basis_spec(), coeff_fun,
-                                 const, quad_degree)
-    if split_alpha == 0.0:
-        return _scatter(dofmap, adv_local), None
-    bq = assemble_boundary_quadratic(dofmap, coeff, edge_deg)
-    local = (1.0 - split_alpha) * adv_local
-    local -= split_alpha * np.swapaxes(adv_local, 1, 2)
-    return _scatter(dofmap, local) + split_alpha * bq, bq
+    return build_operators(dofmap, coeff, quad_degree, edge_deg, split_alpha).Q
 
 
 def assemble_boundary_quadratic(dofmap: DofMap, coeff,
@@ -242,9 +207,8 @@ def assemble_boundary_quadratic(dofmap: DofMap, coeff,
 
 @dataclass(frozen=True)
 class GlobalOperators:
-    """Assembled mass, stiffness and boundary quadratic form (scalar level)."""
+    """Stiffness and boundary quadratic form of one coefficient field."""
 
-    M: sp.csr_matrix
     Q: sp.csr_matrix
     Bq: sp.csr_matrix
     dofmap: DofMap
@@ -259,12 +223,28 @@ class GlobalOperators:
 
 def build_operators(dofmap: DofMap, coeff, volume_degree: int, edge_degree: int,
                     split_alpha: float | None) -> GlobalOperators:
-    """Assemble M, Q and Bq; ``split_alpha`` as in ``assemble_stiffness``."""
-    M = assemble_mass(dofmap, volume_degree)
-    Q, Bq = _stiffness(dofmap, coeff, volume_degree, split_alpha, edge_degree)
-    if Bq is None:
-        Bq = assemble_boundary_quadratic(dofmap, coeff, edge_degree)
-    return GlobalOperators(M, Q, Bq, dofmap, volume_degree, edge_degree)
+    """Stiffness Q_ij = integral phi_i (a . grad phi_j), optionally split, and Bq.
+
+    ``coeff`` is a constant vector or a callable a(x).  The split form
+    Q = (1 - alpha) A + alpha (Bq - A^T), A the advective stiffness, is taken
+    per element, and the returned Bq is added after.  ``split_alpha`` None
+    selects alpha = 0 (advective) for a constant field and 1/2 otherwise.
+    """
+    coeff_fun, const = as_coefficient(coeff, dofmap.mesh.dimension)
+    if split_alpha is None:
+        split_alpha = 0.0 if const is not None else 0.5
+    elif not np.isfinite(split_alpha):
+        raise ValueError(f"split weight alpha = {split_alpha} is not finite")
+    local = _advective_local(dofmap.mesh, dofmap.basis_spec(), coeff_fun,
+                             const, volume_degree)
+    Bq = assemble_boundary_quadratic(dofmap, coeff, edge_degree)
+    if split_alpha == 0.0:
+        Q = _scatter(dofmap, local)
+    else:
+        split = (1.0 - split_alpha) * local
+        split -= split_alpha * np.swapaxes(local, 1, 2)
+        Q = _scatter(dofmap, split) + split_alpha * Bq
+    return GlobalOperators(Q, Bq, dofmap, volume_degree, edge_degree)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Ready-made problem setups and the glue that discretizes them.
 
-Each constructor returns a :class:`ProblemSpec`: coefficients, data, mesh
-recipe, order, basis and march defaults.  ``discretize`` assembles the
-global operators, the boundary penalty and the initial state, with its own
-quadrature, split and penalty-scale arguments; ``solve_problem`` adds the
-time march.  All of it is built on one DoF map, the one source of the mesh
-and the basis.
+Each constructor returns a :class:`ProblemSpec`: flux groups, data, mesh
+recipe, order, basis and march defaults; a scalar problem is the one-field
+system ((velocity, [[1]]),).  ``discretize`` takes every problem down one
+path: M once, Q = sum_g Q_g (x) A_g and Bq likewise, and the penalty of
+the boundary condition's type, with its own quadrature, split and
+penalty-scale arguments; ``solve_problem`` adds the time march.  All of it
+is built on one DoF map, the one source of the mesh and the basis.
 
 Problems
 --------
@@ -24,10 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sat as sat_mod
-from .assembly import (GlobalOperators, assemble_boundary_quadratic,
-                       assemble_mass, assemble_stiffness, build_operators,
-                       check_sbp, default_quad_degree, face_quadrature,
-                       physical_points)
+# bench/tracer.py times the assemblers under their names in this module
+from .assembly import (assemble_boundary_quadratic, assemble_mass,  # noqa: F401
+                       assemble_stiffness, build_operators, check_sbp,
+                       default_quad_degree, face_quadrature, physical_points)
 from .basis import BasisSpec, lattice_inverse, quad_rule, tabulate
 from .mesh import DofMap, Mesh, build_dofmap, check_spacing, generate_mesh
 from .timeint import (IntegratorConfig, factor_mass, run, scheme_for_order,
@@ -71,12 +72,13 @@ class R13BC:
 
 @dataclass
 class ProblemSpec:
-    """Coefficients, data, mesh recipe, order, basis and march defaults
-    (CFL, end time, steady tolerance); the scheme follows from the order."""
+    """Flux groups, data, mesh recipe, order, basis and march defaults
+    (CFL, end time, steady tolerance); the scheme follows from the order.
+    The flux sum_g (c_g . grad) A_g u has one group (c_g, A_g) per distinct
+    constant m x m matrix A_g, c_g in a form ``as_coefficient`` takes."""
 
     name: str
     dimension: int
-    ncomp: int
     bc: object
     initial: object
     mesh_recipe: str
@@ -85,10 +87,8 @@ class ProblemSpec:
     cfl: float
     t_end: float
     max_speed: float
-    velocity: object = None              # scalar problems
-    A: np.ndarray | None = None          # systems
-    B: np.ndarray | None = None
-    symmetrizer: np.ndarray | None = None
+    fluxes: tuple
+    symmetrizer: np.ndarray | None = None   # None: the identity
     exact: object = None                 # (points, t) -> values
     source_matrix: np.ndarray | None = None
     steady_tol: float | None = None
@@ -96,6 +96,10 @@ class ProblemSpec:
     @property
     def scheme(self) -> str:
         return scheme_for_order(self.order)
+
+    @property
+    def ncomp(self) -> int:
+        return len(self.fluxes[0][1])
 
 
 def gaussian_bump(center, radius: float = 0.25, sharpness: float = 40.0):
@@ -128,10 +132,10 @@ def advection_2d(n: int = 23, order: int = 3, basis: str = "bernstein") -> Probl
         return bump(shifted)
 
     return ProblemSpec(
-        name="advection2d", dimension=2, ncomp=1,
+        name="advection2d", dimension=2,
         bc=ScalarBC(None), initial=bump, exact=exact,
         mesh_recipe=f"unit_square({n})", order=order, basis=basis,
-        cfl=0.3, t_end=0.2, max_speed=1.0, velocity=np.array([1.0, 0.0]))
+        cfl=0.3, t_end=0.2, max_speed=1.0, fluxes=((np.array([1.0, 0.0]), np.eye(1)),))
 
 
 def sine_advection_2d(n: int = 8, order: int = 2, basis: str = "lagrange") -> ProblemSpec:
@@ -144,10 +148,10 @@ def sine_advection_2d(n: int = 8, order: int = 2, basis: str = "lagrange") -> Pr
         return np.sin(2.0 * np.pi * (points[:, 0] - t))
 
     return ProblemSpec(
-        name="sine_advection2d", dimension=2, ncomp=1,
+        name="sine_advection2d", dimension=2,
         bc=ScalarBC(g), initial=lambda pts: exact(pts, 0.0), exact=exact,
         mesh_recipe=f"unit_square({n})", order=order, basis=basis,
-        cfl=0.3, t_end=0.25, max_speed=1.0, velocity=np.array([1.0, 0.0]))
+        cfl=0.3, t_end=0.25, max_speed=1.0, fluxes=((np.array([1.0, 0.0]), np.eye(1)),))
 
 
 def rotation_2d(n: int = 13, order: int = 3, basis: str = "bernstein") -> ProblemSpec:
@@ -171,10 +175,10 @@ def rotation_2d(n: int = 13, order: int = 3, basis: str = "bernstein") -> Proble
         return bump(back)
 
     return ProblemSpec(
-        name="rotation2d", dimension=2, ncomp=1,
+        name="rotation2d", dimension=2,
         bc=ScalarBC(None), initial=bump, exact=exact,
         mesh_recipe=f"unit_disk({n})", order=order, basis=basis,
-        cfl=0.2, t_end=2.0, max_speed=2.0 * np.pi, velocity=velocity)
+        cfl=0.2, t_end=2.0, max_speed=2.0 * np.pi, fluxes=((velocity, np.eye(1)),))
 
 
 def wave_1d(n: int = 100, order: int = 2, spacing: str = "regular",
@@ -198,10 +202,11 @@ def wave_1d(n: int = 100, order: int = 2, spacing: str = "regular",
         data={"left": lambda t: np.array([np.sin(t)]),
               "right": lambda t: np.array([np.sin(t)])})
     return ProblemSpec(
-        name="wave1d", dimension=1, ncomp=2,
+        name="wave1d", dimension=1,
         bc=bc, initial=lambda pts: np.zeros((pts.shape[0], 2)),
         mesh_recipe=recipe, order=order, basis=basis,
-        cfl=0.1, t_end=50.0, max_speed=1.0, A=A, symmetrizer=np.eye(2))
+        cfl=0.1, t_end=50.0, max_speed=1.0, fluxes=((np.array([1.0]), A),),
+        symmetrizer=np.eye(2))
 
 
 def r13_heat(n: int = 5, order: int = 2, basis: str = "lagrange",
@@ -225,10 +230,11 @@ def r13_heat(n: int = 5, order: int = 2, basis: str = "lagrange",
                      "outer": lambda gamma: np.array(
                          [-alpha * theta1, 0.0])})
     return ProblemSpec(
-        name="r13", dimension=2, ncomp=6,
+        name="r13", dimension=2,
         bc=bc, initial=lambda pts: np.zeros((pts.shape[0], 6)),
         mesh_recipe=f"annulus(0.5,1.0,{n})", order=order, basis=basis,
-        cfl=0.1, t_end=80.0, max_speed=float(np.sqrt(2.0)), A=A, B=B,
+        cfl=0.1, t_end=80.0, max_speed=float(np.sqrt(2.0)),
+        fluxes=((np.array([1.0, 0.0]), A), (np.array([0.0, 1.0]), B)),
         symmetrizer=P, source_matrix=relax, steady_tol=1e-8)
 
 
@@ -304,7 +310,7 @@ class Discretization:
     M: sp.csr_matrix               # scalar mass
     ops_sys: sp.csr_matrix         # system-level stiffness
     bq_sys: sp.csr_matrix
-    scalar_ops: list               # GlobalOperators per direction (SBP checks)
+    group_ops: list                # GlobalOperators per flux group (SBP checks)
     pi: sat_mod.BoundaryOperator
     source: sp.csr_matrix | None
     u0: np.ndarray
@@ -335,21 +341,42 @@ class Discretization:
         return m.tocsr()
 
     def sbp_reports(self):
-        return [check_sbp(ops) for ops in self.scalar_ops]
+        return [check_sbp(ops) for ops in self.group_ops]
 
 
-def _system_sat(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
+def _kron_sum(parts, fluxes) -> sp.csr_matrix:
+    """sum_g parts[g] (x) A_g; a part whose A_g is [[1]] is taken as it is."""
+    terms = [q if np.array_equal(a, [[1.0]]) else sp.kron(q, a, format="csr")
+             for q, (_, a) in zip(parts, fluxes)]
+    return sum(terms[1:], terms[0]).tocsr()
+
+
+def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
+    """The boundary penalty of ``problem``, by the type of its condition."""
+    bc, fluxes = problem.bc, problem.fluxes
+    if isinstance(bc, ScalarBC):
+        if len(fluxes) != 1 or not np.array_equal(fluxes[0][1], [[1.0]]):
+            raise ValueError(f"problem {problem.name}: an inflow condition "
+                             f"takes one flux group (velocity, [[1]])")
+        return sat_mod.scalar_sat_2d(dofmap, fluxes[0][0], g=bc.g,
+                                     edge_quad_degree=edge_deg, scale=scale)
     # one pointwise operator per boundary face, stacked for the one kernel
-    bc, faces, m = problem.bc, dofmap.mesh.boundary_faces, problem.ncomp
+    faces, m = dofmap.mesh.boundary_faces, problem.ncomp
     fq = face_quadrature(dofmap, edge_deg)
     nf, tags = len(faces), list(faces.tags)
     on_faces = (dofmap, fq, np.arange(nf), fq.weights * fq.lengths[:, None])
     if isinstance(bc, CharacteristicBC):
+        # A_n = sum_g (c_g . n) A_g, one per face
+        speeds = [fq.normal_speed(c) for c, _ in fluxes]
+        if any((s != s[:, :1]).any() for s in speeds):
+            raise ValueError(f"problem {problem.name}: a characteristic "
+                             f"condition needs each c_g . n constant along a face")
+        a_n = sum(s[:, 0, None, None] * a for s, (_, a) in zip(speeds, fluxes))
+        P = np.eye(m) if problem.symmetrizer is None else problem.symmetrizer
         pos = [sat_mod.build_pi_system(
-            sat_mod.characteristic_decompose(problem.A, problem.B,
-                                             problem.symmetrizer, normal),
+            sat_mod.characteristic_decompose(an, None, P, [1.0]),
             bc.reflections.get(tag), scale=scale)
-            for normal, tag in zip(faces.normals, tags)]
+            for an, tag in zip(a_n, tags)]
         # the data are evaluated once per tag and stacked; a face's data
         # matrix fills the columns of its own tag
         widths = [pos[tags.index(t)].data_mat.shape[1] for t in bc.data]
@@ -385,6 +412,7 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
 
     The result's ``problem`` is ``problem`` itself, or a copy if ``order``
     or ``basis_kind`` is given.  The edge rule defaults to the volume rule.
+    ``split_alpha`` weights every flux group's Q as in ``build_operators``.
     """
     p = problem
     if order is not None or basis_kind is not None:
@@ -402,38 +430,25 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
         raise ValueError(f"problem {p.name} names boundary tags "
                          f"{sorted(named - set(tags))} that the mesh lacks "
                          f"(mesh tags: {tags})")
+    shapes = {np.shape(a) for _, a in p.fluxes}
+    if not shapes or shapes != {(p.ncomp, p.ncomp)}:
+        raise ValueError(f"problem {p.name}: flux matrices must be square "
+                         f"and of one size, got shapes {sorted(shapes)}")
     dofmap = build_dofmap(mesh, p.order, p.basis)
     vol = default_quad_degree(p.order) if volume_degree is None else volume_degree
     edge = vol if edge_degree is None else edge_degree
 
-    if p.ncomp == 1:
-        ops = build_operators(dofmap, p.velocity, vol, edge, split_alpha)
-        M, q_sys, bq_sys = ops.M, ops.Q, ops.Bq
-        scalar_ops = [ops]
-        pi = sat_mod.scalar_sat_2d(dofmap, p.velocity, g=p.bc.g,
-                                   edge_quad_degree=edge, scale=scale)
-    else:
-        M = assemble_mass(dofmap, vol)
-        dirs = [np.array([1.0])] if mesh.dimension == 1 else \
-            [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        mats = [p.A] if mesh.dimension == 1 else [p.A, p.B]
-        scalar_ops = [GlobalOperators(
-            M, assemble_stiffness(dofmap, d, vol),
-            assemble_boundary_quadratic(dofmap, d, edge),
-            dofmap, vol, edge) for d in dirs]
-        q_sys = sum(sp.kron(o.Q, a, format="csr") for o, a in zip(scalar_ops, mats))
-        bq_sys = sum(sp.kron(o.Bq, a, format="csr") for o, a in zip(scalar_ops, mats))
-        pi = _system_sat(p, dofmap, edge, scale)
-
-    source = None
-    if p.source_matrix is not None:
-        source = sp.kron(M, p.source_matrix, format="csr")
-
-    u0 = interpolate(p.initial, dofmap, p.ncomp)
-    u0 = u0.reshape(-1)
-    value_op = nodal_value_operator(dofmap)
-    return Discretization(p, dofmap, M, q_sys.tocsr(), bq_sys.tocsr(), scalar_ops,
-                          pi, source, u0, value_op)
+    M = assemble_mass(dofmap, vol)
+    groups = [build_operators(dofmap, c, vol, edge, split_alpha)
+              for c, _ in p.fluxes]
+    q_sys = _kron_sum([o.Q for o in groups], p.fluxes)
+    bq_sys = _kron_sum([o.Bq for o in groups], p.fluxes)
+    pi = _penalty(p, dofmap, edge, scale)
+    source = None if p.source_matrix is None else \
+        sp.kron(M, p.source_matrix, format="csr")
+    u0 = interpolate(p.initial, dofmap, p.ncomp).reshape(-1)
+    return Discretization(p, dofmap, M, q_sys, bq_sys, groups, pi, source, u0,
+                          nodal_value_operator(dofmap))
 
 
 PROJECTION_RULE_DEGREE = 8     # exactness of the projection's load rule
@@ -527,7 +542,7 @@ def error_norms(state: np.ndarray, disc: Discretization, t: float) -> dict:
     diff = state - interpolate(lambda pts: nodal_exact, dofmap)
     l2m = float(np.sqrt(diff @ (disc.M @ diff)))
 
-    rule = quad_rule(basis.domain, disc.scalar_ops[0].volume_degree)
+    rule = quad_rule(basis.domain, disc.group_ops[0].volume_degree)
     phi = tabulate(basis, rule.points)
     pts, det = physical_points(mesh, rule)
     uh = state[dofmap.element_dofs] @ phi.T          # (ne, nq)

@@ -85,7 +85,7 @@ def scalar_sat_1d(dofmap: DofMap, a: float, tau=-1.0,
         raise ValueError("scalar_sat_1d needs a 1D dofmap")
     tau0, tau1 = (tau if isinstance(tau, (tuple, list)) else (tau, tau))
     tau0, tau1 = _check_tau(tau0), _check_tau(tau1)
-    fq = face_quadrature(dofmap, 0)            # a 1D face is one point
+    fq = face_quadrature(dofmap, 1)            # a 1D face is one point
     right = fq.normals[:, 0] > 0
     w = np.minimum(float(a) * fq.normals[:, 0], 0.0) * -np.where(right, tau1, tau0)
     faces = np.nonzero(w < 0.0)[0]

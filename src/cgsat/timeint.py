@@ -152,8 +152,8 @@ def stable_dt(cfl: float, h_min: float, max_speed: float, order: int) -> float:
     The (2p+1) factor accounts for the growth of the discrete operator norm
     with the polynomial order.
     """
-    if not cfl > 0:
-        raise ValueError("cfl must be positive")
+    if not 0 < cfl < np.inf:
+        raise ValueError(f"cfl must be positive and finite, got {cfl}")
     if not max_speed > 0:
         raise ValueError("max_speed must be positive")
     return cfl * h_min / (max_speed * (2 * order + 1))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import cgsat.cli as cli
@@ -120,6 +122,51 @@ def test_solve_rejects_singular_mass_before_any_step(tmp_path, capsys,
                           "smallest / largest pivot of its LDL^T factor is -")
     assert not (tmp_path / "run" / "energy.csv").exists()
     assert not (tmp_path / "run" / "summary.txt").exists()
+
+
+def test_spectrum_rejects_singular_mass(tmp_path, capsys):
+    # an under-integrated mass is no norm, so no verdict is printed
+    rc = main(["spectrum", "--problem", "rotation2d", "--mesh-n", "8",
+               "--volume-quad", "4", "--outdir", str(tmp_path / "spec")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: mass matrix is not positive definite: ")
+    assert not (tmp_path / "spec" / "spectrum.csv").exists()
+
+
+# sha256 prefixes of the files of runs without a split weight, recorded
+# before the weight reached systems, and the files the weight 0.3 changes.
+# For constant coefficients and matched rules the split form equals the
+# advective form up to roundoff, so r13's energies keep every printed digit.
+UNSPLIT_OUTPUTS = {
+    "wave1d": (["--cells", "10", "--steps", "5"],
+               {"energy.csv": "740a0bb7dd09c0e1",
+                "solution_final.csv": "fac767aee28399f2",
+                "summary.txt": "46c87807355eeb16"},
+               {"energy.csv", "solution_final.csv", "summary.txt"}),
+    "r13": (["--mesh-n", "1", "--steps", "3"],
+            {"energy.csv": "17c39d53217a4fde",
+             "solution_final.vtk": "8ad7af2d4dd77758",
+             "summary.txt": "231992ddd4bdde11"},
+            {"solution_final.vtk"}),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(UNSPLIT_OUTPUTS))
+def test_split_weight_reaches_systems(tmp_path, problem):
+    flags, digests, changed = UNSPLIT_OUTPUTS[problem]
+
+    def outputs(name, extra):
+        out = tmp_path / name
+        assert main(["solve", "--problem", problem, *flags, *extra,
+                     "--outdir", str(out)]) == 0
+        return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()[:16]
+                for f in digests}
+
+    plain = outputs("plain", [])
+    assert plain == digests
+    split = outputs("split", ["--split-alpha", "0.3"])
+    assert {f for f in digests if split[f] != plain[f]} == changed
 
 
 def test_mesh_gen_roundtrip(tmp_path):
@@ -274,7 +321,7 @@ def test_dump_operators(tmp_path, capsys):
 
 
 def test_dump_operators_system_checks_each_direction(tmp_path, capsys):
-    # a 2D system has one scalar SBP check per coordinate direction
+    # r13 has one flux group, so one scalar SBP check, per coordinate direction
     assert len(_dump_sbp_lines(tmp_path, capsys, "r13")) == 2
 
 
@@ -323,7 +370,15 @@ def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
     (["--split-alpha", "nan"], "split weight alpha = nan is not finite"),
     (["--problem", "r13", "--steps", "3", "--sat-scale", "0"],
      "SAT scale factor 0.0 must be finite and >= 1"),
-    (["--t-end", "inf"], "t_end inf is not finite")])
+    (["--t-end", "inf"], "t_end inf is not finite"),
+    # a 1D face is one point, but the edge rule is checked all the same
+    (["--problem", "wave1d", "--cells", "10", "--steps", "5", "--edge-quad", "99"],
+     "quadrature degree 99 outside the supported range 1..8"),
+    (["--problem", "wave1d", "--cells", "10", "--steps", "5", "--edge-quad", "-3"],
+     "quadrature degree -3 outside the supported range 1..8"),
+    (["--cfl", "inf"], "cfl must be positive and finite, got inf"),
+    (["--problem", "wave1d", "--cells", "10", "--steps", "5", "--split-alpha", "nan"],
+     "split weight alpha = nan is not finite")])
 def test_solve_rejects_meaningless_march(tmp_path, capsys, flags, message):
     rc = main(["solve", "--problem", "advection2d", "--mesh-n", "2",
                "--order", "1", "--outdir", str(tmp_path / "s")] + flags)

@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cgsat import assembly, problems, sat
 from cgsat.basis import tabulate
@@ -13,6 +14,7 @@ from cgsat.problems import (Discretization, advection_2d, discretize,
                             sine_advection_2d, solve_problem, wave_1d)
 from cgsat.sat import (StabilityViolationError, build_pi_system,
                        characteristic_decompose)
+from cgsat.spectra import spectrum_report
 from cgsat.timeint import IntegratorConfig
 
 
@@ -41,12 +43,13 @@ def test_rotation_period_and_direction():
     # clockwise: bump reaches (0, -0.5) at half period
     assert prob.exact(np.array([[0.0, -0.5]]), 0.5)[0] == pytest.approx(1.0)
     # velocity field is divergence free (analytically)
+    (velocity, _), = prob.fluxes
     h = 1e-6
     for x, y in rng.uniform(-0.5, 0.5, (10, 2)):
-        vx = (prob.velocity(np.array([[x + h, y]]))[0, 0]
-              - prob.velocity(np.array([[x - h, y]]))[0, 0]) / (2 * h)
-        vy = (prob.velocity(np.array([[x, y + h]]))[0, 1]
-              - prob.velocity(np.array([[x, y - h]]))[0, 1]) / (2 * h)
+        vx = (velocity(np.array([[x + h, y]]))[0, 0]
+              - velocity(np.array([[x - h, y]]))[0, 0]) / (2 * h)
+        vy = (velocity(np.array([[x, y + h]]))[0, 1]
+              - velocity(np.array([[x, y - h]]))[0, 1]) / (2 * h)
         assert abs(vx + vy) < 1e-8
 
 
@@ -56,6 +59,8 @@ def test_rotation_period_and_direction():
 def test_exact_solutions_satisfy_pde(make, args):
     # finite-difference residual of u_t + a . grad u at random samples
     prob = make(**args)
+    (velocity, flux), = prob.fluxes
+    assert np.array_equal(flux, [[1.0]])
     rng = np.random.default_rng(7)
     n_ok = 0
     for _ in range(100):
@@ -69,7 +74,7 @@ def test_exact_solutions_satisfy_pde(make, args):
         ut = (prob.exact(pt, t + h)[0] - prob.exact(pt, t - h)[0]) / (2 * h)
         ux = (prob.exact(pt + [h, 0], t)[0] - prob.exact(pt - [h, 0], t)[0]) / (2 * h)
         uy = (prob.exact(pt + [0, h], t)[0] - prob.exact(pt - [0, h], t)[0]) / (2 * h)
-        a = prob.velocity(pt)[0] if callable(prob.velocity) else prob.velocity
+        a = velocity(pt)[0] if callable(velocity) else velocity
         resid = abs(ut + a[0] * ux + a[1] * uy)
         if resid < 1e-4 * max(1.0, abs(ut)):
             n_ok += 1
@@ -79,8 +84,9 @@ def test_exact_solutions_satisfy_pde(make, args):
 def test_wave_problem_facts():
     prob = wave_1d()
     assert prob.ncomp == 2
-    assert np.allclose(prob.A, [[0, 1], [1, 0]])
-    d = characteristic_decompose(prob.A, None, prob.symmetrizer, [1.0])
+    (c, A), = prob.fluxes
+    assert np.array_equal(c, [1.0]) and np.allclose(A, [[0, 1], [1, 0]])
+    d = characteristic_decompose(A, None, prob.symmetrizer, [1.0])
     assert np.allclose(d.eigenvalues, [1.0, -1.0], atol=1e-14)
     expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     assert np.abs(d.X - expected).max() < 1e-14
@@ -99,11 +105,11 @@ def test_wave_boundary_data_matches_face_loop():
     disc = discretize(prob)
     assert disc.mesh.dimension == 1 and disc.ncomp == 2
     bf, m = disc.mesh.boundary_faces, disc.ncomp
+    (_, A), = prob.fluxes
     for t in (0.0, 0.3, 1.7, 42.0):
         out = np.zeros(disc.dofmap.n_dofs * m)
         for f, (normal, tag) in enumerate(zip(bf.normals, bf.tags)):
-            decomp = characteristic_decompose(prob.A, prob.B,
-                                              prob.symmetrizer, normal)
+            decomp = characteristic_decompose(A, None, prob.symmetrizer, normal)
             po = build_pi_system(decomp, prob.bc.reflections[tag])
             gidx = (disc.dofmap.face_dofs[f][:, None] * m + np.arange(m)).ravel()
             np.add.at(out, gidx, -po.data_mat @ prob.bc.data[tag](t))
@@ -114,9 +120,11 @@ def test_r13_problem_facts():
     prob = r13_heat()
     assert prob.ncomp == 6
     assert np.allclose(np.diag(prob.symmetrizer), [1, 1, 1, 1, 0.5, 1])
+    (ex, A), (ey, B) = prob.fluxes
+    assert np.array_equal(ex, [1.0, 0.0]) and np.array_equal(ey, [0.0, 1.0])
     rng = np.random.default_rng(1)
     for gamma in rng.uniform(0, 2 * np.pi, 100):
-        An = np.cos(gamma) * prob.A + np.sin(gamma) * prob.B
+        An = np.cos(gamma) * A + np.sin(gamma) * B
         C = An @ prob.symmetrizer
         assert np.abs(C - C.T).max() < 1e-14
     # relaxation acts on heat flux and stress only, rate 1/0.15
@@ -156,7 +164,7 @@ def test_r13_boundary_data_run_once_per_face_at_build():
 
 def test_r13_flux_matrix_entries():
     prob = r13_heat()
-    A, B = prob.A, prob.B
+    (_, A), (_, B) = prob.fluxes
     # x-flux couples theta<->s_x, s_x<->R_xx, s_y<->R_xy(half), R via sym grad
     assert A[0, 1] == 1.0 and A[1, 0] == 1.0
     assert A[1, 3] == 1.0 and A[3, 1] == 1.0
@@ -237,9 +245,9 @@ def test_each_setting_has_one_home():
     implies, the march config has no CFL, and the discretization computes
     what it used to store, bit for bit."""
     spec = {f.name for f in fields(problems.ProblemSpec)}
-    assert len(spec) == 18
+    assert len(spec) == 15
     assert not spec & {"scheme", "volume_degree", "edge_degree",
-                       "split_alpha", "sat_scale"}
+                       "split_alpha", "sat_scale", "ncomp", "velocity", "A", "B"}
     assert "cfl" not in {f.name for f in fields(IntegratorConfig)}
     assert len(fields(Discretization)) == 10
     assert not hasattr(Discretization, "dt")
@@ -253,6 +261,69 @@ def test_each_setting_has_one_home():
         assert disc.ncomp == ncomp
         assert disc.norm_q == float.fromhex(norm_q)
         assert disc.mesh.h_min() == float.fromhex(h_min)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("factory", [
+    lambda: wave_1d(n=10, spacing="random", seed=3), lambda: r13_heat(2)],
+    ids=["wave1d", "r13"])
+def test_split_weight_reaches_each_flux_group(factory, alpha):
+    """A system's stiffness is sum_g Q_g (x) A_g with each Q_g in split
+    form; each group passes its own SBP check and Bq does not move."""
+    prob = factory()
+    plain, split = discretize(prob), discretize(prob, split_alpha=alpha)
+    reports = split.sbp_reports()
+    assert len(reports) == len(prob.fluxes)
+    assert all(rep.passed for rep in reports), [str(r) for r in reports]
+    q = sum(sp.kron(o.Q, a, format="csr")
+            for o, (_, a) in zip(split.group_ops, prob.fluxes))
+    assert abs(split.ops_sys - q).max() == 0.0
+    assert abs(split.ops_sys - plain.ops_sys).max() > 0.0
+    assert abs(split.bq_sys - plain.bq_sys).max() == 0.0
+
+
+def test_one_field_system_takes_the_scalar_penalty():
+    """A scalar problem is a one-field system: upwind characteristic data
+    on ((e_x, [[1]]),), with no symmetrizer (the identity), give the
+    inflow penalty a_n^- of the scalar path."""
+    one = replace(wave_1d(n=6), fluxes=((np.array([1.0]), np.eye(1)),),
+                  symmetrizer=None, initial=lambda pts: np.sin(pts[:, 0]))
+    system = discretize(replace(one, bc=problems.CharacteristicBC()))
+    scalar = discretize(replace(one, bc=problems.ScalarBC(None)))
+    assert system.ncomp == scalar.ncomp == 1
+    assert np.array_equal(system.pi.matrix.toarray(), scalar.pi.matrix.toarray())
+    assert abs(system.ops_sys - scalar.ops_sys).max() == 0.0
+
+
+# a two-field system on the square whose c . n varies along the bottom wall
+SHEARED = replace(advection_2d(n=2, order=1), symmetrizer=np.eye(2),
+                  fluxes=((lambda pts: pts[:, ::-1] + 1.0,
+                           np.array([[0.0, 1.0], [1.0, 0.0]])),),
+                  bc=problems.CharacteristicBC(),
+                  initial=lambda pts: np.zeros((pts.shape[0], 2)))
+
+
+@pytest.mark.parametrize("prob, message", [
+    (replace(wave_1d(n=4), fluxes=()),
+     "flux matrices must be square and of one size"),
+    (replace(wave_1d(n=4), fluxes=((np.array([1.0]), np.eye(2)),
+                                   (np.array([1.0]), np.eye(3)))),
+     r"got shapes \[\(2, 2\), \(3, 3\)\]"),
+    (replace(wave_1d(n=4), fluxes=((np.array([1.0]), np.ones((2, 3))),)),
+     "flux matrices must be square"),
+    (replace(wave_1d(n=4), bc=problems.ScalarBC(None)),
+     "an inflow condition takes one flux group"),
+    (SHEARED, "needs each c_g . n constant along a face")],
+    ids=["empty", "two-sizes", "not-square", "inflow-on-system", "variable"])
+def test_discretize_rejects_flux_groups_that_do_not_fit(prob, message):
+    with pytest.raises(ValueError, match=message):
+        discretize(prob)
+
+
+def test_characteristic_penalty_of_a_constant_2d_group_is_certified():
+    # A_n = (c . n) A on each wall of the square; upwind data dissipate
+    prob = replace(SHEARED, fluxes=((np.array([1.0, 0.5]), SHEARED.fluxes[0][1]),))
+    assert spectrum_report(discretize(prob)).stable
 
 
 def test_solve_problem_marches_only_the_problem_it_is_given():
@@ -382,7 +453,8 @@ def test_l2_projection_of_system_matches_each_component():
         [f(pts[:, 0]) for f in fields], axis=1))
     proj = l2_project_initial(replace(disc, problem=both)).reshape(-1, 2)
     for c, f in enumerate(fields):
-        one = replace(disc.problem, ncomp=1, initial=lambda pts: f(pts[:, 0]))
+        one = replace(disc.problem, fluxes=((np.array([1.0]), np.eye(1)),),
+                      initial=lambda pts: f(pts[:, 0]))
         ref = l2_project_initial(replace(disc, problem=one))
         assert np.abs(proj[:, c] - ref).max() < 1e-13
 

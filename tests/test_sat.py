@@ -385,7 +385,7 @@ def test_r13_data_vector():
     prob = r13_heat(2, ux=0.7, uy=-0.4)
     disc = discretize(prob)
     bc, bf, m = prob.bc, disc.mesh.boundary_faces, prob.ncomp
-    edge = disc.scalar_ops[0].edge_degree
+    edge = disc.group_ops[0].edge_degree
     rule = quad_rule("edge", edge)
     phi = tabulate(BasisSpec(disc.basis.kind, disc.basis.order, "interval"),
                    rule.points)

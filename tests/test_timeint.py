@@ -161,8 +161,10 @@ def test_stable_dt_rule():
     for speed in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="max_speed must be positive"):
             stable_dt(0.3, 0.1, speed, 1)
-    with pytest.raises(ValueError, match="cfl must be positive"):
-        stable_dt(0.0, 0.1, 2.0, 1)
+    for cfl in (0.0, float("inf")):
+        with pytest.raises(ValueError,
+                           match=f"cfl must be positive and finite, got {cfl}"):
+            stable_dt(cfl, 0.1, 2.0, 1)
 
 
 def test_config_validation():
@@ -256,7 +258,7 @@ def test_run_energy_decay_with_sat():
     u0 = np.exp(-50 * (x - 0.5) ** 2)
     dt = stable_dt(0.2, mesh.h_min(), 1.0, 2)
     cfg = IntegratorConfig(scheme="SSPRK33", t_end=1.5)
-    traj = run(ops.M, rhs, None, u0, dt, cfg)
+    traj = run(assemble_mass(dm, 6), rhs, None, u0, dt, cfg)
     assert traj.status == "completed"
     growth = np.diff(traj.energies)
     assert growth.max() <= 1e-12 * traj.energies[0]
@@ -272,10 +274,10 @@ def test_run_linearity():
     u0, v0 = rng.standard_normal((2, dm.n_dofs))
     a, b = 1.3, -0.7
     cfg = IntegratorConfig(scheme="SSPRK33", t_end=0.5)
-    dt = 0.01
-    su = run(ops.M, rhs, None, u0, dt, cfg).state
-    sv = run(ops.M, rhs, None, v0, dt, cfg).state
-    sw = run(ops.M, rhs, None, a * u0 + b * v0, dt, cfg).state
+    dt, M = 0.01, assemble_mass(dm, 6)
+    su = run(M, rhs, None, u0, dt, cfg).state
+    sv = run(M, rhs, None, v0, dt, cfg).state
+    sw = run(M, rhs, None, a * u0 + b * v0, dt, cfg).state
     assert np.abs(sw - (a * su + b * sv)).max() < 1e-10
 
 
