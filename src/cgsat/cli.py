@@ -16,9 +16,9 @@ import numpy as np
 
 from . import output
 from .mesh import generate_mesh, load_mesh, save_mesh
-from .problems import (PROBLEMS, discretize, error_norms, solve_problem)
+from .problems import (PROBLEMS, check_error_norms, discretize, error_norms,
+                       solve_problem)
 from .spectra import spectrum_report, write_spectrum_csv
-from .timeint import factor_mass
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True,
@@ -177,9 +177,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     os.makedirs(cfg.outdir, exist_ok=True)
-    disc = _discretize_from_config(cfg)
-    factor_mass(disc.M)          # a mass that is no norm certifies nothing
-    rep = spectrum_report(disc)
+    rep = spectrum_report(_discretize_from_config(cfg))
     write_spectrum_csv(rep, os.path.join(cfg.outdir, "spectrum.csv"))
     sys.stdout.write(
         f"dofs = {rep.n_dofs}\n"
@@ -197,6 +195,7 @@ def cmd_convergence(cfg: RunConfig, levels: int = 4) -> int:
     if levels < 3:
         sys.stderr.write("need at least 3 refinement levels\n")
         return 1
+    check_error_norms(_build_problem(cfg))     # before the first march
     os.makedirs(cfg.outdir, exist_ok=True)
     base = cfg.mesh_n or 4
     rows = []

@@ -93,23 +93,13 @@ class Mesh:
         """Signed areas (2D) or widths (1D) of all elements."""
         return _signed_measures(self.dimension, self.vertices, self.elements)
 
-    def _side_lengths(self) -> np.ndarray:
-        """(ne, 3) lengths of the triangle sides."""
-        v = self.vertices[self.elements]
-        return np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2)
-
     def h_min(self) -> float:
         """Smallest cell width (1D) or incircle diameter (2D)."""
         if self.dimension == 1:
             return float(np.min(self.signed_areas()))
-        return float(np.min(4.0 * self.signed_areas()
-                            / self._side_lengths().sum(axis=1)))
-
-    def h_max(self) -> float:
-        """Largest element diameter."""
-        if self.dimension == 1:
-            return float(np.max(self.signed_areas()))
-        return float(np.max(self._side_lengths()))
+        v = self.vertices[self.elements]
+        sides = np.linalg.norm(np.roll(v, -1, axis=1) - v, axis=2)
+        return float(np.min(4.0 * self.signed_areas() / sides.sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------

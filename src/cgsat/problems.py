@@ -65,8 +65,6 @@ class R13BC:
     """
     alpha: float
     beta: float
-    variant: str = "delta"
-    shift: float = -2.0
     data: dict = field(default_factory=dict)
 
 
@@ -213,8 +211,7 @@ def r13_heat(n: int = 5, order: int = 2, basis: str = "lagrange",
              alpha: float = 3.0, beta: float = -0.5,
              theta0: float = 0.0, theta1: float = 1.0,
              ux: float = 1.0, uy: float = 0.0,
-             relaxation_time: float = 0.15,
-             variant: str = "delta", shift: float = -2.0) -> ProblemSpec:
+             relaxation_time: float = 0.15) -> ProblemSpec:
     """Heat-conduction moment system on the annulus 1/2 <= r <= 1.
 
     Six fields (theta, s, R) with accommodation boundary rows; the heat flux
@@ -223,7 +220,7 @@ def r13_heat(n: int = 5, order: int = 2, basis: str = "lagrange",
     """
     A, B, P = sat_mod.r13_matrices()
     relax = np.diag([0.0, 1.0, 1.0, 1.0, 1.0, 1.0]) * (-1.0 / relaxation_time)
-    bc = R13BC(alpha=alpha, beta=beta, variant=variant, shift=shift,
+    bc = R13BC(alpha=alpha, beta=beta,
                data={"inner": lambda gamma: np.array(
                          [-alpha * theta0,
                           -ux * np.sin(gamma) + uy * np.cos(gamma)]),
@@ -390,9 +387,17 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
             (lambda t: data_mat @ np.concatenate([g(t) for g in funs]))
             if funs else None)
     if isinstance(bc, R13BC):
+        # the accommodation operator builds A_n and P of the moment system
+        A, B, P = sat_mod.r13_matrices()
+        if not (len(fluxes) == 2 and all(
+                np.array_equal(c, e) and np.array_equal(a, ae)
+                for (c, a), e, ae in zip(fluxes, np.eye(2), (A, B)))
+                and np.array_equal(problem.symmetrizer, P)):
+            raise ValueError(f"problem {problem.name}: an accommodation "
+                             f"condition takes the moment system's flux "
+                             f"groups ((e_x, A), (e_y, B)) and symmetrizer P")
         gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
-        op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma, bc.variant,
-                                  bc.shift)
+        op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma)
         s = sat_mod._check_scale(scale)
         d = np.array([s * (op.pi[f] @ bc.data[t](gamma[f])) if t in bc.data
                       else np.zeros(m) for f, t in enumerate(tags)])
@@ -527,14 +532,19 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
 # error measures
 # ---------------------------------------------------------------------------
 
+def check_error_norms(problem: ProblemSpec) -> None:
+    """Raise unless ``error_norms`` can measure ``problem``: it needs an
+    exact solution and one field."""
+    if problem.exact is None:
+        raise ValueError(f"problem {problem.name} has no exact solution")
+    if problem.ncomp != 1:
+        raise ValueError("error norms implemented for scalar problems")
+
+
 def error_norms(state: np.ndarray, disc: Discretization, t: float) -> dict:
     """L1 (quadrature), M-weighted L2 and nodal Linf error vs the exact field."""
-    prob = disc.problem
-    if prob.exact is None:
-        raise ValueError(f"problem {prob.name} has no exact solution")
-    if disc.ncomp != 1:
-        raise ValueError("error norms implemented for scalar problems")
-    exact = prob.exact
+    check_error_norms(disc.problem)
+    exact = disc.problem.exact
     dofmap, basis, mesh = disc.dofmap, disc.basis, disc.mesh
 
     # the exact field at the DoF lattice, evaluated once for L2_M and Linf

@@ -8,7 +8,8 @@ only on boundary-trace DoFs.  Constructors are provided for
 * characteristic penalties for symmetrizable systems, built from the
   eigenstructure of the normal coefficient matrix, and
 * the heat-conduction moment system with Maxwell accommodation boundary
-  rows (two boundary conditions for six fields).
+  rows (two boundary conditions for six fields), by its one operator
+  Pi = (s P^(-1/2) + A_n/2) L_n' (L_n L_n')^(-1).
 
 Every constructor is a thin caller of one kernel, ``assemble_face_sat``:
 weights per rule point, one m x m operator per face and one data callable
@@ -126,17 +127,15 @@ class CharacteristicDecomposition:
     diagonalizes S = P^(-1/2) (A_n P) P^(-1/2):  S = X Lambda X^T with
     orthonormal X.  The eigenvalues equal those of A_n; for P = I the
     factorization reconstructs C_n = A_n P directly.  Characteristic
-    variables are W = X^T P^(-1/2) U, split by eigenvalue sign (zero modes,
-    classified with threshold 1e-10 * ||C_n||, carry no penalty).
+    variables are W = X^T P^(-1/2) U, split by eigenvalue sign; zero modes,
+    classified with threshold 1e-10 * ||C_n||, are set to exactly 0.0 and
+    carry no penalty.
     """
 
-    a_n: np.ndarray
-    c_n: np.ndarray
     eigenvalues: np.ndarray      # descending
     X: np.ndarray                # orthonormal columns
     pos: np.ndarray              # indices of positive eigenvalues
     neg: np.ndarray
-    zero: np.ndarray
     p_sqrt: np.ndarray
     p_inv_sqrt: np.ndarray
 
@@ -179,12 +178,9 @@ def characteristic_decompose(A, B, P, n) -> CharacteristicDecomposition:
         if big.size and col[big[0]] < 0:
             v[:, j] = -col
     thr = 1e-10 * scale
-    pos = np.nonzero(w > thr)[0]
-    neg = np.nonzero(w < -thr)[0]
-    zero = np.nonzero(np.abs(w) <= thr)[0]
-    w = w.copy()
-    w[zero] = 0.0
-    return CharacteristicDecomposition(a_n, c_n, w, v, pos, neg, zero, p_sqrt,
+    w = np.where(np.abs(w) <= thr, 0.0, w)
+    return CharacteristicDecomposition(w, v, np.nonzero(w > 0.0)[0],
+                                       np.nonzero(w < 0.0)[0], p_sqrt,
                                        p_inv_sqrt)
 
 
@@ -288,49 +284,32 @@ def r13_boundary_rows(gamma, alpha: float, beta: float) -> np.ndarray:
     return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
+R13_SHIFT = -2.0     # s of the accommodation operator, which needs s < 0
+
+
 @dataclass(frozen=True)
 class R13PointOperator:
     """Composite penalty Pi (6 x 2) applied as Pi (L_n U - G_n)."""
 
     pi: np.ndarray               # (..., 6, 2)
-    l_n: np.ndarray              # (..., 2, 6)
-    pi_mat: np.ndarray           # (..., 6, 6) = pi @ l_n
+    pi_mat: np.ndarray           # (..., 6, 6) = pi @ L_n
 
 
-def build_pi_r13(alpha: float, beta: float, gamma,
-                 variant: str = "delta", shift: float = -2.0) -> R13PointOperator:
+def build_pi_r13(alpha: float, beta: float, gamma) -> R13PointOperator:
     """Boundary operator for the moment system at one or an array of angles.
 
-    variant 'delta': Pi = (shift P^(-1/2) + A_n/2) L_n' (L_n L_n')^(-1),
-    requiring shift < 0.  variant 'eigen-shift':
-    Pi = (A_n/2 - shift I) P L_n' (L_n P L_n')^(-1), requiring the shift to
-    sit at or below half the most negative wave speed.
+    Pi = (s P^(-1/2) + A_n/2) L_n' (L_n L_n')^(-1) with s = ``R13_SHIFT``.
     """
-    A, B, P = r13_matrices()
+    _, _, P = r13_matrices()
     a_n = r13_normal_matrix(gamma)
     l_n = r13_boundary_rows(gamma, alpha, beta)
     l_t = np.swapaxes(l_n, -1, -2)
-    if variant == "delta":
-        if shift >= 0:
-            raise StabilityViolationError("delta shift must be negative")
-        gram = l_n @ l_t
-        p_inv_sqrt = np.diag(1.0 / np.sqrt(np.diag(P)))
-        pi = (shift * p_inv_sqrt + 0.5 * a_n) @ l_t @ np.linalg.inv(gram)
-    elif variant == "eigen-shift":
-        lam_min = -np.sqrt(2.0)       # most negative wave speed of the system
-        if shift > 0.5 * lam_min + 1e-14:
-            raise StabilityViolationError(
-                f"eigen shift must be <= {0.5 * lam_min:.6f}")
-        gram = l_n @ P @ l_t
-        expect = np.diag([1.0 + 2.0 * alpha ** 2, 0.5 + beta ** 2])
-        if np.abs(gram - expect).max() > 1e-10 * max(1.0, np.abs(expect).max()):
-            raise StabilityViolationError("L_n P L_n' lost its closed form")
-        pi = (0.5 * a_n - shift * np.eye(6)) @ P @ l_t @ np.linalg.inv(gram)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if np.any(np.abs(np.linalg.det(l_n @ l_t)) < 1e-12):
+    gram = l_n @ l_t
+    if np.any(np.abs(np.linalg.det(gram)) < 1e-12):
         raise StabilityViolationError("L_n L_n' is singular")
-    return R13PointOperator(pi, l_n, pi @ l_n)
+    p_inv_sqrt = np.diag(1.0 / np.sqrt(np.diag(P)))
+    pi = (R13_SHIFT * p_inv_sqrt + 0.5 * a_n) @ l_t @ np.linalg.inv(gram)
+    return R13PointOperator(pi, pi @ l_n)
 
 
 # ---------------------------------------------------------------------------

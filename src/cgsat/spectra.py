@@ -19,7 +19,7 @@ and pad the spectrum with exact zeros.
 ``stability_matrix(Q, pi)`` takes matrices; ``build_spectrum_report(Q, pi,
 k, interior_dofs, ncomp, norm_q)`` takes the stiffness matrix and the
 ``BoundaryOperator``; ``spectrum_report(disc, k)`` reads all of it off a
-``Discretization``.
+``Discretization`` and first refuses one whose mass matrix is no norm.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import STABILITY_RTOL
+from .timeint import factor_mass
 
 DENSE_EIG_CAP = 5000
 
@@ -188,7 +189,11 @@ def build_spectrum_report(Q, pi, k: int, interior_dofs, ncomp: int,
 
 
 def spectrum_report(disc, k: int = 10) -> SpectrumReport:
-    """Operator spectrum report of a ``Discretization``."""
+    """Operator spectrum report of a ``Discretization``.
+
+    Raises ``MassNotPositiveDefiniteError`` if the mass matrix is no norm.
+    """
+    factor_mass(disc.M)          # a mass that is no norm certifies nothing
     return build_spectrum_report(disc.ops_sys, disc.pi, k,
                                  interior_dofs=disc.dofmap.interior_dofs(),
                                  ncomp=disc.ncomp, norm_q=disc.norm_q)

@@ -1,10 +1,12 @@
 """What the benchmark in bench/ relies on: the names its tracer wraps, and a
-traced run that checks its own result."""
+few runs, traced and untraced, that check their own results."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from cgsat import output, problems, sat, spectra, timeint
 
@@ -28,11 +30,21 @@ def test_tracer_wraps_names_that_exist_and_restores_them(monkeypatch):
         assert all(vars(m).get(k) is v for k, v in names.items()), m
 
 
-def test_traced_certify_run_is_correct():
+def _bench_result(*args):
     proc = subprocess.run(
-        [sys.executable, os.path.join(BENCH, "bench.py"), "--workload",
-         "certify", "--seconds", "0.1", "--trace", "1"],
+        [sys.executable, os.path.join(BENCH, "bench.py"), *args],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
+
+
+def test_traced_certify_run_is_correct():
+    _bench_result("--workload", "certify", "--seconds", "0.1", "--trace", "1")
+
+
+# wave1d-march's checker reads characteristic_decompose(...).X, and
+# assemble-large builds r13_heat(24) through the accommodation penalty
+@pytest.mark.parametrize("workload", ["wave1d-march", "assemble-large"])
+def test_untraced_run_is_correct(workload):
+    _bench_result("--workload", workload, "--seconds", "0.1")

@@ -302,6 +302,22 @@ def test_convergence_command(tmp_path):
     assert "# slopes:" in text
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--problem", "wave1d", "--cells", "100"],
+     "problem wave1d has no exact solution"),
+    (["--problem", "r13", "--mesh-n", "2"], "problem r13 has no exact solution")],
+    ids=["wave1d", "r13"])
+def test_convergence_rejects_problem_without_exact_solution_before_marching(
+        tmp_path, capsys, monkeypatch, args, message):
+    def no_march(*a, **k):
+        raise AssertionError("marched a problem whose error cannot be measured")
+    monkeypatch.setattr(cli, "solve_problem", no_march)
+    rc = main(["convergence", *args, "--outdir", str(tmp_path / "conv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "conv").exists()
+
+
 def _dump_sbp_lines(tmp_path, capsys, problem):
     outdir = tmp_path / "ops"
     rc = main(["dump-operators", "--problem", problem, "--mesh-n", "2",

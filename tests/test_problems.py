@@ -8,8 +8,8 @@ import scipy.sparse as sp
 from cgsat import assembly, problems, sat
 from cgsat.basis import tabulate
 from cgsat.mesh import build_dofmap, generate_mesh
-from cgsat.problems import (Discretization, advection_2d, discretize,
-                            error_norms, interpolate, l2_project_initial,
+from cgsat.problems import (Discretization, advection_2d, check_error_norms,
+                            discretize, error_norms, interpolate, l2_project_initial,
                             nodal_value_operator, r13_heat, rotation_2d,
                             sine_advection_2d, solve_problem, wave_1d)
 from cgsat.sat import (StabilityViolationError, build_pi_system,
@@ -313,8 +313,14 @@ SHEARED = replace(advection_2d(n=2, order=1), symmetrizer=np.eye(2),
      "flux matrices must be square"),
     (replace(wave_1d(n=4), bc=problems.ScalarBC(None)),
      "an inflow condition takes one flux group"),
-    (SHEARED, "needs each c_g . n constant along a face")],
-    ids=["empty", "two-sizes", "not-square", "inflow-on-system", "variable"])
+    (SHEARED, "needs each c_g . n constant along a face"),
+    (replace(r13_heat(2), fluxes=tuple((c, 2.0 * a)
+                                       for c, a in r13_heat(2).fluxes)),
+     "an accommodation condition takes the moment system's flux groups"),
+    (replace(r13_heat(2), symmetrizer=np.eye(6)),
+     "an accommodation condition takes the moment system's flux groups")],
+    ids=["empty", "two-sizes", "not-square", "inflow-on-system", "variable",
+         "accommodation-doubled-fluxes", "accommodation-symmetrizer"])
 def test_discretize_rejects_flux_groups_that_do_not_fit(prob, message):
     with pytest.raises(ValueError, match=message):
         discretize(prob)
@@ -414,6 +420,20 @@ def test_error_norms_accept_a_column_shaped_exact_solution():
     e = error_norms(state, replace(disc, problem=column), 0.1)
     assert e == flat
     assert e["Linf"] == 0.0
+
+
+@pytest.mark.parametrize("prob, message", [
+    (wave_1d(n=4), "problem wave1d has no exact solution"),
+    (r13_heat(2), "problem r13 has no exact solution"),
+    (replace(wave_1d(n=4), exact=lambda pts, t: np.zeros((pts.shape[0], 2))),
+     "error norms implemented for scalar problems")],
+    ids=["wave1d", "r13", "two-fields"])
+def test_error_norms_preconditions_checked_from_the_spec(prob, message):
+    with pytest.raises(ValueError, match=message):
+        check_error_norms(prob)
+    disc = discretize(prob)
+    with pytest.raises(ValueError, match=message):
+        error_norms(disc.u0, disc, 0.0)
 
 
 def test_error_norms_zero():

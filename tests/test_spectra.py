@@ -14,6 +14,7 @@ from cgsat.spectra import (STABILITY_RTOL, EigenSolverError,
                            boundary_block, build_spectrum_report,
                            extreme_eigs, spectrum_report, stability_matrix,
                            symmetric_eig, write_spectrum_csv)
+from cgsat.timeint import MassNotPositiveDefiniteError
 from oracles import jacobi_eigenvalues
 
 
@@ -179,6 +180,14 @@ def test_spectrum_report_from_problem():
         discretize(advection_2d(n=3, order=1, basis="lagrange")), k=5)
     assert rep.verdict == "stable"
     assert rep.n_dofs == 16
+
+
+def test_spectrum_report_refuses_a_mass_that_is_no_norm():
+    # an under-integrated mass has a negative pivot: no verdict is returned
+    disc = discretize(rotation_2d(8), volume_degree=4)
+    with pytest.raises(MassNotPositiveDefiniteError,
+                       match="mass matrix is not positive definite"):
+        spectrum_report(disc)
 
 
 def test_spectrum_csv(tmp_path):
