@@ -195,6 +195,9 @@ def cmd_convergence(cfg: RunConfig, levels: int = 4) -> int:
     if levels < 3:
         sys.stderr.write("need at least 3 refinement levels\n")
         return 1
+    if cfg.mesh_file:
+        raise ValueError("convergence refines the generated mesh, so it "
+                         "takes --mesh-n, not a mesh file (--mesh)")
     check_error_norms(_build_problem(cfg))     # before the first march
     os.makedirs(cfg.outdir, exist_ok=True)
     base = cfg.mesh_n or 4

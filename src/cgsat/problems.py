@@ -349,7 +349,13 @@ def _kron_sum(parts, fluxes) -> sp.csr_matrix:
 
 
 def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
-    """The boundary penalty of ``problem``, by the type of its condition."""
+    """The boundary penalty of ``problem``, by the type of its condition.
+
+    Characteristic data are linear in the stacked tag vectors g(t), so
+    their G(t) = D g(t) is one map, built here from the face kernel
+    (``sat.linear_data``); the accommodation data do not depend on t, and
+    inflow data g(points, t) go through the kernel at every call.
+    """
     bc, fluxes = problem.bc, problem.fluxes
     if isinstance(bc, ScalarBC):
         if len(fluxes) != 1 or not np.array_equal(fluxes[0][1], [[1.0]]):
@@ -382,10 +388,15 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
             for f in np.nonzero(faces.tags == t)[0]:
                 data_mat[f, 0, :, c:c + wt] = pos[f].data_mat
         funs = list(bc.data.values())
-        return sat_mod.assemble_face_sat(
+        pi = sat_mod.assemble_face_sat(
             *on_faces, np.array([po.pi_mat for po in pos]),
-            (lambda t: data_mat @ np.concatenate([g(t) for g in funs]))
-            if funs else None)
+            (lambda g: data_mat @ g) if funs else None)
+        if not funs:
+            return pi
+        # G is linear in the stacked data, so the kernel becomes one map
+        return replace(pi, data=sat_mod.linear_data(
+            pi.data, lambda t: np.concatenate([fn(t) for fn in funs]),
+            dofmap.n_dofs * m, data_mat.shape[-1]))
     if isinstance(bc, R13BC):
         # the accommodation operator builds A_n and P of the moment system
         A, B, P = sat_mod.r13_matrices()

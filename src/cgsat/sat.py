@@ -41,7 +41,8 @@ class BoundaryOperator:
 
     ``matrix`` is square over the DoF-major state and has support only on
     boundary-trace DoFs.  ``data`` maps time to the assembled right-hand-side
-    vector (None means homogeneous).
+    vector (None means homogeneous); data linear in a stacked vector g(t),
+    such as characteristic data, come as a precomputed :class:`DataMap`.
     """
 
     matrix: sp.csr_matrix
@@ -51,6 +52,35 @@ class BoundaryOperator:
         if self.data is None:
             return np.zeros(self.matrix.shape[0])
         return np.asarray(self.data(t), dtype=float)
+
+
+@dataclass(frozen=True)
+class DataMap:
+    """G(t) = D g(t) for boundary data linear in a stacked vector g(t).
+
+    D (N x W) is kept as its nonzero ``rows`` and their dense block
+    ``D[rows]``, so a call is one small product written into zeros.
+    """
+
+    rows: np.ndarray
+    block: np.ndarray              # (len(rows), W)
+    n: int
+    g: object                      # callable t -> (W,)
+
+    def __call__(self, t: float) -> np.ndarray:
+        G = np.zeros(self.n)
+        G[self.rows] = self.block @ self.g(t)
+        return G
+
+
+def linear_data(kernel, g, n: int, width: int) -> DataMap:
+    """The data map of a kernel that is linear in g: column j of D (n x
+    ``width``) is ``kernel`` at the j-th unit vector."""
+    D = np.zeros((n, width))
+    for j, e in enumerate(np.eye(width)):
+        D[:, j] = kernel(e)
+    rows = np.flatnonzero(D.any(axis=1))
+    return DataMap(rows, D[rows], n, g)
 
 
 def _check_tau(tau: float) -> float:
@@ -325,8 +355,10 @@ def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, w, ops=None,
     operator, constant along a straight face (omitted for m = 1).  The
     matrix sum_q w phi_i phi_j (x) ops[f] is scattered DoF-major: component
     c of DoF i sits at index i * m + c.  ``data`` is None (homogeneous) or
-    a callable t -> (nf, nq or 1, m) of boundary values d, pointwise or
-    constant along each face; G(t) = -sum_q w phi_i d, faces added in order.
+    a callable s -> (nf, nq or 1, m) of boundary values d, pointwise or
+    constant along each face; G(s) = -sum_q w phi_i d, faces added in order.
+    s is the time, or the stacked data vector of a kernel that
+    ``linear_data`` turns into a map.
     """
     m = 1 if ops is None else ops.shape[-1]
     n = dofmap.n_dofs * m
@@ -342,8 +374,8 @@ def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, w, ops=None,
         return BoundaryOperator(mat)
     rows, basis_t, neg_w = gidx.ravel(), fq.basis.T, -w[:, :, None]
 
-    def fun(t):
-        return np.bincount(rows, np.matmul(basis_t, neg_w * data(t)).ravel(),
+    def fun(s):
+        return np.bincount(rows, np.matmul(basis_t, neg_w * data(s)).ravel(),
                            minlength=n)
 
     return BoundaryOperator(mat, fun)

@@ -11,10 +11,13 @@ minimum-degree ordering with diagonal pivots, i.e. a sparse LDL^T.
 
 Each right-hand side is one product with the rhs matrix, the boundary data
 G(t) added in place, and one mass solve.  After every step the march
-records the time, the squared M-norm u^T (M (x) I) u (one product with the
-system mass matrix, built once per march) and the largest and smallest
-nodal value (read off the coefficients, or through ``value_op`` when the
-coefficients are not nodal values).
+records the time and the largest and smallest nodal value (read off the
+coefficients, or through ``value_op`` when the coefficients are not nodal
+values).  The squared M-norms u^T (M (x) I) u are recorded in blocks: the
+states are copied into a buffer of at most ``RECORD_BLOCK_BYTES``, small
+enough to stay in cache, and one product with the system mass matrix
+(built once per march) gives the energies of all of them, bit for bit
+those of one product per state.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import scipy.sparse.linalg as spla
 
 MIN_PIVOT_RATIO = 1e-10       # smallest / largest pivot of an accepted M
 STEADY_CHECK_EVERY = 25       # steps between steady-state residual checks
+RECORD_BLOCK_BYTES = 256 * 1024   # states whose energies are taken at once
 
 
 class MassNotPositiveDefiniteError(ValueError):
@@ -206,6 +210,13 @@ class Trajectory:
         return float(self.umin.min()) if self.umin.size else float("nan")
 
 
+def block_energies(M_sys, U: np.ndarray) -> np.ndarray:
+    """u^T M_sys u of each row u of ``U``, bitwise np.sum(u * (M_sys @ u)):
+    the sparse product sums each column in one order, and each row of the
+    C-ordered product is summed pairwise like a single vector."""
+    return (U * (M_sys @ U.T).T).sum(axis=1)
+
+
 def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         config: IntegratorConfig, ncomp: int = 1,
         value_op=None) -> Trajectory:
@@ -216,6 +227,12 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
     DoF-major state.  ``value_op`` maps coefficients to nodal values for
     extrema recording (identity if omitted).  ``dt`` must be positive and
     finite, and so must ``config.t_end`` unless ``config.steps`` is set.
+
+    Extrema, the amplitude limit and their finiteness are checked after
+    every step; the energies of a block of states are taken when the block
+    is full, before each steady check and when the march ends.  A march
+    stops at the first step whose energy is not finite, with the histories
+    and state of that step, as if it had been checked at once.
     """
     u = np.array(u0, dtype=float)
     n_scalar = M.shape[0]
@@ -241,9 +258,6 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
 
     M_sys = M if ncomp == 1 else sp.kron(M, sp.identity(ncomp), format="csr")
 
-    def energy(v):
-        return float(np.sum(v * (M_sys @ v)))
-
     def extrema(v):
         vals = v if value_op is None else value_op @ v.reshape(shape)
         return float(vals.max()), float(vals.min())
@@ -251,14 +265,31 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
     n_steps = config.steps if config.steps is not None else \
         max(1, int(np.ceil(config.t_end / dt - 1e-12)))
 
-    times = [0.0]
-    energies = [energy(u)]
+    times, energies = [0.0], []
     mx, mn = extrema(u)
     umax, umin = [mx], [mn]
     status = "completed"
     blowup_step = None
     steady_res = None
     t = 0.0
+    # the block holds the states of steps first, first + 1, ...
+    block = np.empty((max(1, RECORD_BLOCK_BYTES // (8 * u.size)), u.size))
+    block[0], filled, first = u, 1, 0
+    blowup = None                 # (step, state) of a non-finite energy
+
+    def flush():
+        """Record the block's energies; False at a non-finite one."""
+        nonlocal filled, first, blowup
+        e = block_energies(M_sys, block[:filled])
+        energies.extend(e.tolist())
+        finite = np.isfinite(e)
+        finite[0] |= first == 0   # step 0 is not checked
+        if not finite.all():
+            j = int(np.argmin(finite))
+            blowup = first + j, block[j].copy()
+        first, filled = first + filled, 0
+        return blowup is None
+
     for k in range(1, n_steps + 1):
         dt_k = dt
         if config.steps is None and t + dt > config.t_end:
@@ -267,13 +298,15 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
                 break
         u = step(u, t, dt_k, rhs, config.scheme)
         t = t + dt_k
+        if filled == len(block) and not flush():
+            break
+        block[filled] = u
+        filled += 1
         times.append(t)
-        energies.append(energy(u))
         mx, mn = extrema(u)
         umax.append(mx)
         umin.append(mn)
-        if not (math.isfinite(energies[-1]) and math.isfinite(mx)
-                and math.isfinite(mn)):
+        if not (math.isfinite(mx) and math.isfinite(mn)):
             status, blowup_step = "aborted", k
             break
         if config.amplitude_limit is not None and \
@@ -281,10 +314,20 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
             status, blowup_step = "aborted", k
             break
         if config.steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
-            steady_res = float(np.sqrt(energy(rhs(t, u))))
+            if not flush():
+                break
+            r = rhs(t, u)[None]
+            steady_res = float(np.sqrt(block_energies(M_sys, r)[0]))
             if steady_res < config.steady_tol:
                 status = "steady"
                 break
+    if filled:
+        flush()
+    if blowup is not None:        # the march ends at that step
+        k, u = blowup
+        for hist in (times, energies, umax, umin):
+            del hist[k + 1:]
+        t, status, blowup_step = times[k], "aborted", k
     return Trajectory(u, t, len(times) - 1, np.array(times),
                       np.array(energies), np.array(umax), np.array(umin),
                       status, blowup_step, steady_res)

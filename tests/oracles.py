@@ -3,7 +3,8 @@
 None depends on the code it checks: the Jacobi sweep uses no LAPACK, the
 order-condition check and the reference step read only the Shu-Osher
 tables, the recording formulas apply the scalar M and ``value_op`` to
-each component column of the state, the Lagrange basis is evaluated
+each component column of the state, the reference march records them
+after every step, the Lagrange basis is evaluated
 through monomials and the inverse Vandermonde matrix on the lattice, with
 no Bernstein code, and the variable-coefficient stiffness is the
 four-operand einsum per element, at rule points mapped by einsum, and the
@@ -19,7 +20,8 @@ import scipy.sparse as sp
 
 from cgsat.assembly import _jacobians
 from cgsat.basis import quad_rule, tabulate, tabulate_grad
-from cgsat.timeint import SCHEMES
+from cgsat.timeint import (SCHEMES, STEADY_CHECK_EVERY, Trajectory,
+                           factor_mass, step)
 
 
 def jacobi_eigenvalues(S, sweeps: int = 50, tol: float = 1e-14) -> np.ndarray:
@@ -117,6 +119,53 @@ def reference_extrema(value_op, v: np.ndarray, ncomp: int) -> tuple[float, float
     """Largest and smallest nodal value of a DoF-major state."""
     vals = value_op @ v.reshape(value_op.shape[1], ncomp)
     return float(vals.max()), float(vals.min())
+
+
+def reference_march(M, rhs_matrix, data_fun, u0, dt: float, config,
+                    ncomp: int = 1, value_op=None) -> Trajectory:
+    """``timeint.run`` with the energy, the extrema and every check taken
+    after each step, with the same step and right-hand side."""
+    lu = factor_mass(M)
+    shape = (M.shape[0], ncomp)
+
+    def rhs(t, v):
+        r = rhs_matrix @ v
+        if data_fun is not None:
+            r += data_fun(t)
+        return lu.solve(r.reshape(shape)).ravel()
+
+    def record(t, v):
+        vals = v if value_op is None else value_op @ v.reshape(shape)
+        return t, reference_energy(M, v, ncomp), float(vals.max()), float(vals.min())
+
+    n_steps = config.steps if config.steps is not None else \
+        max(1, int(np.ceil(config.t_end / dt - 1e-12)))
+    u, t = np.array(u0, dtype=float), 0.0
+    hist = [record(t, u)]
+    status, blowup_step, steady_res = "completed", None, None
+    for k in range(1, n_steps + 1):
+        dt_k = dt
+        if config.steps is None and t + dt > config.t_end:
+            dt_k = config.t_end - t
+            if dt_k <= 1e-15 * max(1.0, config.t_end):
+                break
+        u = step(u, t, dt_k, rhs, config.scheme)
+        t = t + dt_k
+        hist.append(record(t, u))
+        _, e, mx, mn = hist[-1]
+        if not all(map(math.isfinite, (e, mx, mn))) or (
+                config.amplitude_limit is not None
+                and max(abs(mx), abs(mn)) > config.amplitude_limit):
+            status, blowup_step = "aborted", k
+            break
+        if config.steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
+            steady_res = math.sqrt(reference_energy(M, rhs(t, u), ncomp))
+            if steady_res < config.steady_tol:
+                status = "steady"
+                break
+    times, energies, umax, umin = (np.array(c) for c in zip(*hist))
+    return Trajectory(u, t, len(hist) - 1, times, energies, umax, umin,
+                      status, blowup_step, steady_res)
 
 
 def _monomial_powers(spec) -> list[tuple[int, ...]]:

@@ -43,6 +43,14 @@ def test_traced_certify_run_is_correct():
     _bench_result("--workload", "certify", "--seconds", "0.1", "--trace", "1")
 
 
+@pytest.mark.slow      # 1.8-2.8 s
+def test_traced_march_keeps_the_per_stage_counts():
+    # the runner's cross-check: one matvec, one G(t) call and one mass
+    # solve per stage, stages x steps of each
+    _bench_result("--workload", "wave1d-march", "--seconds", "0.1",
+                  "--trace", "1")
+
+
 # wave1d-march's checker reads characteristic_decompose(...).X, and
 # assemble-large builds r13_heat(24) through the accommodation penalty
 @pytest.mark.parametrize("workload", ["wave1d-march", "assemble-large"])

@@ -318,6 +318,26 @@ def test_convergence_rejects_problem_without_exact_solution_before_marching(
     assert not (tmp_path / "conv").exists()
 
 
+def test_convergence_rejects_a_mesh_file_before_discretizing(
+        tmp_path, capsys, monkeypatch):
+    # each level refines the generated mesh; a mesh file would be loaded
+    # unchanged at every level
+    mesh = tmp_path / "sq.mesh"
+    assert main(["mesh-gen", "--recipe", "unit_square(4)",
+                 "--out", str(mesh)]) == 0
+    capsys.readouterr()
+
+    def no_discretize(*a, **k):
+        raise AssertionError("discretized a level of a fixed mesh")
+    monkeypatch.setattr(cli, "discretize", no_discretize)
+    rc = main(["convergence", "--problem", "sine_advection2d", "--mesh",
+               str(mesh), "--levels", "3", "--outdir", str(tmp_path / "conv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--mesh" in err
+    assert not (tmp_path / "conv").exists()
+
+
 def _dump_sbp_lines(tmp_path, capsys, problem):
     outdir = tmp_path / "ops"
     rc = main(["dump-operators", "--problem", problem, "--mesh-n", "2",

@@ -116,6 +116,51 @@ def test_wave_boundary_data_matches_face_loop():
         assert np.array_equal(disc.pi.rhs_data(t), out)
 
 
+def _data_map_and_kernel(prob, monkeypatch):
+    """The discretization of ``prob`` and the face kernel and stacked data
+    that its characteristic data map was built from."""
+    seen = {}
+
+    def spy(kernel, g, n, width):
+        seen.update(kernel=kernel, g=g)
+        return real(kernel, g, n, width)
+
+    real = sat.linear_data
+    monkeypatch.setattr(sat, "linear_data", spy)
+    disc = discretize(prob)
+    return disc, seen["kernel"], seen["g"]
+
+
+@pytest.mark.parametrize("spacing, seed", [("regular", None), ("random", 7)])
+def test_wave_data_map_is_the_face_kernel_bitwise(spacing, seed, monkeypatch):
+    prob = wave_1d(n=100, spacing=spacing, seed=seed, r0=0.4, r1=-0.3)
+    disc, kernel, g = _data_map_and_kernel(prob, monkeypatch)
+    # D keeps the 2 fields at the 2 end DoFs, one column per end
+    assert disc.pi.data.rows.size == 4 and disc.pi.data.block.shape == (4, 2)
+    for t in (0.0, 0.3, 1.7, 42.0, 1e5):
+        assert disc.pi.rhs_data(t).tobytes() == kernel(g(t)).tobytes()
+
+
+def test_2d_data_map_matches_the_face_kernel(monkeypatch):
+    # one field carried by (1, 1/2) across the unit square: left and
+    # bottom are inflow and take data, right and top are outflow
+    prob = problems.ProblemSpec(
+        name="char2d", dimension=2,
+        bc=problems.CharacteristicBC(data={
+            "left": lambda t: np.array([np.sin(t)]),
+            "bottom": lambda t: np.array([1.0 + np.cos(3.0 * t)])}),
+        initial=lambda pts: np.zeros(len(pts)), mesh_recipe="unit_square(3)",
+        order=3, basis="bernstein", cfl=0.3, t_end=0.1, max_speed=1.2,
+        fluxes=((np.array([1.0, 0.5]), np.eye(1)),))
+    disc, kernel, g = _data_map_and_kernel(prob, monkeypatch)
+    # 10 P3 DoFs on each inflow side, the corner (0, 0) on both
+    assert disc.pi.data.block.shape == (19, 2)
+    for t in (0.0, 0.3, 1.7, 42.0):
+        ref = kernel(g(t))
+        got = disc.pi.rhs_data(t)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def test_r13_problem_facts():
     prob = r13_heat()
     assert prob.ncomp == 6

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,13 +10,14 @@ import scipy.sparse.linalg as spla
 from cgsat import problems, timeint
 from cgsat.assembly import assemble_mass, build_operators
 from cgsat.mesh import build_dofmap, interval_mesh
-from cgsat.problems import discretize, rotation_2d, solve_problem, wave_1d
+from cgsat.problems import (discretize, r13_heat, rotation_2d, solve_problem,
+                            wave_1d)
 from cgsat.sat import BoundaryOperator, scalar_sat_1d
-from cgsat.timeint import (SCHEMES, IntegratorConfig,
-                           MassNotPositiveDefiniteError, factor_mass, run,
-                           stable_dt, step)
-from oracles import (reference_energy, reference_extrema, reference_step,
-                     scheme_consistency_defect)
+from cgsat.timeint import (RECORD_BLOCK_BYTES, SCHEMES, IntegratorConfig,
+                           MassNotPositiveDefiniteError, Trajectory,
+                           factor_mass, run, stable_dt, step)
+from oracles import (reference_energy, reference_extrema, reference_march,
+                     reference_step, scheme_consistency_defect)
 
 
 def test_scheme_order_conditions():
@@ -345,3 +347,70 @@ def test_recording_matches_reference_bitwise(prob):
         assert (traj.umax[-1], traj.umin[-1]) == \
             reference_extrema(disc.value_op, traj.state, disc.ncomp)
     assert traj.energies[0] == reference_energy(disc.M, disc.u0, disc.ncomp)
+
+
+def _assert_same_bytes(traj, ref):
+    for f in fields(Trajectory):
+        a, b = getattr(traj, f.name), getattr(ref, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert (type(a), repr(a)) == (type(b), repr(b)), f.name
+
+
+def _marches(prob):
+    """Block length and a function marching ``prob`` both ways, with the
+    arguments solve_problem gives run."""
+    disc = discretize(prob)
+    dt = stable_dt(prob.cfl, disc.mesh.h_min(), prob.max_speed, prob.order)
+    g = disc.pi.rhs_data if disc.pi.data is not None else None
+    value_op = None if disc.basis.kind == "lagrange" else disc.value_op
+
+    def both(**settings):
+        cfg = IntegratorConfig(scheme=prob.scheme, t_end=prob.t_end,
+                               steady_tol=prob.steady_tol, **settings)
+        args = (disc.M, disc.rhs_matrix, g, disc.u0, dt, cfg, disc.ncomp,
+                value_op)
+        return run(*args), reference_march(*args)
+    return RECORD_BLOCK_BYTES // (8 * disc.u0.size), both
+
+
+@pytest.mark.parametrize("prob", [wave_1d(n=100), rotation_2d(2)],
+                         ids=["wave1d", "rotation"])   # value_op None / used
+def test_block_recording_matches_per_step_reference(prob):
+    block, both = _marches(prob)
+    assert 2 < block < 300
+    for steps in (1, block - 1, block, block + 1, 2 * block + 3):
+        traj, ref = both(steps=steps)
+        assert traj.status == "completed" and traj.steps == steps
+        _assert_same_bytes(traj, ref)
+
+
+def test_block_recording_matches_reference_on_abort_and_steady():
+    block, both = _marches(wave_1d(n=100))
+    traj, ref = both(steps=3 * block, amplitude_limit=0.02)
+    assert traj.status == "aborted" and 1 < traj.blowup_step % block < block - 1
+    _assert_same_bytes(traj, ref)
+    _, both = _marches(r13_heat(1))
+    traj, ref = both()
+    assert traj.status == "steady"
+    _assert_same_bytes(traj, ref)
+
+
+@pytest.mark.parametrize("n, start", [
+    (4, 1e150), (RECORD_BLOCK_BYTES // 32, 1e150), (4, 1e160)])
+def test_march_stops_at_the_first_non_finite_energy(n, start):
+    # u'u overflows within five steps while every value stays finite for
+    # many more: the march ends where a per-step check would have, with
+    # the state of that step, whether the block was flushed as it filled
+    # (4 states of 8192 values) or when the march ended (4 values).  The
+    # initial energy is not checked: from 1e160 the march stops at step 1.
+    M, A = sp.identity(n, format="csr"), sp.diags([50.0] * n).tocsr()
+    cfg = IntegratorConfig(scheme="SSPRK22", steps=200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run(M, A, None, np.full(n, start), 0.05, cfg)
+        ref = reference_march(M, A, None, np.full(n, start), 0.05, cfg)
+    assert traj.status == "aborted" and traj.blowup_step == traj.steps >= 1
+    assert np.isinf(traj.energies[-1]) and np.isfinite(traj.state).all()
+    _assert_same_bytes(traj, ref)
