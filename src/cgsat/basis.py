@@ -32,7 +32,7 @@ import numpy as np
 
 LAGRANGE = "lagrange"
 BERNSTEIN = "bernstein"
-_KINDS = (LAGRANGE, BERNSTEIN)
+KINDS = (LAGRANGE, BERNSTEIN)
 
 MAX_ORDER = 3
 
@@ -102,7 +102,7 @@ class BasisSpec:
     domain: str
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if not 1 <= self.order <= MAX_ORDER:
             raise UnsupportedOrderError(
@@ -245,12 +245,11 @@ def tabulate_grad(spec: BasisSpec, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points and weights on a reference domain, exact to ``degree``."""
+    """Points and weights on a reference domain (see ``quad_rule``)."""
 
     domain: str
     points: np.ndarray     # (nq, dim)
     weights: np.ndarray    # sums to the reference measure
-    degree: int
 
 
 def _gauss_legendre_01(n: int):
@@ -320,12 +319,11 @@ def quad_rule(domain: str, degree: int) -> QuadratureRule:
     if domain in ("interval", "edge"):
         n = degree // 2 + 1
         x, w = _gauss_legendre_01(n)
-        return QuadratureRule(domain, x.reshape(-1, 1), w, 2 * n - 1)
+        return QuadratureRule(domain, x.reshape(-1, 1), w)
     if domain != "triangle":
         raise ValueError(f"unknown quadrature domain {domain!r}")
-    table_deg = _TRI_DEGREE_MAP[degree]
     pts, wts = [], []
-    for kind, params, w in _TRI_TABLES[table_deg]:
+    for kind, params, w in _TRI_TABLES[_TRI_DEGREE_MAP[degree]]:
         orbit = {"C": _orbit_c, "S": _orbit_s, "R": _orbit_r}[kind](*params)
         pts.extend(orbit)
         wts.extend([w] * len(orbit))
@@ -333,4 +331,4 @@ def quad_rule(domain: str, degree: int) -> QuadratureRule:
     weights = 0.5 * np.array(wts)   # reference triangle measure
     points.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule("triangle", points, weights, table_deg)
+    return QuadratureRule("triangle", points, weights)

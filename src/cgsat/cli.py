@@ -15,10 +15,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import output
+from .basis import KINDS, MAX_ORDER
 from .mesh import generate_mesh, load_mesh, save_mesh
-from .problems import (PROBLEMS, check_error_norms, discretize, error_norms,
-                       solve_problem)
+from .problems import (INITIAL_MODES, PROBLEMS, check_error_norms, discretize,
+                       error_norms, solve_problem)
 from .spectra import spectrum_report, write_spectrum_csv
+from .timeint import SCHEMES
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True,
@@ -256,18 +258,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh-n", type=int, help="generator resolution parameter")
     p.add_argument("--cells", type=int, dest="mesh_n",
                    help="alias for --mesh-n (1D cell count)")
-    p.add_argument("--order", type=int, choices=(1, 2, 3))
-    p.add_argument("--basis", choices=("lagrange", "bernstein"))
+    p.add_argument("--order", type=int, choices=range(1, MAX_ORDER + 1))
+    p.add_argument("--basis", choices=KINDS)
     p.add_argument("--volume-quad", type=int, dest="volume_quad")
     p.add_argument("--edge-quad", type=int, dest="edge_quad")
     p.add_argument("--split-alpha", type=float, dest="split_alpha")
     p.add_argument("--sat-scale", type=float, dest="sat_scale")
-    p.add_argument("--scheme", choices=("SSPRK22", "SSPRK33", "SSPRK54"))
+    p.add_argument("--scheme", choices=tuple(SCHEMES))
     p.add_argument("--cfl", type=float)
     p.add_argument("--t-end", type=float, dest="t_end")
     p.add_argument("--steps", type=int)
     p.add_argument("--amplitude-limit", type=float, dest="amplitude_limit")
-    p.add_argument("--init", choices=("interp", "project"))
+    p.add_argument("--init", choices=INITIAL_MODES)
     p.add_argument("--no-dt-order-scaling", dest="dt_order_scaling",
                    action="store_false", default=None)
     p.add_argument("--skip-sbp-guard", dest="skip_sbp_guard",

@@ -351,10 +351,13 @@ def _kron_sum(parts, fluxes) -> sp.csr_matrix:
 def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
     """The boundary penalty of ``problem``, by the type of its condition.
 
-    Characteristic data are linear in the stacked tag vectors g(t), so
-    their G(t) = D g(t) is one map, built here from the face kernel
-    (``sat.linear_data``); the accommodation data do not depend on t, and
-    inflow data g(points, t) go through the kernel at every call.
+    Both system conditions give one table: per boundary face a pointwise
+    operator Pi L (nf, m, m) and a data matrix (nf, 1, m, W) over a stacked
+    data vector, assembled in one kernel call.  Characteristic data are
+    linear in the stacked tag vectors g(t), so their G(t) = D g(t) is one
+    map (``sat.linear_data``); the accommodation data do not depend on t,
+    so their one column holds each face's Pi g and G is evaluated once.
+    Inflow data g(points, t) go through the kernel at every call.
     """
     bc, fluxes = problem.bc, problem.fluxes
     if isinstance(bc, ScalarBC):
@@ -363,11 +366,9 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
                              f"takes one flux group (velocity, [[1]])")
         return sat_mod.scalar_sat_2d(dofmap, fluxes[0][0], g=bc.g,
                                      edge_quad_degree=edge_deg, scale=scale)
-    # one pointwise operator per boundary face, stacked for the one kernel
     faces, m = dofmap.mesh.boundary_faces, problem.ncomp
     fq = face_quadrature(dofmap, edge_deg)
     nf, tags = len(faces), list(faces.tags)
-    on_faces = (dofmap, fq, np.arange(nf), fq.weights * fq.lengths[:, None])
     if isinstance(bc, CharacteristicBC):
         # A_n = sum_g (c_g . n) A_g, one per face
         speeds = [fq.normal_speed(c) for c, _ in fluxes]
@@ -380,6 +381,7 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
             sat_mod.characteristic_decompose(an, None, P, [1.0]),
             bc.reflections.get(tag), scale=scale)
             for an, tag in zip(a_n, tags)]
+        ops = np.array([po.pi_mat for po in pos])
         # the data are evaluated once per tag and stacked; a face's data
         # matrix fills the columns of its own tag
         widths = [pos[tags.index(t)].data_mat.shape[1] for t in bc.data]
@@ -388,16 +390,7 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
             for f in np.nonzero(faces.tags == t)[0]:
                 data_mat[f, 0, :, c:c + wt] = pos[f].data_mat
         funs = list(bc.data.values())
-        pi = sat_mod.assemble_face_sat(
-            *on_faces, np.array([po.pi_mat for po in pos]),
-            (lambda g: data_mat @ g) if funs else None)
-        if not funs:
-            return pi
-        # G is linear in the stacked data, so the kernel becomes one map
-        return replace(pi, data=sat_mod.linear_data(
-            pi.data, lambda t: np.concatenate([fn(t) for fn in funs]),
-            dofmap.n_dofs * m, data_mat.shape[-1]))
-    if isinstance(bc, R13BC):
+    elif isinstance(bc, R13BC):
         # the accommodation operator builds A_n and P of the moment system
         A, B, P = sat_mod.r13_matrices()
         if not (len(fluxes) == 2 and all(
@@ -410,13 +403,23 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
         gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
         op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma)
         s = sat_mod._check_scale(scale)
-        d = np.array([s * (op.pi[f] @ bc.data[t](gamma[f])) if t in bc.data
-                      else np.zeros(m) for f, t in enumerate(tags)])
-        pi = sat_mod.assemble_face_sat(*on_faces, s * op.pi_mat,
-                                       lambda t: d[:, None])
-        g = pi.data(0.0)         # the accommodation data do not depend on t
-        return replace(pi, data=lambda t: g)
-    raise TypeError(f"unsupported boundary condition {type(bc)}")
+        ops, funs = s * op.pi_mat, None
+        data_mat = np.array([s * (op.data_mat[f] @ bc.data[t](gamma[f]))
+                             if t in bc.data else np.zeros(m)
+                             for f, t in enumerate(tags)])[:, None, :, None]
+    else:
+        raise TypeError(f"unsupported boundary condition {type(bc)}")
+    pi = sat_mod.assemble_face_sat(
+        dofmap, fq, np.arange(nf), fq.weights * fq.lengths[:, None], ops,
+        lambda d: data_mat @ d)
+    if funs is None:         # the accommodation data: G is evaluated once
+        G = pi.data(np.ones(1))
+        return replace(pi, data=lambda t: G)
+    if not funs:             # homogeneous characteristic data
+        return replace(pi, data=None)
+    return replace(pi, data=sat_mod.linear_data(
+        pi.data, lambda t: np.concatenate([fn(t) for fn in funs]),
+        dofmap.n_dofs * m, data_mat.shape[-1]))
 
 
 def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
@@ -468,6 +471,7 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
 
 
 PROJECTION_RULE_DEGREE = 8     # exactness of the projection's load rule
+INITIAL_MODES = ("interp", "project")   # interpolated or mass-projected u0
 
 
 def l2_project_initial(disc: Discretization) -> np.ndarray:
@@ -506,8 +510,9 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
     mass-projected ('project') initial data; ``dt_order_scaling`` toggles
     the (2p+1) factor in the time-step rule.
     """
-    if initial not in ("interp", "project"):
-        raise ValueError(f"initial must be 'interp' or 'project', "
+    if initial not in INITIAL_MODES:
+        raise ValueError(f"initial must be "
+                         f"{' or '.join(map(repr, INITIAL_MODES))}, "
                          f"got {initial!r}")
     if disc is None:
         disc = discretize(problem)

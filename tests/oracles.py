@@ -10,7 +10,8 @@ no Bernstein code, and the variable-coefficient stiffness is the
 four-operand einsum per element, at rule points mapped by einsum, and the
 split form the global sparse expression, with no reference tensor.  The
 DoF owners are read from ``np.unique``, and a block scatter is a dense
-``np.add.at``.
+``np.add.at``.  A characteristic penalty is admissible by the two-test
+rule: the reflected energy budget and the boundary quadratic form.
 """
 
 import math
@@ -256,3 +257,20 @@ def reference_scatter(idx: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray
     out = np.zeros((n, n))
     np.add.at(out, (idx[:, :, None], idx[:, None, :]), blocks)
     return out
+
+
+def reference_admissible(decomp, R) -> bool:
+    """Whether the characteristic penalty with reflection R (n_neg x n_pos)
+    is admissible: Lambda+ + R' Lambda- R is positive semidefinite and the
+    boundary quadratic form in characteristic variables is strictly
+    dissipative, each to the tolerance ``sat.build_pi_system`` uses."""
+    lam_p = decomp.eigenvalues[decomp.pos]
+    lam_m = decomp.eigenvalues[decomp.neg]
+    cond = np.diag(lam_p) + R.T @ np.diag(lam_m) @ R
+    if cond.size and np.linalg.eigvalsh(0.5 * (cond + cond.T)).min() < -1e-12 * max(
+            np.abs(lam_p).max(initial=0.0), 1.0):
+        return False
+    wb = np.block([[-np.diag(lam_p), -(np.diag(lam_m) @ R).T],
+                   [-np.diag(lam_m) @ R, np.diag(lam_m)]])
+    return not wb.size or np.linalg.eigvalsh(0.5 * (wb + wb.T)).max() < \
+        -1e-12 * max(np.abs(wb).max(), 1e-300)

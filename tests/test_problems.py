@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 from dataclasses import fields, replace
 
@@ -141,10 +142,10 @@ def test_wave_data_map_is_the_face_kernel_bitwise(spacing, seed, monkeypatch):
         assert disc.pi.rhs_data(t).tobytes() == kernel(g(t)).tobytes()
 
 
-def test_2d_data_map_matches_the_face_kernel(monkeypatch):
-    # one field carried by (1, 1/2) across the unit square: left and
-    # bottom are inflow and take data, right and top are outflow
-    prob = problems.ProblemSpec(
+def _char2d():
+    """One field carried by (1, 1/2) across the unit square: left and bottom
+    are inflow and take data, right and top are outflow."""
+    return problems.ProblemSpec(
         name="char2d", dimension=2,
         bc=problems.CharacteristicBC(data={
             "left": lambda t: np.array([np.sin(t)]),
@@ -152,13 +153,60 @@ def test_2d_data_map_matches_the_face_kernel(monkeypatch):
         initial=lambda pts: np.zeros(len(pts)), mesh_recipe="unit_square(3)",
         order=3, basis="bernstein", cfl=0.3, t_end=0.1, max_speed=1.2,
         fluxes=((np.array([1.0, 0.5]), np.eye(1)),))
-    disc, kernel, g = _data_map_and_kernel(prob, monkeypatch)
+
+
+def test_2d_data_map_matches_the_face_kernel(monkeypatch):
+    disc, kernel, g = _data_map_and_kernel(_char2d(), monkeypatch)
     # 10 P3 DoFs on each inflow side, the corner (0, 0) on both
     assert disc.pi.data.block.shape == (19, 2)
     for t in (0.0, 0.3, 1.7, 42.0):
         ref = kernel(g(t))
         got = disc.pi.rhs_data(t)
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _wave_pinned():
+    return wave_1d(20, spacing="random", seed=7, r0=0.4, r1=-0.3)
+
+
+# First 16 hex digits of the sha256 of the penalty matrix (data, indices,
+# indptr) and of G(t) at t = 0, 0.3 and 1.7, recorded while the
+# characteristic and accommodation conditions still had a point type and a
+# kernel call each.  The accommodation G does not depend on t.
+SYSTEM_PENALTY_PINS = {
+    "r13": (lambda: r13_heat(2), None,
+            ("437b36f6c89fb268", "1b905eaa77a04f4b", "1b905eaa77a04f4b",
+             "1b905eaa77a04f4b")),
+    "r13-scaled": (lambda: r13_heat(2), 1.5,
+                   ("8a18b49d317fa6ca", "b9fb754219b73f7e",
+                    "b9fb754219b73f7e", "b9fb754219b73f7e")),
+    "wave1d": (_wave_pinned, None,
+               ("0d45c7bff8f49234", "e06e79cdfedfc6d6", "2e4ea18fb3fc9dd9",
+                "d0628ae2dbeb2227")),
+    "wave1d-scaled": (_wave_pinned, 1.5,
+                      ("d38519cb7fa014f3", "e06e79cdfedfc6d6",
+                       "cee9fe1ac5f20693", "4953db06cba9cf0f")),
+    "char2d": (_char2d, None,
+               ("5bee27a81f5e06ad", "0d92cac5de8910d0", "b6871ce248256d89",
+                "29dc5086723a80f1")),
+}
+
+
+def _sha16(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_PENALTY_PINS))
+def test_system_penalties_keep_every_bit(name):
+    make, scale, pins = SYSTEM_PENALTY_PINS[name]
+    pi = discretize(make(), sat_scale=scale).pi
+    m = pi.matrix
+    got = (_sha16(m.data, m.indices, m.indptr),
+           *(_sha16(pi.rhs_data(t)) for t in (0.0, 0.3, 1.7)))
+    assert got == pins
 
 
 def test_r13_problem_facts():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgsat.assembly import build_operators, face_quadrature
 from cgsat.basis import BasisSpec, quad_rule, tabulate
@@ -11,6 +13,7 @@ from cgsat.sat import (StabilityViolationError, assemble_face_sat,
                        r13_boundary_rows, r13_matrices, r13_normal_matrix,
                        scalar_sat_1d, scalar_sat_2d)
 from cgsat.spectra import stability_matrix, symmetric_eig
+from oracles import reference_admissible
 
 WAVE_A = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -286,13 +289,45 @@ def test_pi_system_pure_upwind():
     assert np.abs(po.pi_mat - expected).max() < 1e-14
 
 
+def _admissibility_agrees_with_oracle(decomp, R):
+    if reference_admissible(decomp, R):
+        build_pi_system(decomp, R)
+        return True
+    with pytest.raises(StabilityViolationError, match="not strictly dissipative"):
+        build_pi_system(decomp, R)
+    return False
+
+
 def test_pi_system_reflection_bounds():
-    d = characteristic_decompose(WAVE_A, None, np.eye(2), [-1.0])
-    for r in (0.0, -0.9, 0.999):
-        build_pi_system(d, R=[[r]])
-    for r in (1.0, -1.0, 2.0):
-        with pytest.raises(StabilityViolationError):
-            build_pi_system(d, R=[[r]])
+    # the marginal |r| = 1 is rejected at either end, as by the oracle
+    for n in (-1.0, 1.0):
+        d = characteristic_decompose(WAVE_A, None, np.eye(2), [n])
+        for r in (0.0, -0.9, 0.999, 1.0 - 1e-9, 1.0, -1.0, 2.0):
+            accepted = _admissibility_agrees_with_oracle(d, np.array([[r]]))
+            assert accepted == (abs(r) < 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4),
+       log_scale=st.floats(-1.0, 1.0), marginal=st.booleans(),
+       nudge=st.sampled_from([-1e-6, -1e-13, 0.0, 1e-13, 1e-6]))
+def test_admissibility_matches_the_two_test_oracle(seed, m, log_scale,
+                                                   marginal, nudge):
+    """A_n = C P^(-1) with C symmetric and P SPD is symmetrized by P (one
+    field has no R to draw).  R is drawn at scales 0.1-10, or put on the
+    dissipativity boundary, where Lambda+ + R' Lambda- R is singular, and
+    nudged off it."""
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((m, m))
+    F = rng.standard_normal((m, m))
+    P = F @ F.T + m * np.eye(m)
+    d = characteristic_decompose((C + C.T) @ np.linalg.inv(P), None, P, [1.0])
+    R = 10.0 ** log_scale * rng.standard_normal((d.neg.size, d.pos.size))
+    if marginal and R.size:
+        s = 1.0 / np.sqrt(d.eigenvalues[d.pos])
+        budget = s[:, None] * (R.T @ np.diag(-d.eigenvalues[d.neg]) @ R) * s
+        R = R * (1.0 + nudge) / np.sqrt(np.linalg.eigvalsh(budget).max())
+    _admissibility_agrees_with_oracle(d, R)
 
 
 def test_pi_system_scalar_matches_scalar_sat():
@@ -354,7 +389,7 @@ def test_r13_normal_matrix_symmetrizable():
 
 def test_r13_delta_variant():
     op = build_pi_r13(3.0, -0.5, 0.4)
-    assert op.pi.shape == (6, 2)
+    assert op.data_mat.shape == (6, 2)
     assert op.pi_mat.shape == (6, 6)
 
 
@@ -362,12 +397,12 @@ def test_r13_batched_angles_match_per_angle():
     gamma = np.random.default_rng(6).uniform(-np.pi, np.pi, 40)
     op = build_pi_r13(3.0, -0.5, gamma)
     l_n = r13_boundary_rows(gamma, 3.0, -0.5)
-    assert op.pi.shape == (40, 6, 2) and op.pi_mat.shape == (40, 6, 6)
+    assert op.data_mat.shape == (40, 6, 2) and op.pi_mat.shape == (40, 6, 6)
     for k, g in enumerate(gamma):
         one = build_pi_r13(3.0, -0.5, float(g))
-        assert one.pi.shape == (6, 2) and one.pi_mat.shape == (6, 6)
+        assert one.data_mat.shape == (6, 2) and one.pi_mat.shape == (6, 6)
         pairs = [(getattr(op, name)[k], getattr(one, name))
-                 for name in ("pi", "pi_mat")]
+                 for name in ("data_mat", "pi_mat")]
         pairs.append((l_n[k], r13_boundary_rows(float(g), 3.0, -0.5)))
         for got, ref in pairs:
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -387,7 +422,7 @@ def test_r13_data_vector():
     for f, (normal, tag) in enumerate(zip(bf.normals, bf.tags)):
         gamma = float(np.arctan2(normal[1], normal[0]))
         op = build_pi_r13(bc.alpha, bc.beta, gamma)
-        vec = -op.pi @ bc.data[tag](gamma)
+        vec = -op.data_mat @ bc.data[tag](gamma)
         face = bf.lengths[f] * (phi.T @ rule.weights)
         gidx = (disc.dofmap.face_dofs[f][:, None] * m + np.arange(m)).ravel()
         np.add.at(out, gidx, np.outer(face, vec).ravel())
