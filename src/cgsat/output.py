@@ -13,17 +13,19 @@ import numpy as np
 from .mesh import Mesh
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _floats(a) -> list:
+    """Entries of an array as Python floats, for ``repr`` formatting."""
+    return np.asarray(a, dtype=float).tolist()
 
 
 def write_energy_csv(path, traj) -> None:
     """Per-step history: step, t, energy, umax, umin."""
+    rows = zip(_floats(traj.times), _floats(traj.energies),
+               _floats(traj.umax), _floats(traj.umin))
     with open(path, "w") as fh:
         fh.write("step,t,energy,umax,umin\n")
-        for k in range(traj.times.size):
-            fh.write(f"{k},{_fmt(traj.times[k])},{_fmt(traj.energies[k])},"
-                     f"{_fmt(traj.umax[k])},{_fmt(traj.umin[k])}\n")
+        fh.writelines(f"{k},{t!r},{e!r},{hi!r},{lo!r}\n"
+                      for k, (t, e, hi, lo) in enumerate(rows))
 
 
 def write_solution_csv_1d(path, dofmap, values: np.ndarray) -> None:
@@ -33,9 +35,9 @@ def write_solution_csv_1d(path, dofmap, values: np.ndarray) -> None:
     vals = values.reshape(dofmap.n_dofs, -1)
     with open(path, "w") as fh:
         fh.write("x," + ",".join(f"u{c+1}" for c in range(vals.shape[1])) + "\n")
-        for i in order:
-            fh.write(_fmt(x[i]) + "," +
-                     ",".join(_fmt(v) for v in vals[i]) + "\n")
+        fh.writelines(",".join(map(repr, [xi, *row])) + "\n"
+                      for xi, row in zip(_floats(x[order]),
+                                         _floats(vals[order])))
 
 
 def write_vtk(path, mesh: Mesh, point_data: dict, title: str = "cgsat output") -> None:
@@ -53,20 +55,16 @@ def write_vtk(path, mesh: Mesh, point_data: dict, title: str = "cgsat output") -
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {nv} double\n")
-        for v in mesh.vertices:
-            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} 0.0\n")
+        fh.writelines(f"{x!r} {y!r} 0.0\n" for x, y in _floats(mesh.vertices))
         fh.write(f"\nCELLS {ne} {4 * ne}\n")
-        for el in mesh.elements:
-            fh.write(f"3 {el[0]} {el[1]} {el[2]}\n")
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in mesh.elements.tolist())
         fh.write(f"\nCELL_TYPES {ne}\n")
-        for _ in range(ne):
-            fh.write("5\n")
+        fh.write("5\n" * ne)
         fh.write(f"\nPOINT_DATA {nv}\n")
         for name, arr in point_data.items():
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            for x in np.asarray(arr).ravel():
-                fh.write(_fmt(x) + "\n")
+            fh.writelines(f"{x!r}\n" for x in _floats(np.ravel(arr)))
 
 
 def vertex_values(disc, state: np.ndarray) -> np.ndarray:

@@ -14,7 +14,11 @@ The verdict is ``stable`` iff max eig(S) <= STABILITY_RTOL * max|Q|.
 When Q is summation-by-parts, Q + Q^T = Bq and Pi act on boundary-trace
 unknowns only, so S vanishes outside a block of boundary rows.  Reports
 eigensolve that block (``boundary_block``, read off S itself) with LAPACK
-and pad the spectrum with exact zeros.
+and pad the spectrum with exact zeros.  Past ``stability_matrix`` a report
+makes no sparse matrix: the row masses that pick the block, the dense
+block itself (gathered once, and reused for the eigenpair residuals) and
+the interior residual of Q + Q^T are all read off the stored entries of
+the two CSR test matrices.
 
 ``stability_matrix(Q, pi)`` takes matrices; ``build_spectrum_report(Q, pi,
 k, interior_dofs, ncomp, norm_q)`` takes the stiffness matrix and the
@@ -44,16 +48,21 @@ class EigenSolverError(RuntimeError):
 # dense symmetric eigensolver
 # ---------------------------------------------------------------------------
 
-def symmetric_eig(S):
-    """All eigenvalues (ascending) of a symmetric matrix, with eigenvectors.
-
-    Dense LAPACK path; the only place a dense matrix is built for an
-    eigensolve, so it refuses orders above DENSE_EIG_CAP before building it.
-    """
-    n = S.shape[0]
+def _check_order(n: int) -> None:
+    """Refuse a dense eigenproblem above DENSE_EIG_CAP, before it is built."""
     if n > DENSE_EIG_CAP:
         raise ValueError(f"dense eigensolver capped at {DENSE_EIG_CAP} "
                          f"unknowns; the eigenproblem has {n}")
+
+
+def symmetric_eig(S):
+    """All eigenvalues (ascending) of a symmetric matrix, with eigenvectors.
+
+    Dense LAPACK path: orders above DENSE_EIG_CAP are refused before a
+    sparse S is made dense.
+    """
+    n = S.shape[0]
+    _check_order(n)
     if n == 0:
         return np.array([]), np.zeros((0, 0))
     A = S.toarray() if sp.issparse(S) else np.asarray(S, dtype=float)
@@ -86,8 +95,27 @@ def stability_matrix(Q, pi=None):
         if pi.shape != S.shape:
             raise ValueError(
                 f"dimension mismatch: Q is {S.shape}, Pi is {pi.shape}")
-        S = 2.0 * (pi + pi.T) - S
+        P = pi + pi.T
+        P *= 2.0
+        S = P - S
     return S.tocsr() if sp.issparse(S) else S
+
+
+def _csr(S):
+    """S as canonical CSR (sorted, no duplicates); one such is not copied."""
+    if not (sp.issparse(S) and S.format == "csr"):
+        S = sp.csr_matrix(S)
+    if not S.has_canonical_format:
+        S = S.copy()
+        S.sum_duplicates()
+    return S
+
+
+def _row_entries(S, rows):
+    """Positions in S.data of the stored entries of ``rows``, row by row."""
+    first, count = S.indptr[rows], np.diff(S.indptr)[rows]
+    return (np.repeat(first - np.cumsum(count) + count, count)
+            + np.arange(count.sum()))
 
 
 def boundary_block(S, budget: float):
@@ -100,8 +128,15 @@ def boundary_block(S, budget: float):
     S[rows][:, rows] padded with zeros.  With a zero budget only rows that
     are identically zero are dropped.  Returns (rows, dropped).
     """
-    S = sp.csr_matrix(S)
-    mass = np.asarray(S.multiply(S).sum(axis=1)).ravel()
+    S = _csr(S)
+    # squared row norms, reduced exactly as scipy's S.multiply(S).sum(axis=1),
+    # which stores no product that underflows to zero
+    sq = S.data * S.data
+    stored = sq != 0.0
+    indptr = np.concatenate(([0], np.cumsum(stored)))[S.indptr]
+    filled = np.flatnonzero(np.diff(indptr))
+    mass = np.zeros(S.shape[0])
+    mass[filled] = np.add.reduceat(sq[stored], indptr[filled])
     order = np.argsort(mass, kind="stable")
     bound = np.sqrt(2.0 * np.cumsum(mass[order]))
     n_drop = int(np.searchsorted(bound, budget, side="right"))
@@ -113,16 +148,28 @@ def extreme_eigs(S, k: int, rows):
     """k most negative and k most positive eigenvalues of a symmetric matrix.
 
     Only the block S[rows][:, rows] is eigensolved (``boundary_block``
-    picks the rows); the other eigenvalues are taken as zeros.
+    picks the rows), gathered dense from the stored entries of those rows;
+    the other eigenvalues are taken as zeros.  ``k`` must be an integer
+    >= 1: an empty column would read as no positive eigenvalue.
     Returns (neg, pos): ``neg`` ascending from the most negative, ``pos``
     descending from the most positive.  Residuals ||S v - w v|| of the
     block's extreme pairs are verified against 1e-10 * ||S||; the rows
     outside the block move them by at most ``boundary_block``'s bound.
     """
-    S = sp.csr_matrix(S)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    S = _csr(S)
     n, m = S.shape[0], rows.size
     k = min(k, n)
-    block = S[rows][:, rows]
+    _check_order(m)
+    at = np.full(n, -1)
+    at[rows] = np.arange(m)
+    ent = _row_entries(S, rows)
+    r = np.repeat(np.arange(m), np.diff(S.indptr)[rows])
+    c = at[S.indices[ent]]
+    inside = c >= 0
+    block = np.zeros((m, m))
+    block[r[inside], c[inside]] = S.data[ent[inside]]
     w, V = symmetric_eig(block)
     norm = max(np.abs(w).max(initial=0.0), 1e-300)
     idx = np.unique(np.r_[0:min(k, m), max(m - k, 0):m])
@@ -171,8 +218,8 @@ def build_spectrum_report(Q, pi, k: int, interior_dofs, ncomp: int,
     indices, each standing for ``ncomp`` unknowns; ``norm_q`` is max|Q|.
     """
     tol = STABILITY_RTOL * max(norm_q, 1e-300)
-    s0 = stability_matrix(Q)
-    s1 = stability_matrix(Q, pi.matrix)
+    s0 = _csr(stability_matrix(Q))
+    s1 = _csr(stability_matrix(Q, pi.matrix))
     columns, support, dropped = [], 0, 0.0
     for S in (s0, s1):
         # dropped rows may move the verdict's eigenvalue by a tenth of tol
@@ -181,9 +228,10 @@ def build_spectrum_report(Q, pi, k: int, interior_dofs, ncomp: int,
         support, dropped = max(support, rows.size), max(dropped, bound)
     neg0, pos0, neg1, pos1 = columns
     verdict = "stable" if (pos1.size == 0 or pos1[0] <= tol) else "unstable"
-    interior = (np.asarray(interior_dofs)[:, None] * ncomp
+    interior = (np.asarray(interior_dofs, dtype=np.intp)[:, None] * ncomp
                 + np.arange(ncomp)[None, :]).ravel()
-    max_int = float(abs(s0[interior]).max()) if interior.size else 0.0
+    max_int = float(np.abs(s0.data[_row_entries(s0, interior)])
+                    .max(initial=0.0))
     return SpectrumReport(s0.shape[0], neg0, pos0, neg1, pos1,
                           max_int, norm_q, verdict, support, dropped)
 

@@ -51,8 +51,10 @@ def test_traced_march_keeps_the_per_stage_counts():
                   "--trace", "1")
 
 
-# wave1d-march's checker reads characteristic_decompose(...).X, and
-# assemble-large builds r13_heat(24) through the accommodation penalty
-@pytest.mark.parametrize("workload", ["wave1d-march", "assemble-large"])
+# wave1d-march's checker reads characteristic_decompose(...).X,
+# assemble-large builds r13_heat(24) through the accommodation penalty, and
+# certify's measured run is the untraced one
+@pytest.mark.parametrize("workload", ["wave1d-march", "assemble-large",
+                                      "certify"])
 def test_untraced_run_is_correct(workload):
     _bench_result("--workload", workload, "--seconds", "0.1")

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,14 +97,12 @@ def test_stability_matrix_1d_with_sat():
 
 
 def test_stability_matrix_zero():
-    import scipy.sparse as sp
     Z = sp.csr_matrix((4, 4))
     S = stability_matrix(Z, Z)
     assert np.abs(S.toarray()).max() == 0.0
 
 
 def test_stability_matrix_dimension_mismatch():
-    import scipy.sparse as sp
     with pytest.raises(ValueError):
         stability_matrix(sp.identity(4).tocsr(), sp.identity(3).tocsr())
 
@@ -200,6 +199,76 @@ def test_spectrum_csv(tmp_path):
     assert lines[1] == "# verdict = stable"
     assert lines[2] == "neg_noSAT,pos_noSAT,neg_SAT,pos_SAT"
     assert len(lines) == 3 + 4
+
+
+def test_nonpositive_k_is_refused():
+    # a mismatched edge rule is unstable at k = 10; k = 0 or -1 used to
+    # slice away every eigenvalue and read as stable
+    disc = discretize(advection_2d(4), volume_degree=6, edge_degree=5)
+    rep = spectrum_report(disc, k=10)
+    assert rep.verdict == "unstable" and rep.pos_sat[0] > 1e-3
+    for k in (0, -1, 2.0, True, None):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            spectrum_report(disc, k=k)
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            build_spectrum_report(disc.ops_sys, disc.pi, k=k,
+                                  interior_dofs=disc.dofmap.interior_dofs(),
+                                  ncomp=disc.ncomp, norm_q=disc.norm_q)
+    assert spectrum_report(disc, k=np.int64(1)).pos_sat.tolist() == \
+        rep.pos_sat[:1].tolist()
+
+
+def _sparse_symmetric(rng, n, density):
+    A = sp.random(n, n, density=density, random_state=rng, format="csr")
+    return (A + A.T).tocsr()
+
+
+def test_block_masses_are_scipy_row_sums_bit_for_bit():
+    # rows of more than eight entries take numpy's pairwise sum, and
+    # products that underflow to zero are not stored by S.multiply(S), so
+    # an exact reduction must skip them too
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        S = _sparse_symmetric(rng, 60, 0.3)
+        S.data *= rng.choice([1e-170, 1e-3, 1.0, 7.0], S.nnz)
+        S = ((S + S.T) * 0.5).tocsr()
+        mass = np.asarray(S.multiply(S).sum(axis=1)).ravel()
+        order = np.argsort(mass, kind="stable")
+        bound = np.sqrt(2.0 * np.cumsum(mass[order]))
+        budget = float(bound[trial * 3])
+        rows, dropped = boundary_block(S, budget)
+        n_drop = int(np.searchsorted(bound, budget, side="right"))
+        assert rows.tolist() == np.sort(order[n_drop:]).tolist()
+        assert dropped == bound[n_drop - 1]
+        rows, dropped = boundary_block(S, np.inf)
+        assert rows.size == 0 and dropped == bound[-1]
+
+
+def test_duplicate_entries_are_summed_before_the_block():
+    # a CSR matrix with a duplicated entry means the sum of the two
+    S = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 5.0]), np.array([0, 1, 1, 0]),
+                       np.array([0, 3, 4])), shape=(2, 2))
+    assert not S.has_canonical_format
+    dense = S.toarray()
+    rows, dropped = boundary_block(S, 0.0)
+    assert rows.tolist() == [0, 1] and dropped == 0.0
+    assert boundary_block(dense, np.inf)[1] == boundary_block(S, np.inf)[1]
+    neg, pos = extreme_eigs(S, 2, rows)
+    w = np.linalg.eigvalsh(dense)
+    assert np.allclose(neg, w) and np.allclose(pos, w[::-1])
+    assert S.data.tolist() == [1.0, 2.0, 3.0, 5.0]     # input left alone
+
+
+def test_block_of_a_subset_of_rows():
+    rng = np.random.default_rng(11)
+    S = _sparse_symmetric(rng, 30, 0.2)
+    rows = np.sort(rng.choice(30, 9, replace=False))
+    ref = np.linalg.eigh(S.toarray()[np.ix_(rows, rows)])[0]
+    spectrum = np.sort(np.r_[ref, np.zeros(30 - 9)])
+    for M in (S, S.toarray()):
+        neg, pos = extreme_eigs(M, 4, rows)
+        assert neg.tolist() == spectrum[:4].tolist()
+        assert pos.tolist() == spectrum[::-1][:4].tolist()
 
 
 def test_interior_supported_vectors_annihilated():
