@@ -18,7 +18,7 @@ from .sat import (BoundaryOperator, CharacteristicDecomposition,
                   characteristic_decompose, scalar_sat_1d, scalar_sat_2d)
 from .spectra import (SpectrumReport, build_spectrum_report, extreme_eigs,
                       spectrum_report, stability_matrix, symmetric_eig)
-from .timeint import (IntegratorConfig, MassNotPositiveDefiniteError,
-                      Trajectory, factor_mass, run, stable_dt, step)
+from .timeint import (MassNotPositiveDefiniteError, Trajectory, factor_mass,
+                      run, stable_dt, step)
 
 __version__ = "0.1.0"

@@ -127,6 +127,10 @@ def _build_problem(cfg: RunConfig):
 
 
 def _discretize_from_config(cfg: RunConfig):
+    clash = [k for k in ("mesh_n", "seed") if getattr(cfg, k) is not None]
+    if cfg.mesh_file and clash:
+        raise ValueError(f"mesh_file and {' and '.join(clash)} both given; "
+                         f"the mesh file fixes the mesh")
     prob = _build_problem(cfg)
     mesh = load_mesh(cfg.mesh_file) if cfg.mesh_file else None
     return discretize(
@@ -135,14 +139,19 @@ def _discretize_from_config(cfg: RunConfig):
         split_alpha=cfg.split_alpha, sat_scale=cfg.sat_scale)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    os.makedirs(cfg.outdir, exist_ok=True)
+def _march(cfg: RunConfig):
+    """Discretize ``cfg`` and march it with every march setting."""
     disc = _discretize_from_config(cfg)
-    disc, traj = solve_problem(
+    return solve_problem(
         disc.problem, disc=disc, cfl=cfg.cfl, t_end=cfg.t_end, steps=cfg.steps,
         scheme=cfg.scheme, amplitude_limit=cfg.amplitude_limit,
         initial=cfg.init, dt_order_scaling=cfg.dt_order_scaling,
         skip_sbp_guard=cfg.skip_sbp_guard)
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    os.makedirs(cfg.outdir, exist_ok=True)
+    disc, traj = _march(cfg)
     output.write_energy_csv(os.path.join(cfg.outdir, "energy.csv"), traj)
     if disc.mesh.dimension == 1:
         output.write_solution_csv_1d(
@@ -200,15 +209,19 @@ def cmd_convergence(cfg: RunConfig, levels: int = 4) -> int:
     if cfg.mesh_file:
         raise ValueError("convergence refines the generated mesh, so it "
                          "takes --mesh-n, not a mesh file (--mesh)")
+    if cfg.steps is not None:
+        raise ValueError("convergence marches every level to t_end, so it "
+                         "takes --t-end, not a step count (--steps)")
     check_error_norms(_build_problem(cfg))     # before the first march
     os.makedirs(cfg.outdir, exist_ok=True)
     base = cfg.mesh_n or 4
     rows = []
     for lvl in range(levels):
         n = base * 2 ** lvl
-        disc = _discretize_from_config(replace(cfg, mesh_n=n))
-        disc, traj = solve_problem(disc.problem, disc=disc, cfl=cfg.cfl,
-                                   t_end=cfg.t_end, scheme=cfg.scheme)
+        disc, traj = _march(replace(cfg, mesh_n=n))
+        if traj.status != "completed":
+            raise ValueError(f"level n={n}: the march ended {traj.status} at "
+                             f"step {traj.steps}, t = {traj.t!r}")
         norms = error_norms(traj.state, disc, traj.t)
         rows.append((1.0 / n, norms["L1"], norms["L2_M"]))
         sys.stdout.write(f"n={n:4d} h={1.0/n:.5f} "

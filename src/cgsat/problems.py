@@ -31,8 +31,7 @@ from .assembly import (assemble_boundary_quadratic, assemble_mass,  # noqa: F401
                        default_quad_degree, face_quadrature, physical_points)
 from .basis import BasisSpec, lattice_inverse, quad_rule, tabulate
 from .mesh import DofMap, Mesh, build_dofmap, check_spacing, generate_mesh
-from .timeint import (IntegratorConfig, factor_mass, run, scheme_for_order,
-                      stable_dt)
+from .timeint import factor_mass, run, scheme_for_order, stable_dt
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +354,8 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
     operator Pi L (nf, m, m) and a data matrix (nf, 1, m, W) over a stacked
     data vector, assembled in one kernel call.  Characteristic data are
     linear in the stacked tag vectors g(t), so their G(t) = D g(t) is one
-    map (``sat.linear_data``); the accommodation data do not depend on t,
-    so their one column holds each face's Pi g and G is evaluated once.
+    map; the accommodation data do not depend on t, so their one column
+    holds each face's Pi g and G is evaluated once.
     Inflow data g(points, t) go through the kernel at every call.
     """
     bc, fluxes = problem.bc, problem.fluxes
@@ -385,11 +384,13 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
         # the data are evaluated once per tag and stacked; a face's data
         # matrix fills the columns of its own tag
         widths = [pos[tags.index(t)].data_mat.shape[1] for t in bc.data]
-        data_mat = np.zeros((nf, 1, m, sum(widths)))
+        data_mat = np.zeros((nf, 1, m, sum(widths))) if widths else None
         for t, c, wt in zip(bc.data, np.cumsum([0] + widths), widths):
             for f in np.nonzero(faces.tags == t)[0]:
                 data_mat[f, 0, :, c:c + wt] = pos[f].data_mat
-        funs = list(bc.data.values())
+
+        def g(t):
+            return np.concatenate([fn(t) for fn in bc.data.values()])
     elif isinstance(bc, R13BC):
         # the accommodation operator builds A_n and P of the moment system
         A, B, P = sat_mod.r13_matrices()
@@ -403,23 +404,15 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
         gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
         op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma)
         s = sat_mod._check_scale(scale)
-        ops, funs = s * op.pi_mat, None
+        ops, g = s * op.pi_mat, None
         data_mat = np.array([s * (op.data_mat[f] @ bc.data[t](gamma[f]))
                              if t in bc.data else np.zeros(m)
                              for f, t in enumerate(tags)])[:, None, :, None]
     else:
         raise TypeError(f"unsupported boundary condition {type(bc)}")
-    pi = sat_mod.assemble_face_sat(
+    return sat_mod.assemble_face_sat(
         dofmap, fq, np.arange(nf), fq.weights * fq.lengths[:, None], ops,
-        lambda d: data_mat @ d)
-    if funs is None:         # the accommodation data: G is evaluated once
-        G = pi.data(np.ones(1))
-        return replace(pi, data=lambda t: G)
-    if not funs:             # homogeneous characteristic data
-        return replace(pi, data=None)
-    return replace(pi, data=sat_mod.linear_data(
-        pi.data, lambda t: np.concatenate([fn(t) for fn in funs]),
-        dofmap.n_dofs * m, data_mat.shape[-1]))
+        data_mat, g)
 
 
 def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
@@ -525,12 +518,6 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
                 raise RuntimeError(
                     f"operators violate the integration-by-parts identity "
                     f"({rep}); pass skip_sbp_guard=True to march anyway")
-    config = IntegratorConfig(
-        scheme=scheme or problem.scheme,
-        t_end=t_end if t_end is not None else problem.t_end,
-        steps=steps,
-        amplitude_limit=amplitude_limit,
-        steady_tol=problem.steady_tol)
     dt = stable_dt(cfl if cfl is not None else problem.cfl,
                    disc.mesh.h_min(), problem.max_speed, disc.dofmap.order)
     if not dt_order_scaling:
@@ -539,8 +526,10 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
     g = disc.pi.rhs_data if disc.pi.data is not None else None
     # Lagrange coefficients are the nodal values already
     value_op = None if disc.basis.kind == "lagrange" else disc.value_op
-    traj = run(disc.M, disc.rhs_matrix, g, u0, dt, config,
-               ncomp=disc.ncomp, value_op=value_op)
+    traj = run(disc.M, disc.rhs_matrix, g, u0, dt, disc.ncomp, value_op,
+               scheme=scheme or problem.scheme,
+               t_end=problem.t_end if t_end is None else t_end, steps=steps,
+               amplitude_limit=amplitude_limit, steady_tol=problem.steady_tol)
     return disc, traj
 
 

@@ -16,7 +16,7 @@ Both system penalties are one pointwise type, Pi (L u - g) as the
 matrices Pi L and Pi (``PointOperator``).
 
 Every constructor is a thin caller of one kernel, ``assemble_face_sat``:
-weights per rule point, one m x m operator per face and one data callable
+weights per rule point, one m x m operator per face and the boundary data
 give both the matrix and G(t).  Its rule and face basis are those of the
 boundary quadratic form (``assembly.face_quadrature``), so penalty and Bq
 share one edge rule and the discrete energy estimate closes exactly; in 1D
@@ -75,16 +75,6 @@ class DataMap:
         G = np.zeros(self.n)
         G[self.rows] = self.block @ self.g(t)
         return G
-
-
-def linear_data(kernel, g, n: int, width: int) -> DataMap:
-    """The data map of a kernel that is linear in g: column j of D (n x
-    ``width``) is ``kernel`` at the j-th unit vector."""
-    D = np.zeros((n, width))
-    for j, e in enumerate(np.eye(width)):
-        D[:, j] = kernel(e)
-    rows = np.flatnonzero(D.any(axis=1))
-    return DataMap(rows, D[rows], n, g)
 
 
 def _check_tau(tau: float) -> float:
@@ -337,18 +327,20 @@ def build_pi_r13(alpha: float, beta: float, gamma) -> PointOperator:
 # ---------------------------------------------------------------------------
 
 def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, w, ops=None,
-                      data=None) -> BoundaryOperator:
+                      data=None, g=None) -> BoundaryOperator:
     """The penalty on ``faces`` (indices into ``fq``) and its data G(t).
 
     ``w[f, q]`` is the rule weight of ``fq`` times the face length times
     any pointwise scalar such as a_n^-; ``ops[f]`` (m, m) is the pointwise
     operator, constant along a straight face (omitted for m = 1).  The
     matrix sum_q w phi_i phi_j (x) ops[f] is scattered DoF-major: component
-    c of DoF i sits at index i * m + c.  ``data`` is None (homogeneous) or
-    a callable s -> (nf, nq or 1, m) of boundary values d, pointwise or
-    constant along each face; G(s) = -sum_q w phi_i d, faces added in order.
-    s is the time, or the stacked data vector of a kernel that
-    ``linear_data`` turns into a map.
+    c of DoF i sits at index i * m + c.  ``data`` is None (homogeneous), a
+    callable t -> (nf, nq or 1, m) of boundary values d, pointwise or
+    constant along each face, or a table (nf, 1, m, W) of face values
+    linear in the stacked data vector ``g(t)`` (W,); G(t) = -sum_q w phi_i
+    d, faces added in order.  A table gives G(t) = D g(t) as a
+    :class:`DataMap`; without ``g`` its one column is constant data, and
+    G is evaluated once.
     """
     m = 1 if ops is None else ops.shape[-1]
     n = dofmap.n_dofs * m
@@ -363,6 +355,18 @@ def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, w, ops=None,
     if data is None or not len(faces):
         return BoundaryOperator(mat)
     rows, basis_t, neg_w = gidx.ravel(), fq.basis.T, -w[:, :, None]
+    if not callable(data):                         # a table
+        width = data.shape[-1]
+        D = np.matmul(basis_t, neg_w * data.reshape(len(faces), 1, -1))
+        D = D.reshape(-1, width)                   # one row per entry of rows
+        if g is None:
+            G = np.bincount(rows, D[:, 0], minlength=n)
+            return BoundaryOperator(mat, lambda t: G)
+        support, at = np.unique(rows, return_inverse=True)
+        block = np.zeros((support.size, width))
+        np.add.at(block, at, D)
+        keep = block.any(axis=1)
+        return BoundaryOperator(mat, DataMap(support[keep], block[keep], n, g))
 
     def fun(s):
         return np.bincount(rows, np.matmul(basis_t, neg_w * data(s)).ravel(),

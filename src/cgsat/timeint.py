@@ -168,25 +168,6 @@ def stable_dt(cfl: float, h_min: float, max_speed: float, order: int) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class IntegratorConfig:
-    scheme: str = "SSPRK54"
-    t_end: float = 1.0
-    steps: int | None = None          # exact step count overrides t_end
-    amplitude_limit: float | None = None
-    steady_tol: float | None = None
-
-    def __post_init__(self):
-        if self.steps is not None and self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
-        if self.amplitude_limit is not None and not self.amplitude_limit > 0:
-            raise ValueError("amplitude_limit must be positive")
-        if self.steady_tol is not None and not self.steady_tol > 0:
-            raise ValueError("steady_tol must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
-@dataclass
 class Trajectory:
     """Result of a time march: final state plus per-step histories."""
 
@@ -218,15 +199,18 @@ def block_energies(M_sys, U: np.ndarray) -> np.ndarray:
 
 
 def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
-        config: IntegratorConfig, ncomp: int = 1,
-        value_op=None) -> Trajectory:
+        ncomp: int = 1, value_op=None, *, scheme: str = "SSPRK54",
+        t_end: float = 1.0, steps: int | None = None,
+        amplitude_limit: float | None = None,
+        steady_tol: float | None = None) -> Trajectory:
     """March M du/dt = rhs_matrix u + G(t) from u0 at t = 0.
 
     ``M`` is the scalar mass matrix (applied blockwise to each of ``ncomp``
     components); ``rhs_matrix`` and ``data_fun`` act on the flattened
     DoF-major state.  ``value_op`` maps coefficients to nodal values for
     extrema recording (identity if omitted).  ``dt`` must be positive and
-    finite, and so must ``config.t_end`` unless ``config.steps`` is set.
+    finite, and so must ``t_end`` unless ``steps`` (an exact step count)
+    is set; every setting is checked before M is factored.
 
     Extrema, the amplitude limit and their finiteness are checked after
     every step; the energies of a block of states are taken when the block
@@ -240,21 +224,26 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         raise ValueError("state size does not match mass matrix and ncomp")
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if config.steps is None and not config.t_end > 0:
-        raise ValueError(f"t_end {config.t_end} is not positive")
-    if config.steps is None and not math.isfinite(config.t_end):
-        raise ValueError(f"t_end {config.t_end} is not finite")
+    if steps is None and not t_end > 0:
+        raise ValueError(f"t_end {t_end} is not positive")
+    if steps is None and not math.isfinite(t_end):
+        raise ValueError(f"t_end {t_end} is not finite")
+    if steps is not None and steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if amplitude_limit is not None and not amplitude_limit > 0:
+        raise ValueError("amplitude_limit must be positive")
+    if steady_tol is not None and not steady_tol > 0:
+        raise ValueError("steady_tol must be positive")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     lu = factor_mass(M)
     shape = (n_scalar, ncomp)
 
-    if data_fun is None:
-        def rhs(t, v):
-            return lu.solve((rhs_matrix @ v).reshape(shape)).ravel()
-    else:
-        def rhs(t, v):
-            r = rhs_matrix @ v
+    def rhs(t, v):
+        r = rhs_matrix @ v
+        if data_fun is not None:
             r += data_fun(t)
-            return lu.solve(r.reshape(shape)).ravel()
+        return lu.solve(r.reshape(shape)).ravel()
 
     M_sys = M if ncomp == 1 else sp.kron(M, sp.identity(ncomp), format="csr")
 
@@ -262,8 +251,8 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         vals = v if value_op is None else value_op @ v.reshape(shape)
         return float(vals.max()), float(vals.min())
 
-    n_steps = config.steps if config.steps is not None else \
-        max(1, int(np.ceil(config.t_end / dt - 1e-12)))
+    n_steps = steps if steps is not None else \
+        max(1, int(np.ceil(t_end / dt - 1e-12)))
 
     times, energies = [0.0], []
     mx, mn = extrema(u)
@@ -292,11 +281,11 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
 
     for k in range(1, n_steps + 1):
         dt_k = dt
-        if config.steps is None and t + dt > config.t_end:
-            dt_k = config.t_end - t
-            if dt_k <= 1e-15 * max(1.0, config.t_end):
+        if steps is None and t + dt > t_end:
+            dt_k = t_end - t
+            if dt_k <= 1e-15 * max(1.0, t_end):
                 break
-        u = step(u, t, dt_k, rhs, config.scheme)
+        u = step(u, t, dt_k, rhs, scheme)
         t = t + dt_k
         if filled == len(block) and not flush():
             break
@@ -309,16 +298,16 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         if not (math.isfinite(mx) and math.isfinite(mn)):
             status, blowup_step = "aborted", k
             break
-        if config.amplitude_limit is not None and \
-                max(abs(mx), abs(mn)) > config.amplitude_limit:
+        if amplitude_limit is not None and \
+                max(abs(mx), abs(mn)) > amplitude_limit:
             status, blowup_step = "aborted", k
             break
-        if config.steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
+        if steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
             if not flush():
                 break
             r = rhs(t, u)[None]
             steady_res = float(np.sqrt(block_energies(M_sys, r)[0]))
-            if steady_res < config.steady_tol:
+            if steady_res < steady_tol:
                 status = "steady"
                 break
     if filled:

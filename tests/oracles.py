@@ -122,8 +122,11 @@ def reference_extrema(value_op, v: np.ndarray, ncomp: int) -> tuple[float, float
     return float(vals.max()), float(vals.min())
 
 
-def reference_march(M, rhs_matrix, data_fun, u0, dt: float, config,
-                    ncomp: int = 1, value_op=None) -> Trajectory:
+def reference_march(M, rhs_matrix, data_fun, u0, dt: float, ncomp: int = 1,
+                    value_op=None, *, scheme: str = "SSPRK54",
+                    t_end: float = 1.0, steps: int | None = None,
+                    amplitude_limit: float | None = None,
+                    steady_tol: float | None = None) -> Trajectory:
     """``timeint.run`` with the energy, the extrema and every check taken
     after each step, with the same step and right-hand side."""
     lu = factor_mass(M)
@@ -139,29 +142,29 @@ def reference_march(M, rhs_matrix, data_fun, u0, dt: float, config,
         vals = v if value_op is None else value_op @ v.reshape(shape)
         return t, reference_energy(M, v, ncomp), float(vals.max()), float(vals.min())
 
-    n_steps = config.steps if config.steps is not None else \
-        max(1, int(np.ceil(config.t_end / dt - 1e-12)))
+    n_steps = steps if steps is not None else \
+        max(1, int(np.ceil(t_end / dt - 1e-12)))
     u, t = np.array(u0, dtype=float), 0.0
     hist = [record(t, u)]
     status, blowup_step, steady_res = "completed", None, None
     for k in range(1, n_steps + 1):
         dt_k = dt
-        if config.steps is None and t + dt > config.t_end:
-            dt_k = config.t_end - t
-            if dt_k <= 1e-15 * max(1.0, config.t_end):
+        if steps is None and t + dt > t_end:
+            dt_k = t_end - t
+            if dt_k <= 1e-15 * max(1.0, t_end):
                 break
-        u = step(u, t, dt_k, rhs, config.scheme)
+        u = step(u, t, dt_k, rhs, scheme)
         t = t + dt_k
         hist.append(record(t, u))
         _, e, mx, mn = hist[-1]
         if not all(map(math.isfinite, (e, mx, mn))) or (
-                config.amplitude_limit is not None
-                and max(abs(mx), abs(mn)) > config.amplitude_limit):
+                amplitude_limit is not None
+                and max(abs(mx), abs(mn)) > amplitude_limit):
             status, blowup_step = "aborted", k
             break
-        if config.steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
+        if steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
             steady_res = math.sqrt(reference_energy(M, rhs(t, u), ncomp))
-            if steady_res < config.steady_tol:
+            if steady_res < steady_tol:
                 status = "steady"
                 break
     times, energies, umax, umin = (np.array(c) for c in zip(*hist))

@@ -52,9 +52,10 @@ def test_traced_march_keeps_the_per_stage_counts():
 
 
 # wave1d-march's checker reads characteristic_decompose(...).X,
+# rotation-march's checker reads the march that solve_problem hands run,
 # assemble-large builds r13_heat(24) through the accommodation penalty, and
 # certify's measured run is the untraced one
-@pytest.mark.parametrize("workload", ["wave1d-march", "assemble-large",
-                                      "certify"])
+@pytest.mark.parametrize("workload", ["wave1d-march", "rotation-march",
+                                      "assemble-large", "certify"])
 def test_untraced_run_is_correct(workload):
     _bench_result("--workload", workload, "--seconds", "0.1")

@@ -338,6 +338,97 @@ def test_convergence_rejects_a_mesh_file_before_discretizing(
     assert not (tmp_path / "conv").exists()
 
 
+CONVERGENCE = ["convergence", "--problem", "sine_advection2d", "--mesh-n", "2",
+               "--levels", "3"]
+
+
+def _convergence_csv(tmp_path, name, flags):
+    out = tmp_path / name
+    assert main(CONVERGENCE + flags + ["--outdir", str(out)]) == 0
+    return (out / "convergence.csv").read_bytes()
+
+
+# the mismatch study's settings: projected data, an unscaled step and an
+# edge rule that breaks the integration-by-parts identity
+@pytest.mark.parametrize("flags", [
+    ["--init", "project"], ["--no-dt-order-scaling"],
+    ["--edge-quad", "3", "--skip-sbp-guard"]],
+    ids=["init", "dt-order-scaling", "mismatched-edge-rule"])
+def test_convergence_honours_march_settings(tmp_path, flags):
+    assert _convergence_csv(tmp_path, "set", flags) != \
+        _convergence_csv(tmp_path, "plain", [])
+
+
+def test_convergence_refuses_a_step_count(tmp_path, capsys, monkeypatch):
+    def no_march(*a, **k):
+        raise AssertionError("marched with a fixed step count")
+    monkeypatch.setattr(cli, "solve_problem", no_march)
+    rc = main(CONVERGENCE + ["--steps", "1", "--outdir", str(tmp_path / "c")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--steps" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_convergence_names_a_level_whose_march_stops(tmp_path, capsys):
+    # the coarsest level's nodal maximum is 1.566; the exact one is 1
+    rc = main(CONVERGENCE + ["--amplitude-limit", "1.2",
+                             "--outdir", str(tmp_path / "c")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: level n=2: the march ended aborted at step ")
+    assert not (tmp_path / "c" / "convergence.csv").exists()
+
+
+def test_solve_and_convergence_march_with_the_same_settings(tmp_path,
+                                                            monkeypatch):
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(problem, disc, **settings):
+        seen.append((disc.dofmap.n_dofs, settings))
+        raise Stop
+    monkeypatch.setattr(cli, "solve_problem", spy)
+    cfg = RunConfig(problem="sine_advection2d", mesh_n=2, edge_quad=3,
+                    scheme="SSPRK33", cfl=0.2, t_end=0.1, amplitude_limit=9.0,
+                    init="project", dt_order_scaling=False,
+                    skip_sbp_guard=True, outdir=str(tmp_path / "out"))
+    for cmd in (cli.cmd_solve, cli.cmd_convergence):
+        with pytest.raises(Stop):
+            cmd(cfg)
+    assert seen[0] == seen[1]
+    assert seen[0][1] == {
+        "cfl": 0.2, "t_end": 0.1, "steps": None, "scheme": "SSPRK33",
+        "amplitude_limit": 9.0, "initial": "project",
+        "dt_order_scaling": False, "skip_sbp_guard": True}
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum", "dump-operators"])
+@pytest.mark.parametrize("flags, keys", [
+    (["--mesh-n", "50"], "mesh_n"), (["--seed", "3"], "seed"),
+    (["--cells", "50", "--seed", "3"], "mesh_n and seed")],
+    ids=["mesh-n", "seed", "both"])
+def test_mesh_file_refuses_a_generator_setting(tmp_path, capsys, monkeypatch,
+                                                command, flags, keys):
+    mesh = tmp_path / "line.mesh"
+    assert main(["mesh-gen", "--recipe", "interval(10)",
+                 "--out", str(mesh)]) == 0
+    capsys.readouterr()
+
+    def no_discretize(*a, **k):
+        raise AssertionError("discretized despite the clash")
+    monkeypatch.setattr(cli, "discretize", no_discretize)
+    rc = main([command, "--problem", "wave1d", "--mesh", str(mesh), *flags,
+               "--steps", "3", "--outdir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: mesh_file and {keys} both given; the mesh file fixes the "
+        f"mesh\n")
+    assert not (tmp_path / "run" / "summary.txt").exists()
+
+
 def _dump_sbp_lines(tmp_path, capsys, problem):
     outdir = tmp_path / "ops"
     rc = main(["dump-operators", "--problem", problem, "--mesh-n", "2",

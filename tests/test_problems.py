@@ -16,7 +16,7 @@ from cgsat.problems import (Discretization, advection_2d, check_error_norms,
 from cgsat.sat import (StabilityViolationError, build_pi_system,
                        characteristic_decompose)
 from cgsat.spectra import spectrum_report
-from cgsat.timeint import IntegratorConfig
+from cgsat.timeint import run
 
 
 def test_advection_bump_values():
@@ -118,16 +118,18 @@ def test_wave_boundary_data_matches_face_loop():
 
 
 def _data_map_and_kernel(prob, monkeypatch):
-    """The discretization of ``prob`` and the face kernel and stacked data
-    that its characteristic data map was built from."""
+    """The discretization of ``prob``, the stacked data of its
+    characteristic data map and the face kernel of the map's table taken
+    pointwise, s -> data_mat @ s."""
     seen = {}
 
-    def spy(kernel, g, n, width):
-        seen.update(kernel=kernel, g=g)
-        return real(kernel, g, n, width)
+    def spy(dofmap, fq, faces, w, ops, data_mat, g):
+        seen.update(g=g, kernel=real(dofmap, fq, faces, w, ops,
+                                     lambda s: data_mat @ s).data)
+        return real(dofmap, fq, faces, w, ops, data_mat, g)
 
-    real = sat.linear_data
-    monkeypatch.setattr(sat, "linear_data", spy)
+    real = sat.assemble_face_sat
+    monkeypatch.setattr(sat, "assemble_face_sat", spy)
     disc = discretize(prob)
     return disc, seen["kernel"], seen["g"]
 
@@ -341,7 +343,7 @@ def test_each_setting_has_one_home():
     assert len(spec) == 15
     assert not spec & {"scheme", "volume_degree", "edge_degree",
                        "split_alpha", "sat_scale", "ncomp", "velocity", "A", "B"}
-    assert "cfl" not in {f.name for f in fields(IntegratorConfig)}
+    assert "cfl" not in inspect.signature(run).parameters
     assert len(fields(Discretization)) == 10
     assert not hasattr(Discretization, "dt")
     params = inspect.signature(assembly.build_operators).parameters.values()
@@ -586,15 +588,13 @@ def test_solve_problem_guard_on_degraded_quadrature():
 def test_wave_temporal_order_refinement():
     # fixed mesh, shrinking dt: errors against a small-dt reference recover
     # the scheme order (smooth boundary-driven data)
-    from cgsat.timeint import run
     prob = wave_1d(n=8, order=2)
     disc = discretize(prob)
     g = disc.pi.rhs_data
 
     def march(dt):
-        cfg = IntegratorConfig(scheme="SSPRK33", t_end=1.0)
-        return run(disc.M, disc.rhs_matrix, g, disc.u0, dt, cfg,
-                   ncomp=2, value_op=disc.value_op).state
+        return run(disc.M, disc.rhs_matrix, g, disc.u0, dt, ncomp=2,
+                   value_op=disc.value_op, scheme="SSPRK33", t_end=1.0).state
 
     ref = march(1.0 / 4096)
     errs = [np.linalg.norm(march(1.0 / n) - ref) for n in (64, 128, 256)]

@@ -13,7 +13,7 @@ from cgsat.mesh import build_dofmap, interval_mesh
 from cgsat.problems import (discretize, r13_heat, rotation_2d, solve_problem,
                             wave_1d)
 from cgsat.sat import BoundaryOperator, scalar_sat_1d
-from cgsat.timeint import (RECORD_BLOCK_BYTES, SCHEMES, IntegratorConfig,
+from cgsat.timeint import (RECORD_BLOCK_BYTES, SCHEMES,
                            MassNotPositiveDefiniteError, Trajectory,
                            factor_mass, run, stable_dt, step)
 from oracles import (reference_energy, reference_extrema, reference_march,
@@ -82,9 +82,9 @@ def test_run_rejects_dt_not_positive_and_finite(dt, steps, monkeypatch):
         raise AssertionError("factored M before the check")
     monkeypatch.setattr(timeint, "factor_mass", no_factor)
     I = sp.identity(2, format="csr")
-    cfg = IntegratorConfig(scheme="SSPRK22", t_end=1.0, steps=steps)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
-        run(I, -I, None, np.ones(2), dt, cfg)
+        run(I, -I, None, np.ones(2), dt, scheme="SSPRK22", t_end=1.0,
+            steps=steps)
 
 
 def test_factor_mass_fem_mass():
@@ -170,8 +170,9 @@ def test_stable_dt_rule():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(scheme="RK4")
+    # solve_problem hands its settings to run, which checks them
+    with pytest.raises(ValueError, match="unknown scheme 'RK4'"):
+        solve_problem(wave_1d(n=4), scheme="RK4")
 
 
 @pytest.mark.parametrize("setting,message", [
@@ -184,23 +185,26 @@ def test_config_validation():
     ({"steady_tol": -1.0}, "steady_tol must be positive"),
     ({"steady_tol": 0.0}, "steady_tol must be positive"),
     ({"steady_tol": float("nan")}, "steady_tol must be positive")])
-def test_config_rejects_meaningless_settings(setting, message):
+def test_config_rejects_meaningless_settings(setting, message, monkeypatch):
     # The CFL number belongs to the step rule, not to the integrator.
+    def no_factor(M):
+        raise AssertionError("factored M before the check")
+    monkeypatch.setattr(timeint, "factor_mass", no_factor)
+    I = sp.identity(2, format="csr")
     with pytest.raises(ValueError, match=message):
         if "cfl" in setting:
             stable_dt(setting["cfl"], 0.1, 2.0, 1)
         else:
-            IntegratorConfig(**setting)
+            run(I, -I, None, np.ones(2), 0.1, **setting)
 
 
 @pytest.mark.parametrize("t_end", [-1.0, 0.0, float("nan"), float("inf")])
 def test_run_rejects_t_end_not_after_t0(t_end):
     M, A = _decay_setup()
-    cfg = IntegratorConfig(scheme="SSPRK22", t_end=t_end)
     message = "t_end inf is not finite" if t_end == float("inf") \
         else "is not positive"
     with pytest.raises(ValueError, match=message):
-        run(M, A, None, np.ones(4), 0.1, cfg)
+        run(M, A, None, np.ones(4), 0.1, scheme="SSPRK22", t_end=t_end)
 
 
 def _decay_setup():
@@ -211,8 +215,7 @@ def _decay_setup():
 
 def test_run_decay_and_histories():
     M, A = _decay_setup()
-    cfg = IntegratorConfig(scheme="SSPRK33", t_end=1.0)
-    traj = run(M, A, None, np.ones(4), 0.01, cfg)
+    traj = run(M, A, None, np.ones(4), 0.01, scheme="SSPRK33", t_end=1.0)
     assert traj.status == "completed"
     assert traj.steps == 100
     assert abs(traj.t - 1.0) < 1e-12
@@ -223,17 +226,16 @@ def test_run_decay_and_histories():
 
 def test_run_exact_step_count():
     M, A = _decay_setup()
-    cfg = IntegratorConfig(scheme="SSPRK22", t_end=99.0, steps=17)
-    traj = run(M, A, None, np.ones(4), 0.1, cfg)
+    traj = run(M, A, None, np.ones(4), 0.1, scheme="SSPRK22", t_end=99.0,
+               steps=17)
     assert traj.steps == 17
 
 
 def test_run_blowup_detection():
     M, _ = _decay_setup()
     A = sp.diags([50.0] * 4).tocsr()
-    cfg = IntegratorConfig(scheme="SSPRK22", t_end=10.0,
-                           amplitude_limit=100.0)
-    traj = run(M, A, None, np.ones(4), 0.05, cfg)
+    traj = run(M, A, None, np.ones(4), 0.05, scheme="SSPRK22", t_end=10.0,
+               amplitude_limit=100.0)
     assert traj.status == "aborted"
     assert traj.blowup_step is not None
     assert traj.umax.max() > 100.0
@@ -242,9 +244,8 @@ def test_run_blowup_detection():
 def test_run_steady_detection():
     M, A = _decay_setup()
     g = np.array([1.0, 0.0, 0.0, 0.0])
-    cfg = IntegratorConfig(scheme="SSPRK33", t_end=200.0,
-                           steady_tol=1e-10)
-    traj = run(M, A, lambda t: g, np.zeros(4), 0.05, cfg)
+    traj = run(M, A, lambda t: g, np.zeros(4), 0.05, scheme="SSPRK33",
+               t_end=200.0, steady_tol=1e-10)
     assert traj.status == "steady"
     assert abs(traj.state[0] - 1.0) < 1e-9      # fixed point of u' = -u + g
 
@@ -259,8 +260,8 @@ def test_run_energy_decay_with_sat():
     x = dm.dof_coords[:, 0]
     u0 = np.exp(-50 * (x - 0.5) ** 2)
     dt = stable_dt(0.2, mesh.h_min(), 1.0, 2)
-    cfg = IntegratorConfig(scheme="SSPRK33", t_end=1.5)
-    traj = run(assemble_mass(dm, 6), rhs, None, u0, dt, cfg)
+    traj = run(assemble_mass(dm, 6), rhs, None, u0, dt, scheme="SSPRK33",
+               t_end=1.5)
     assert traj.status == "completed"
     growth = np.diff(traj.energies)
     assert growth.max() <= 1e-12 * traj.energies[0]
@@ -275,11 +276,11 @@ def test_run_linearity():
     rng = np.random.default_rng(8)
     u0, v0 = rng.standard_normal((2, dm.n_dofs))
     a, b = 1.3, -0.7
-    cfg = IntegratorConfig(scheme="SSPRK33", t_end=0.5)
+    cfg = {"scheme": "SSPRK33", "t_end": 0.5}
     dt, M = 0.01, assemble_mass(dm, 6)
-    su = run(M, rhs, None, u0, dt, cfg).state
-    sv = run(M, rhs, None, v0, dt, cfg).state
-    sw = run(M, rhs, None, a * u0 + b * v0, dt, cfg).state
+    su = run(M, rhs, None, u0, dt, **cfg).state
+    sv = run(M, rhs, None, v0, dt, **cfg).state
+    sw = run(M, rhs, None, a * u0 + b * v0, dt, **cfg).state
     assert np.abs(sw - (a * su + b * sv)).max() < 1e-10
 
 
@@ -368,11 +369,10 @@ def _marches(prob):
     value_op = None if disc.basis.kind == "lagrange" else disc.value_op
 
     def both(**settings):
-        cfg = IntegratorConfig(scheme=prob.scheme, t_end=prob.t_end,
-                               steady_tol=prob.steady_tol, **settings)
-        args = (disc.M, disc.rhs_matrix, g, disc.u0, dt, cfg, disc.ncomp,
-                value_op)
-        return run(*args), reference_march(*args)
+        settings = {"scheme": prob.scheme, "t_end": prob.t_end,
+                    "steady_tol": prob.steady_tol, **settings}
+        args = (disc.M, disc.rhs_matrix, g, disc.u0, dt, disc.ncomp, value_op)
+        return run(*args, **settings), reference_march(*args, **settings)
     return RECORD_BLOCK_BYTES // (8 * disc.u0.size), both
 
 
@@ -407,10 +407,10 @@ def test_march_stops_at_the_first_non_finite_energy(n, start):
     # (4 states of 8192 values) or when the march ended (4 values).  The
     # initial energy is not checked: from 1e160 the march stops at step 1.
     M, A = sp.identity(n, format="csr"), sp.diags([50.0] * n).tocsr()
-    cfg = IntegratorConfig(scheme="SSPRK22", steps=200)
+    cfg = {"scheme": "SSPRK22", "steps": 200}
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = run(M, A, None, np.full(n, start), 0.05, cfg)
-        ref = reference_march(M, A, None, np.full(n, start), 0.05, cfg)
+        traj = run(M, A, None, np.full(n, start), 0.05, **cfg)
+        ref = reference_march(M, A, None, np.full(n, start), 0.05, **cfg)
     assert traj.status == "aborted" and traj.blowup_step == traj.steps >= 1
     assert np.isinf(traj.energies[-1]) and np.isfinite(traj.state).all()
     _assert_same_bytes(traj, ref)
