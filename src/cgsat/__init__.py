@@ -15,7 +15,7 @@ from .problems import (PROBLEMS, Discretization, ProblemSpec, advection_2d,
                        sine_advection_2d, solve_problem, wave_1d)
 from .sat import (BoundaryOperator, CharacteristicDecomposition,
                   StabilityViolationError, build_pi_r13, build_pi_system,
-                  characteristic_decompose, scalar_sat_1d, scalar_sat_2d)
+                  characteristic_decompose, scalar_sat_2d)
 from .spectra import (SpectrumReport, build_spectrum_report, extreme_eigs,
                       spectrum_report, stability_matrix, symmetric_eig)
 from .timeint import (MassNotPositiveDefiniteError, Trajectory, factor_mass,

@@ -204,8 +204,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_convergence(cfg: RunConfig, levels: int = 4) -> int:
     if levels < 3:
-        sys.stderr.write("need at least 3 refinement levels\n")
-        return 1
+        raise ValueError(f"convergence fits orders over at least 3 "
+                         f"refinement levels, got --levels {levels}")
     if cfg.mesh_file:
         raise ValueError("convergence refines the generated mesh, so it "
                          "takes --mesh-n, not a mesh file (--mesh)")

@@ -502,11 +502,11 @@ def build_dofmap(mesh: Mesh, p: int, kind: str) -> DofMap:
     global id; edge-interior DoFs follow the global edge orientation
     (low vertex id to high), so both neighbors agree on the ordering.
     Edges are numbered in order of first appearance, and a shared DoF takes
-    its coordinates from the last element listing it.
+    its coordinates from the last element listing it.  The kind and order
+    are checked by ``BasisSpec`` before anything is built.
     """
-    if not 1 <= p <= 3:
-        raise ValueError(f"unsupported order {p}")
     dim = mesh.dimension
+    BasisSpec(kind, p, "interval" if dim == 1 else "triangle")   # validates
     nv, ne = mesh.n_vertices, mesh.n_elements
     el = mesh.elements
     lf = np.arange(dim + 1)            # local faces

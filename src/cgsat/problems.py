@@ -31,7 +31,8 @@ from .assembly import (assemble_boundary_quadratic, assemble_mass,  # noqa: F401
                        default_quad_degree, face_quadrature, physical_points)
 from .basis import BasisSpec, lattice_inverse, quad_rule, tabulate
 from .mesh import DofMap, Mesh, build_dofmap, check_spacing, generate_mesh
-from .timeint import factor_mass, run, scheme_for_order, stable_dt
+from .timeint import (_check_march, factor_mass, run, scheme_for_order,
+                      stable_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +523,16 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
                    disc.mesh.h_min(), problem.max_speed, disc.dofmap.order)
     if not dt_order_scaling:
         dt = dt * (2 * disc.dofmap.order + 1)
+    march = dict(scheme=scheme or problem.scheme,
+                 t_end=problem.t_end if t_end is None else t_end, steps=steps,
+                 amplitude_limit=amplitude_limit, steady_tol=problem.steady_tol)
+    _check_march(dt, **march)           # before the projection factors M
     u0 = disc.u0 if initial == "interp" else l2_project_initial(disc)
     g = disc.pi.rhs_data if disc.pi.data is not None else None
     # Lagrange coefficients are the nodal values already
     value_op = None if disc.basis.kind == "lagrange" else disc.value_op
     traj = run(disc.M, disc.rhs_matrix, g, u0, dt, disc.ncomp, value_op,
-               scheme=scheme or problem.scheme,
-               t_end=problem.t_end if t_end is None else t_end, steps=steps,
-               amplitude_limit=amplitude_limit, steady_tol=problem.steady_tol)
+               **march)
     return disc, traj
 
 

@@ -3,8 +3,7 @@
 The semidiscrete scheme reads  M du/dt = -Q u + Pi u + G(t), where Pi acts
 only on boundary-trace DoFs.  Constructors are provided for
 
-* 1D scalar upwind penalties with an explicit penalty parameter,
-* 2D scalar inflow penalties  a_n^- (u - g),
+* scalar inflow penalties  s a_n^- (u - g), in 1D and 2D,
 * characteristic penalties for symmetrizable systems, built from the
   eigenstructure of the normal coefficient matrix and admissible when the
   boundary quadratic form they leave is strictly dissipative, and
@@ -21,7 +20,9 @@ give both the matrix and G(t).  Its rule and face basis are those of the
 boundary quadratic form (``assembly.face_quadrature``), so penalty and Bq
 share one edge rule and the discrete energy estimate closes exactly; in 1D
 a face is one point of weight 1.  Mesh and basis come from the DoF map
-alone, and every penalty scale must be finite and at least 1.
+alone.  A scalar penalty scale s must be finite and above 1/2 (in 1D the
+endpoint penalty with tau = -s < -1/2); a system penalty scale must be
+finite and at least 1.
 """
 
 from __future__ import annotations
@@ -77,14 +78,6 @@ class DataMap:
         return G
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if tau >= -0.5:
-        raise StabilityViolationError(
-            f"penalty tau = {tau} violates tau < -1/2")
-    return tau
-
-
 def _check_scale(scale: float) -> float:
     scale = float(scale)
     if not (np.isfinite(scale) and scale >= 1.0):
@@ -93,42 +86,21 @@ def _check_scale(scale: float) -> float:
     return scale
 
 
-def scalar_sat_1d(dofmap: DofMap, a: float, tau=-1.0,
-                  data=(None, None)) -> BoundaryOperator:
-    """Endpoint penalties for 1D scalar advection with speed ``a``.
-
-    tau may be one value or a (left, right) pair; each must satisfy
-    tau < -1/2.  The left endpoint is penalized with weight tau*a+ (active
-    for a > 0) and the right with -tau*a- (active for a < 0); both weights
-    are negative, pulling the trace toward the boundary values b(t) in
-    ``data``.  The boundary flux contributes -a u0^2 / +a uN^2 to the
-    energy rate, so each active weight w must satisfy 2w + |a| <= 0,
-    which is tau < -1/2.  Each weight is a_n^- (-tau), the 2D inflow
-    penalty of ``scalar_sat_2d`` with scale -tau.
-    """
-    if dofmap.mesh.dimension != 1:
-        raise ValueError("scalar_sat_1d needs a 1D dofmap")
-    tau0, tau1 = (tau if isinstance(tau, (tuple, list)) else (tau, tau))
-    tau0, tau1 = _check_tau(tau0), _check_tau(tau1)
-    fq = face_quadrature(dofmap, 1)            # a 1D face is one point
-    right = fq.normals[:, 0] > 0
-    w = np.minimum(float(a) * fq.normals[:, 0], 0.0) * -np.where(right, tau1, tau0)
-    faces = np.nonzero(w < 0.0)[0]
-    ends = [data[1] if r else data[0] for r in right[faces]]
-    fun = None if all(b is None for b in ends) else lambda t: np.array(
-        [0.0 if b is None else float(b(t)) for b in ends]).reshape(-1, 1, 1)
-    return assemble_face_sat(dofmap, fq, faces, w[faces, None], data=fun)
-
-
 def scalar_sat_2d(dofmap: DofMap, coeff, g=None, edge_quad_degree: int = 6,
                   scale: float = 1.0) -> BoundaryOperator:
-    """Inflow penalty  a_n^-(u - g)  assembled with the edge rule.
+    """Inflow penalty  s a_n^-(u - g)  assembled with the edge rule.
 
     Outflow portions (a . n > 0) contribute nothing.  ``g`` is either None
     (homogeneous) or a callable g(points, t) -> values, evaluated once per
-    call at the quadrature points of all inflow faces.
+    call at the quadrature points of all inflow faces.  In 1D a face is one
+    point of weight 1, so this is the endpoint penalty with tau = -s.  With
+    Q + Q' = Bq the energy rate at an inflow point is (2s - 1) a_n u^2, so
+    the scale s must be finite and above 1/2.
     """
-    scale = _check_scale(scale)
+    scale = float(scale)
+    if not (np.isfinite(scale) and scale > 0.5):
+        raise StabilityViolationError(
+            f"SAT scale factor {scale} must be finite and > 1/2")
     fq = face_quadrature(dofmap, edge_quad_degree)
     an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
     inflow = np.nonzero(np.any(an_m < 0.0, axis=1))[0]

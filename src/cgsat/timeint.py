@@ -198,6 +198,25 @@ def block_energies(M_sys, U: np.ndarray) -> np.ndarray:
     return (U * (M_sys @ U.T).T).sum(axis=1)
 
 
+def _check_march(dt, scheme, t_end, steps, amplitude_limit,
+                 steady_tol) -> None:
+    """Raise ValueError for a setting ``run`` cannot march with."""
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if steps is None and not t_end > 0:
+        raise ValueError(f"t_end {t_end} is not positive")
+    if steps is None and not math.isfinite(t_end):
+        raise ValueError(f"t_end {t_end} is not finite")
+    if steps is not None and steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if amplitude_limit is not None and not amplitude_limit > 0:
+        raise ValueError("amplitude_limit must be positive")
+    if steady_tol is not None and not steady_tol > 0:
+        raise ValueError("steady_tol must be positive")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         ncomp: int = 1, value_op=None, *, scheme: str = "SSPRK54",
         t_end: float = 1.0, steps: int | None = None,
@@ -222,20 +241,7 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
     n_scalar = M.shape[0]
     if u.size != n_scalar * ncomp:
         raise ValueError("state size does not match mass matrix and ncomp")
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if steps is None and not t_end > 0:
-        raise ValueError(f"t_end {t_end} is not positive")
-    if steps is None and not math.isfinite(t_end):
-        raise ValueError(f"t_end {t_end} is not finite")
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    if amplitude_limit is not None and not amplitude_limit > 0:
-        raise ValueError("amplitude_limit must be positive")
-    if steady_tol is not None and not steady_tol > 0:
-        raise ValueError("steady_tol must be positive")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    _check_march(dt, scheme, t_end, steps, amplitude_limit, steady_tol)
     lu = factor_mass(M)
     shape = (n_scalar, ncomp)
 

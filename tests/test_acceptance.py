@@ -19,8 +19,7 @@ from cgsat.problems import (advection_2d, discretize, error_norms,
                             gaussian_bump, r13_heat, rotation_2d,
                             sine_advection_2d, solve_problem, wave_1d)
 from cgsat.sat import (StabilityViolationError, characteristic_decompose,
-                       r13_boundary_rows, r13_matrices, scalar_sat_1d,
-                       scalar_sat_2d)
+                       r13_boundary_rows, r13_matrices, scalar_sat_2d)
 from cgsat.spectra import (build_spectrum_report, stability_matrix,
                            symmetric_eig)
 
@@ -94,16 +93,17 @@ def test_criterion_2_stability_certificate(battery):
 
 
 def test_criterion_3_sat_sharpness():
-    """tau = -0.49 rejected; tau = -0.51 certified; analytic 3x3 matches."""
+    """The endpoint penalty with tau = -s (``scalar_sat_2d`` with scale s):
+    tau = -0.49 rejected; tau = -0.51 certified; analytic 3x3 matches."""
     mesh = generate_mesh("interval(2)")
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [1.0], 6, 6, None)
     with pytest.raises(StabilityViolationError):
-        scalar_sat_1d(dm, a=1.0, tau=-0.49)
-    pi = scalar_sat_1d(dm, a=1.0, tau=-0.51)
+        scalar_sat_2d(dm, [1.0], scale=0.49)
+    pi = scalar_sat_2d(dm, [1.0], scale=0.51)
     w, _ = symmetric_eig(stability_matrix(ops.Q, pi.matrix))
     assert w.max() <= STABILITY_RTOL * ops.norm_q
-    pi1 = scalar_sat_1d(dm, a=1.0, tau=-1.0)
+    pi1 = scalar_sat_2d(dm, [1.0], scale=1.0)
     S = stability_matrix(ops.Q, pi1.matrix).toarray()
     assert np.abs(S - np.diag([-3.0, 0.0, -1.0])).max() < 1e-14
     print("\nACCEPTANCE 3 (1D SAT sharpness): PASS - "

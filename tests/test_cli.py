@@ -338,6 +338,17 @@ def test_convergence_rejects_a_mesh_file_before_discretizing(
     assert not (tmp_path / "conv").exists()
 
 
+@pytest.mark.parametrize("levels", ["2", "-1"])
+def test_convergence_refuses_too_few_levels(tmp_path, capsys, levels):
+    rc = main(["convergence", "--problem", "sine_advection2d", "--levels",
+               levels, "--outdir", str(tmp_path / "conv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: convergence fits orders over at least 3 refinement levels, "
+        f"got --levels {levels}\n")
+    assert not (tmp_path / "conv").exists()
+
+
 CONVERGENCE = ["convergence", "--problem", "sine_advection2d", "--mesh-n", "2",
                "--levels", "3"]
 
@@ -492,8 +503,8 @@ def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
     (["--t-end", "-1"], "t_end -1.0 is not positive"),
     (["--steps", "-2"], "steps must be at least 1"),
     (["--amplitude-limit", "-1"], "amplitude_limit must be positive"),
-    (["--sat-scale", "nan"], "SAT scale factor nan must be finite and >= 1"),
-    (["--sat-scale", "inf"], "SAT scale factor inf must be finite and >= 1"),
+    (["--sat-scale", "nan"], "SAT scale factor nan must be finite and > 1/2"),
+    (["--sat-scale", "inf"], "SAT scale factor inf must be finite and > 1/2"),
     (["--split-alpha", "nan"], "split weight alpha = nan is not finite"),
     (["--problem", "r13", "--steps", "3", "--sat-scale", "0"],
      "SAT scale factor 0.0 must be finite and >= 1"),
@@ -512,6 +523,24 @@ def test_solve_rejects_meaningless_march(tmp_path, capsys, flags, message):
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s" / "summary.txt").exists()
+
+
+def test_scalar_penalty_takes_a_scale_above_one_half(tmp_path, capsys):
+    # s = 0.75 is admissible for the inflow penalty; the system penalties
+    # keep s >= 1 until the bound with reflections is derived
+    out = tmp_path / "adv"
+    assert main(["solve", "--problem", "advection2d", "--mesh-n", "2",
+                 "--order", "1", "--steps", "3", "--sat-scale", "0.75",
+                 "--outdir", str(out)]) == 0
+    assert (out / "summary.txt").exists()
+    for flags in (["--problem", "wave1d", "--cells", "10"],
+                  ["--problem", "r13", "--mesh-n", "1"]):
+        rc = main(["solve", *flags, "--steps", "3", "--sat-scale", "0.75",
+                   "--outdir", str(tmp_path / "sys")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: SAT scale factor 0.75 must be finite and >= 1\n"
+    assert not (tmp_path / "sys" / "summary.txt").exists()
 
 
 def test_solve_rejects_misspelt_init_in_config(tmp_path, capsys):

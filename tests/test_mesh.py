@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import first_owner, last_owner
 
-from cgsat.basis import interval_lattice, n_local_dofs, triangle_multi_indices
+from cgsat.basis import (UnsupportedOrderError, interval_lattice, n_local_dofs,
+                         triangle_multi_indices)
 from cgsat.mesh import (DegenerateElementError, MeshFormatError,
                         NonconformingMeshError, annulus_mesh, build_dofmap,
                         generate_mesh, interval_mesh, load_mesh, owners,
@@ -178,6 +179,17 @@ def test_dofmap_1d_counts():
     assert dm.n_dofs == 3
     dm3 = build_dofmap(mesh, 3, "bernstein")
     assert dm3.n_dofs == 3 + 2 * 2
+
+
+@pytest.mark.parametrize("recipe", ["interval(2)", "unit_square(1)"])
+def test_dofmap_refuses_what_the_basis_refuses(recipe):
+    mesh = generate_mesh(recipe)
+    with pytest.raises(ValueError, match="unknown basis kind 'foo'"):
+        build_dofmap(mesh, 2, "foo")
+    for p in (0, 4):
+        with pytest.raises(UnsupportedOrderError,
+                           match=f"order {p} not supported"):
+            build_dofmap(mesh, p, "lagrange")
 
 
 def test_dofmap_p1_square_is_vertices():

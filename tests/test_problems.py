@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cgsat import assembly, problems, sat
+from cgsat import assembly, problems, sat, timeint
 from cgsat.basis import tabulate
 from cgsat.mesh import build_dofmap, generate_mesh
 from cgsat.problems import (Discretization, advection_2d, check_error_norms,
@@ -16,7 +16,7 @@ from cgsat.problems import (Discretization, advection_2d, check_error_norms,
 from cgsat.sat import (StabilityViolationError, build_pi_system,
                        characteristic_decompose)
 from cgsat.spectra import spectrum_report
-from cgsat.timeint import run
+from cgsat.timeint import factor_mass, run
 
 
 def test_advection_bump_values():
@@ -558,6 +558,20 @@ def test_solve_problem_rejects_unknown_initial(initial, monkeypatch):
     monkeypatch.setattr("cgsat.problems.discretize", no_discretize)
     with pytest.raises(ValueError, match="initial must be 'interp' or 'project'"):
         solve_problem(advection_2d(n=2, order=1), initial=initial)
+
+
+def test_solve_problem_refuses_a_march_setting_before_projecting(monkeypatch):
+    factored = []
+
+    def spy(M):
+        factored.append(M.shape)
+        return factor_mass(M)
+    monkeypatch.setattr(problems, "factor_mass", spy)   # the projection's
+    monkeypatch.setattr(timeint, "factor_mass", spy)    # the march's
+    disc = discretize(advection_2d(n=2, order=1))
+    with pytest.raises(ValueError, match="steps must be at least 1, got 0"):
+        solve_problem(disc.problem, disc, initial="project", steps=0)
+    assert factored == []
 
 
 def test_l2_projection_of_system_matches_each_component():

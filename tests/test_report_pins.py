@@ -18,7 +18,7 @@ import pytest
 from cgsat.assembly import build_operators
 from cgsat.mesh import build_dofmap, generate_mesh
 from cgsat.problems import discretize
-from cgsat.sat import scalar_sat_1d
+from cgsat.sat import scalar_sat_2d
 from cgsat.spectra import build_spectrum_report
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -88,7 +88,7 @@ def test_certify_reports_keep_their_bits(seed, label, monkeypatch):
 def test_criterion_3_report_keeps_its_bits():
     dm = build_dofmap(generate_mesh("interval(2)"), 1, "lagrange")
     ops = build_operators(dm, [1.0], 6, 6, None)
-    rep = build_spectrum_report(ops.Q, scalar_sat_1d(dm, a=1.0, tau=-1.0),
+    rep = build_spectrum_report(ops.Q, scalar_sat_2d(dm, [1.0]),
                                 k=10, interior_dofs=dm.interior_dofs(),
                                 ncomp=1, norm_q=ops.norm_q)
     assert _pin(rep) == INTERVAL_PIN

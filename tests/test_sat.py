@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,21 +9,22 @@ from cgsat.assembly import build_operators, face_quadrature
 from cgsat.basis import BasisSpec, quad_rule, tabulate
 from cgsat.mesh import (build_dofmap, generate_mesh, interval_mesh,
                         unit_disk_mesh, unit_square_mesh)
-from cgsat.problems import discretize, r13_heat
+from cgsat.problems import (advection_2d, discretize, r13_heat, rotation_2d,
+                            sine_advection_2d)
 from cgsat.sat import (StabilityViolationError, assemble_face_sat,
                        build_pi_r13, build_pi_system, characteristic_decompose,
                        r13_boundary_rows, r13_matrices, r13_normal_matrix,
-                       scalar_sat_1d, scalar_sat_2d)
+                       scalar_sat_2d)
 from cgsat.spectra import stability_matrix, symmetric_eig
 from oracles import reference_admissible
 
 WAVE_A = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_scalar_sat_1d_entries():
+def test_scalar_sat_interval_entries():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    pi = scalar_sat_1d(dm, a=1.0, tau=-1.0, data=(lambda t: 0.0, None))
+    pi = scalar_sat_2d(dm, [1.0], g=lambda pts, t: np.zeros(len(pts)))
     mat = pi.matrix.toarray()
     assert mat[0, 0] == -1.0                       # tau * a+ at the left
     assert np.abs(mat[1:, :]).max() == 0.0         # a- = 0: right inactive
@@ -32,10 +35,10 @@ def test_scalar_sat_1d_entries():
     assert sat[1] == sat[2] == 0.0
 
 
-def test_scalar_sat_1d_negative_speed():
+def test_scalar_sat_interval_negative_speed():
     mesh = interval_mesh(3)
     dm = build_dofmap(mesh, 2, "lagrange")
-    pi = scalar_sat_1d(dm, a=-1.0, tau=-1.0)
+    pi = scalar_sat_2d(dm, [-1.0])
     mat = pi.matrix.toarray()
     normal = mesh.boundary_faces.normals[:, 0]
     left = dm.face_dofs[0, 0] if normal[0] < 0 else dm.face_dofs[1, 0]
@@ -44,32 +47,34 @@ def test_scalar_sat_1d_negative_speed():
     assert mat[right, right] == -1.0               # tau * a-
 
 
-def test_scalar_sat_1d_tau_validation():
+def test_scalar_sat_interval_scale_validation():
+    # tau = -s: the endpoint penalty is admissible for s > 1/2 only
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    for bad in (-0.49, -0.5, 0.0, 1.0):
-        with pytest.raises(StabilityViolationError):
-            scalar_sat_1d(dm, a=1.0, tau=bad)
-    scalar_sat_1d(dm, a=1.0, tau=-0.51)            # accepted
-    scalar_sat_1d(dm, a=1.0, tau=(-0.51, -2.0))    # independent per boundary
+    for bad in (0.49, 0.5, 0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(StabilityViolationError,
+                           match=f"factor {float(bad)} must be finite and > 1/2"):
+            scalar_sat_2d(dm, [1.0], scale=bad)
+    pi = scalar_sat_2d(dm, [1.0], scale=0.51)      # accepted
+    assert pi.matrix[0, 0] == -0.51
 
 
-def test_scalar_sat_1d_certificate():
+def test_scalar_sat_interval_certificate():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [1.0], 6, 6, None)
-    pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
+    pi = scalar_sat_2d(dm, [1.0])
     S = stability_matrix(ops.Q, pi.matrix).toarray()
     w, _ = symmetric_eig(S)
     assert w.max() <= 1e-15
 
 
-def test_scalar_sat_1d_certificate_negative_speed():
+def test_scalar_sat_interval_certificate_negative_speed():
     # mirrored configuration: inflow at the right endpoint
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [-1.0], 6, 6, None)
-    pi = scalar_sat_1d(dm, a=-1.0, tau=-1.0)
+    pi = scalar_sat_2d(dm, [-1.0])
     S = stability_matrix(ops.Q, pi.matrix).toarray()
     assert np.abs(S - np.diag([-1.0, 0.0, -3.0])).max() < 1e-14
 
@@ -119,20 +124,68 @@ def test_rotation_field_penalty_near_zero():
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
-def test_scalar_sat_2d_on_interval_matches_1d(a):
-    # a 1D face is a one-point rule of weight 1, so the edge-rule SAT
-    # reduces to the endpoint penalty with tau = -1
+def test_scalar_sat_2d_on_interval_entries_and_data(a):
+    # a 1D face is a one-point rule of weight 1, so the edge-rule SAT is
+    # the endpoint penalty with tau = -1: a_n^- on the inflow end's DoF,
+    # and G(t) = -a_n^- b(t) there
     dm = build_dofmap(interval_mesh(8), 2, "lagrange")
     b0, b1 = (lambda t: np.sin(t) + 2.0), (lambda t: np.cos(3.0 * t) - 0.5)
 
     def g(pts, t):
         return np.where(pts[:, 0] < 0.5, b0(t), b1(t))
 
-    ref = scalar_sat_1d(dm, a=a, tau=-1.0, data=(b0, b1))
     pi = scalar_sat_2d(dm, [a], g=g)
-    assert np.array_equal(pi.matrix.toarray(), ref.matrix.toarray())
+    x = dm.dof_coords[:, 0]
+    end = int(np.argmin(x)) if a > 0 else int(np.argmax(x))
+    b = b0 if a > 0 else b1
+    mat = np.zeros((dm.n_dofs, dm.n_dofs))
+    mat[end, end] = -abs(a)
+    assert np.array_equal(pi.matrix.toarray(), mat)
     for t in (0.0, 0.4, 2.5):
-        assert np.array_equal(pi.rhs_data(t), ref.rhs_data(t))
+        G = np.zeros(dm.n_dofs)
+        G[end] = abs(a) * b(t)
+        assert np.array_equal(pi.rhs_data(t), G)
+
+
+SCALAR_PROBLEMS = {"advection": advection_2d, "sine": sine_advection_2d,
+                   "rotation": rotation_2d}
+
+
+@lru_cache(maxsize=None)
+def _scalar_setup(name, n, order, kind):
+    """(dofmap, coefficient, edge degree, Q) of a scalar discretization."""
+    if name in ("interval+", "interval-"):           # inflow at either end
+        a = [1.0 if name == "interval+" else -1.0]
+        dm = build_dofmap(interval_mesh(3 * n), order, kind)
+        ops = build_operators(dm, a, 6, 6, None)
+        return dm, a, ops.edge_degree, ops.Q
+    disc = discretize(SCALAR_PROBLEMS[name](n=n, order=order, basis=kind))
+    return (disc.dofmap, disc.problem.fluxes[0][0],
+            disc.group_ops[0].edge_degree, disc.ops_sys)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["interval+", "interval-", *SCALAR_PROBLEMS]),
+       n=st.integers(2, 4), order=st.integers(1, 3),
+       kind=st.sampled_from(["lagrange", "bernstein"]),
+       scale=st.one_of(st.floats(0.5, 4.0, exclude_min=True),
+                       st.floats(0.0, 0.5),
+                       st.sampled_from([np.nan, np.inf, -np.inf])))
+def test_scalar_scale_rule_is_the_marched_energy_rate(name, n, order, kind,
+                                                      scale):
+    """Every scale s > 1/2 leaves sym(Pi - Q), the energy rate of the
+    march, negative semidefinite to roundoff; every other s is refused.
+    The interval takes 3n cells."""
+    dm, coeff, edge, Q = _scalar_setup(name, n, order, kind)
+    if not scale > 0.5 or not np.isfinite(scale):
+        with pytest.raises(StabilityViolationError,
+                           match=f"factor {scale} must be finite and > 1/2"):
+            scalar_sat_2d(dm, coeff, edge_quad_degree=edge, scale=scale)
+        return
+    pi = scalar_sat_2d(dm, coeff, edge_quad_degree=edge, scale=scale)
+    rate = (pi.matrix - Q).toarray()
+    lam = np.linalg.eigvalsh(0.5 * (rate + rate.T)).max()
+    assert lam <= 1e-12 * np.abs(Q).max()
 
 
 def edge_rule(dm, degree):

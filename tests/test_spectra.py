@@ -10,7 +10,7 @@ import cgsat.spectra as spectra
 from cgsat.assembly import build_operators
 from cgsat.mesh import build_dofmap, interval_mesh, unit_square_mesh
 from cgsat.problems import advection_2d, discretize, r13_heat, rotation_2d
-from cgsat.sat import BoundaryOperator, scalar_sat_1d, scalar_sat_2d
+from cgsat.sat import BoundaryOperator, scalar_sat_2d
 from cgsat.spectra import (STABILITY_RTOL, EigenSolverError,
                            boundary_block, build_spectrum_report,
                            extreme_eigs, spectrum_report, stability_matrix,
@@ -91,7 +91,7 @@ def test_stability_matrix_1d_with_sat():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [1.0], 6, 6, None)
-    pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
+    pi = scalar_sat_2d(dm, [1.0])
     S = stability_matrix(ops.Q, pi.matrix).toarray()
     assert np.abs(S - np.diag([-3.0, 0.0, -1.0])).max() < 1e-14
 

@@ -12,7 +12,7 @@ from cgsat.assembly import assemble_mass, build_operators
 from cgsat.mesh import build_dofmap, interval_mesh
 from cgsat.problems import (discretize, r13_heat, rotation_2d, solve_problem,
                             wave_1d)
-from cgsat.sat import BoundaryOperator, scalar_sat_1d
+from cgsat.sat import BoundaryOperator, scalar_sat_2d
 from cgsat.timeint import (RECORD_BLOCK_BYTES, SCHEMES,
                            MassNotPositiveDefiniteError, Trajectory,
                            factor_mass, run, stable_dt, step)
@@ -255,7 +255,7 @@ def test_run_energy_decay_with_sat():
     mesh = interval_mesh(16)
     dm = build_dofmap(mesh, 2, "lagrange")
     ops = build_operators(dm, [1.0], 6, 6, None)
-    pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
+    pi = scalar_sat_2d(dm, [1.0])
     rhs = (pi.matrix - ops.Q).tocsr()
     x = dm.dof_coords[:, 0]
     u0 = np.exp(-50 * (x - 0.5) ** 2)
@@ -271,7 +271,7 @@ def test_run_linearity():
     mesh = interval_mesh(8)
     dm = build_dofmap(mesh, 1, "lagrange")
     ops = build_operators(dm, [1.0], 6, 6, None)
-    pi = scalar_sat_1d(dm, a=1.0, tau=-1.0)
+    pi = scalar_sat_2d(dm, [1.0])
     rhs = (pi.matrix - ops.Q).tocsr()
     rng = np.random.default_rng(8)
     u0, v0 = rng.standard_normal((2, dm.n_dofs))
