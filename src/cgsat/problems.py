@@ -502,8 +502,12 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
     aborts before time stepping; the quadrature-mismatch experiment disables
     the guard deliberately.  ``initial`` selects interpolated ('interp') or
     mass-projected ('project') initial data; ``dt_order_scaling`` toggles
-    the (2p+1) factor in the time-step rule.
+    the (2p+1) factor in the time-step rule.  ``steps`` (an exact step
+    count) and ``t_end`` exclude each other.
     """
+    if steps is not None and t_end is not None:
+        raise ValueError(f"steps {steps} and t_end {t_end} both given; the "
+                         f"step count fixes the end time")
     if initial not in INITIAL_MODES:
         raise ValueError(f"initial must be "
                          f"{' or '.join(map(repr, INITIAL_MODES))}, "

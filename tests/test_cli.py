@@ -10,20 +10,23 @@ from cgsat.mesh import load_mesh
 
 
 def test_config_roundtrip():
-    cfg = RunConfig(problem="rotation2d", mesh_n=13, order=3,
-                    basis="bernstein", volume_quad=6, edge_quad=5,
-                    split_alpha=0.5, sat_scale=1.25, scheme="SSPRK54",
-                    cfl=0.2, t_end=2.0, steps=None, amplitude_limit=100.0,
-                    init="project", dt_order_scaling=False,
-                    skip_sbp_guard=True, outdir="results", seed=42)
-    text = cfg.to_text()
-    back = RunConfig.from_text(text)
-    assert back == cfg
-    assert RunConfig.from_text(back.to_text()) == back
+    # every field type reads back from literal key = value text
+    text = ("problem = rotation2d\nmesh_file = none\nmesh_n = 13\norder = 3\n"
+            "basis = bernstein\nvolume_quad = 6\nedge_quad = 5\n"
+            "split_alpha = 0.5\nsat_scale = 1.25\nscheme = SSPRK54\n"
+            "cfl = 0.2\nt_end = 2.0\nsteps = none\namplitude_limit = 100.0\n"
+            "init = project\ndt_order_scaling = false\nskip_sbp_guard = true\n"
+            "outdir = results\nseed = 42\n")
+    assert RunConfig.from_text(text) == RunConfig(
+        problem="rotation2d", mesh_n=13, order=3, basis="bernstein",
+        volume_quad=6, edge_quad=5, split_alpha=0.5, sat_scale=1.25,
+        scheme="SSPRK54", cfl=0.2, t_end=2.0, steps=None,
+        amplitude_limit=100.0, init="project", dt_order_scaling=False,
+        skip_sbp_guard=True, outdir="results", seed=42)
+    assert RunConfig.from_text("") == RunConfig()
     # no seed and seed 0 are different configurations
-    assert "seed = none\n" in RunConfig().to_text()
-    assert RunConfig.from_text(RunConfig().to_text()).seed is None
-    assert RunConfig.from_text(RunConfig(seed=0).to_text()).seed == 0
+    assert RunConfig.from_text("seed = none\n").seed is None
+    assert RunConfig.from_text("seed = 0\n").seed == 0
 
 
 def test_config_rejects_unknown_keys():
@@ -282,8 +285,8 @@ def test_spectrum_block_over_cap_fails(tmp_path, monkeypatch, capsys):
 
 def test_config_file_plus_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(RunConfig(problem="advection2d", mesh_n=4, order=1,
-                                 steps=3).to_text())
+    cfgfile.write_text("problem = advection2d\nmesh_n = 4\norder = 1\n"
+                       "steps = 3\n")
     outdir = tmp_path / "out"
     rc = main(["solve", "--config", str(cfgfile), "--steps", "4",
                "--outdir", str(outdir)])
@@ -516,7 +519,10 @@ def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
      "quadrature degree -3 outside the supported range 1..8"),
     (["--cfl", "inf"], "cfl must be positive and finite, got inf"),
     (["--problem", "wave1d", "--cells", "10", "--steps", "5", "--split-alpha", "nan"],
-     "split weight alpha = nan is not finite")])
+     "split weight alpha = nan is not finite"),
+    # a step count fixes the end time, so t_end would be dropped unread
+    (["--steps", "2", "--t-end", "-1"],
+     "steps 2 and t_end -1.0 both given; the step count fixes the end time")])
 def test_solve_rejects_meaningless_march(tmp_path, capsys, flags, message):
     rc = main(["solve", "--problem", "advection2d", "--mesh-n", "2",
                "--order", "1", "--outdir", str(tmp_path / "s")] + flags)
@@ -558,3 +564,124 @@ def test_unknown_problem_fails_cleanly(tmp_path):
     rc = main(["solve", "--problem", "nonexistent",
                "--outdir", str(tmp_path / "x")])
     assert rc == 1
+
+
+# the cheapest run of each command that would succeed
+COMMANDS = {
+    "solve": ["--problem", "advection2d", "--mesh-n", "2", "--order", "1",
+              "--steps", "2"],
+    "spectrum": ["--problem", "advection2d", "--mesh-n", "2", "--order", "1"],
+    "dump-operators": ["--problem", "advection2d", "--mesh-n", "2",
+                       "--order", "1"],
+    "convergence": ["--problem", "sine_advection2d", "--mesh-n", "2",
+                    "--levels", "3", "--t-end", "0.1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("flags", [
+    ["--order", "9"], ["--basis", "foo"], ["--scheme", "RK4"],
+    ["--init", "foo"], ["--mesh-n", "abc"], ["--wibble"]],
+    ids=["order", "basis", "scheme", "init", "mesh-n", "unknown-flag"])
+def test_every_refusal_exits_1_and_writes_nothing(tmp_path, capsys, command,
+                                                  flags):
+    # argparse parses only and the library refuses, so exit 2 stays
+    # reserved for an unstable `spectrum` verdict
+    out = tmp_path / "out"
+    rc = main([command, *COMMANDS[command], *flags, "--outdir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    flag, value = flags[0], flags[-1]
+    assert err.startswith("error: ")
+    assert value in err or flag.lstrip("-") in err      # the value or the key
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "error: the following arguments are required: command\n"),
+    (["mesh-gen", "--recipe", "interval(2)"],
+     "error: the following arguments are required: --out\n"),
+    (["mesh-gen", "--recipe", "interval(2)", "--out", "x.mesh", "--wibble"],
+     "error: unrecognized arguments: --wibble\n"),
+    (["solve", "--cfl", "fast"],
+     "error: argument --cfl: invalid float value: 'fast'\n")],
+    ids=["no-command", "missing-flag", "unknown-flag", "bad-float"])
+def test_parse_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dump-operators"])
+@pytest.mark.parametrize("flags, keys", [
+    (["--scheme", "SSPRK33"], "scheme"), (["--cfl", "0.3"], "cfl"),
+    (["--t-end", "1"], "t_end"), (["--steps", "3"], "steps"),
+    (["--amplitude-limit", "2"], "amplitude_limit"),
+    (["--init", "project"], "init"),
+    (["--no-dt-order-scaling"], "dt_order_scaling"),
+    (["--skip-sbp-guard"], "skip_sbp_guard"),
+    (["--cfl", "-3", "--steps", "0"], "cfl and steps")],
+    ids=["scheme", "cfl", "t-end", "steps", "amplitude-limit", "init",
+         "dt-order-scaling", "skip-sbp-guard", "cfl-and-steps"])
+def test_non_marching_commands_refuse_march_settings(
+        tmp_path, capsys, monkeypatch, command, flags, keys):
+    def no_discretize(*a, **k):
+        raise AssertionError("discretized a run whose settings are refused")
+    monkeypatch.setattr(cli, "discretize", no_discretize)
+    out = tmp_path / "out"
+    rc = main([command, *COMMANDS[command], *flags, "--outdir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: {keys} given, but this command does not march\n"
+    assert not out.exists()
+
+
+def test_non_marching_commands_refuse_march_keys_in_config(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = advection2d\nmesh_n = 2\norder = 1\n"
+                      "init = interp\nt_end = 0.5\n")      # interp: the default
+    rc = main(["spectrum", "--config", str(config),
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: t_end given, but this command does not march\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "wave1d", "--sat-scale", "0.75"],
+    ["spectrum", "--problem", "advection2d", "--mesh-n", "2", "--order", "3",
+     "--volume-quad", "4"],
+    ["dump-operators", "--problem", "r13", "--mesh-n", "1", "--sat-scale",
+     "0.5"],
+    CONVERGENCE + ["--amplitude-limit", "1.2"]],
+    ids=["solve", "spectrum", "dump-operators", "convergence"])
+def test_a_refused_run_makes_no_output_directory(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_convergence_refuses_mesh_n_0(tmp_path, capsys, monkeypatch):
+    # at n = 0 every level has n = 0: no default resolution stands in
+    def no_march(*a, **k):
+        raise AssertionError("marched a level of an empty mesh")
+    monkeypatch.setattr(cli, "solve_problem", no_march)
+    rc = main(["convergence", "--problem", "sine_advection2d", "--mesh-n", "0",
+               "--levels", "3", "--outdir", str(tmp_path / "c")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need n >= 1\n"
+    assert not (tmp_path / "c").exists()
+
+
+def test_aborted_solve_still_writes_its_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", "sine_advection2d", "--mesh-n", "2",
+               "--t-end", "0.5", "--amplitude-limit", "1.2",
+               "--outdir", str(out)])
+    assert rc == 1
+    assert "status = aborted" in (out / "summary.txt").read_text()
+    assert (out / "energy.csv").exists()
+

@@ -560,6 +560,18 @@ def test_solve_problem_rejects_unknown_initial(initial, monkeypatch):
         solve_problem(advection_2d(n=2, order=1), initial=initial)
 
 
+@pytest.mark.parametrize("t_end", [1.0, -1.0])
+def test_solve_problem_refuses_steps_with_t_end(t_end, monkeypatch):
+    # a step count fixes the end time, so a t_end beside it, valid or not,
+    # would be dropped unread
+    def no_discretize(*args, **kwargs):
+        raise AssertionError("discretized before the check")
+    monkeypatch.setattr("cgsat.problems.discretize", no_discretize)
+    with pytest.raises(ValueError, match=f"steps 2 and t_end {t_end} both "
+                                         f"given"):
+        solve_problem(advection_2d(n=2, order=1), steps=2, t_end=t_end)
+
+
 def test_solve_problem_refuses_a_march_setting_before_projecting(monkeypatch):
     factored = []
 
