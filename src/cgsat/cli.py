@@ -1,9 +1,9 @@
 """Command-line front end: solve, spectrum, convergence, mesh-gen, dump-operators.
 
-Configuration is plain ``key = value`` text (see RunConfig); command-line
-flags override file values.  Argparse only parses: the library refuses bad
-settings (exit 1), so exit 2 means only "unstable".  Outputs (CSV, VTK
-legacy ASCII, Matrix Market) go to the output directory once a run succeeds.
+Configuration is plain ``key = value`` text (see RunConfig); a flag's text
+is read as its key's line is, and flags win.  Argparse only parses: the
+library refuses bad settings (exit 1), so exit 2 means only "unstable".
+Outputs (CSV, VTK legacy ASCII, Matrix Market) go to --outdir on success.
 """
 
 from __future__ import annotations
@@ -62,31 +62,28 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        raw = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ValueError(f"config line {lineno}: expected 'key = value'")
-            key, val = (s.strip() for s in body.split("=", 1))
-            raw[key] = val
+        return cls.from_pairs(_read_pairs(text))
+
+    @classmethod
+    def from_pairs(cls, texts: dict) -> "RunConfig":
+        """Read each key's text: a flag's and a file line's alike."""
+        raw = dict(texts)
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:
                 continue
             sv = raw.pop(f.name)
-            if f.type in ("bool", bool):
+            if f.type == "bool":
                 flag = sv.lower()
                 if flag not in _BOOLEANS:
                     raise ValueError(f"config key {f.name!r}: expected one of "
                                      f"true/false/1/0/yes/no, got {sv!r}")
                 kwargs[f.name] = _BOOLEANS[flag]
-            elif sv == "none":
+            elif sv == "none" and f.default is None:
                 kwargs[f.name] = None
-            elif f.type in ("int | None", "int", int):
+            elif f.type == "int | None":
                 kwargs[f.name] = _read_number(f.name, sv, int, "an integer")
-            elif f.type in ("float | None", "float", float):
+            elif f.type == "float | None":
                 kwargs[f.name] = _read_number(f.name, sv, float, "a number")
             else:
                 kwargs[f.name] = sv
@@ -95,14 +92,27 @@ class RunConfig:
         return cls(**kwargs)
 
 
+def _read_pairs(text: str) -> dict:
+    """``key = value`` lines to a dict of texts; ``#`` starts a comment."""
+    raw = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ValueError(f"config line {lineno}: expected 'key = value'")
+        key, val = (s.strip() for s in body.split("=", 1))
+        raw[key] = val
+    return raw
+
+
 def _build_problem(cfg: RunConfig):
     if cfg.problem not in PROBLEMS:
         raise ValueError(f"unknown problem {cfg.problem!r}; "
                          f"choose from {sorted(PROBLEMS)}")
     ctor = PROBLEMS[cfg.problem]
-    kwargs = {}
-    if cfg.mesh_n is not None:
-        kwargs["n"] = cfg.mesh_n
+    kwargs = {"n": cfg.mesh_n, "order": cfg.order, "basis": cfg.basis}
+    kwargs = {k: v for k, v in kwargs.items() if v is not None}
     if cfg.seed is not None:
         if cfg.problem != "wave1d":
             raise ValueError(f"seed {cfg.seed} given, but only wave1d takes one "
@@ -126,9 +136,9 @@ def _discretize_from_config(cfg: RunConfig, marches: bool = True):
     prob = _build_problem(cfg)
     mesh = load_mesh(cfg.mesh_file) if cfg.mesh_file else None
     return discretize(
-        prob, mesh=mesh, order=cfg.order, basis_kind=cfg.basis,
-        volume_degree=cfg.volume_quad, edge_degree=cfg.edge_quad,
-        split_alpha=cfg.split_alpha, sat_scale=cfg.sat_scale)
+        prob, mesh=mesh, volume_degree=cfg.volume_quad,
+        edge_degree=cfg.edge_quad, split_alpha=cfg.split_alpha,
+        sat_scale=cfg.sat_scale)
 
 
 def _march(cfg: RunConfig):
@@ -256,43 +266,31 @@ def cmd_dump_operators(cfg: RunConfig) -> int:
     return 0
 
 
+_FLAG_NAMES = {"mesh_file": ["--mesh"], "mesh_n": ["--mesh-n", "--cells"]}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig key; it stores text, read as a file line is."""
     p.add_argument("--config", help="load a key = value config file")
-    p.add_argument("--problem", help="problem name")
-    p.add_argument("--mesh", dest="mesh_file", help="mesh file (ASCII format)")
-    p.add_argument("--mesh-n", type=int, help="generator resolution parameter")
-    p.add_argument("--cells", type=int, dest="mesh_n",
-                   help="alias for --mesh-n (1D cell count)")
-    p.add_argument("--order", type=int)
-    p.add_argument("--basis")
-    p.add_argument("--volume-quad", type=int, dest="volume_quad")
-    p.add_argument("--edge-quad", type=int, dest="edge_quad")
-    p.add_argument("--split-alpha", type=float, dest="split_alpha")
-    p.add_argument("--sat-scale", type=float, dest="sat_scale")
-    p.add_argument("--scheme")
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--amplitude-limit", type=float, dest="amplitude_limit")
-    p.add_argument("--init")
-    p.add_argument("--no-dt-order-scaling", dest="dt_order_scaling",
-                   action="store_false", default=None)
-    p.add_argument("--skip-sbp-guard", dest="skip_sbp_guard",
-                   action="store_true", default=None)
-    p.add_argument("--outdir")
-    p.add_argument("--seed", type=int)
+    for f in fields(RunConfig):
+        name = f.name.replace("_", "-")
+        if f.type == "bool":        # a switch away from the default
+            flag = f"--no-{name}" if f.default else f"--{name}"
+            p.add_argument(flag, dest=f.name, action="store_const",
+                           const=str(not f.default).lower())
+        else:
+            p.add_argument(*_FLAG_NAMES.get(f.name, [f"--{name}"]),
+                           dest=f.name)
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
+    texts = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = RunConfig.from_text(fh.read())
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            setattr(cfg, f.name, v)
-    return cfg
+            texts = _read_pairs(fh.read())
+    texts.update({f.name: getattr(args, f.name) for f in fields(RunConfig)
+                  if getattr(args, f.name) is not None})      # flags win
+    return RunConfig.from_pairs(texts)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -315,12 +315,14 @@ def check_spacing(spacing: str, seed) -> None:
         raise ValueError("regular spacing takes no seed")
     if spacing == "random" and seed is None:
         raise ValueError("random spacing needs a seed")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed {seed} must be >= 0")
 
 
 def interval_mesh(n: int, spacing: str = "regular", seed=None) -> Mesh:
     """n cells on [0, 1]; 'random' perturbs interior nodes by up to 0.4 h."""
     if n < 1:
-        raise ValueError("need at least one cell")
+        raise ValueError(f"need n >= 1, got {n}")
     check_spacing(spacing, seed)
     nodes = np.linspace(0.0, 1.0, n + 1)
     if spacing == "random":
@@ -340,7 +342,9 @@ def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
     boundary discretization.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ValueError(f"need n >= 1, got {n}")
+    if perturb_seed is not None and perturb_seed < 0:
+        raise ValueError(f"seed {perturb_seed} must be >= 0")
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
@@ -371,7 +375,7 @@ def unit_disk_mesh(n: int) -> Mesh:
     below as n grows.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ValueError(f"need n >= 1, got {n}")
     # ring k starts at vertex 1 + 3 k (k - 1); its vertex j sits at angle
     # 2 pi j / 6k
     k = np.repeat(np.arange(1, n + 1), 6 * np.arange(1, n + 1))
@@ -408,7 +412,7 @@ def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
     if not 0 < r0 < r1:
         raise ValueError("need 0 < r0 < r1")
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ValueError(f"need n >= 1, got {n}")
     m = max(8, int(round(np.pi * (r0 + r1) * n / (r1 - r0))))
     m += m % 2          # even count keeps the angular layout mirror-symmetric
     radii = np.linspace(r0, r1, n + 1)

@@ -19,7 +19,7 @@ Problems
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -417,20 +417,16 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
 
 
 def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
-               order: int | None = None, basis_kind: str | None = None,
                volume_degree: int | None = None, edge_degree: int | None = None,
                split_alpha: float | None = None,
                sat_scale: float | None = None) -> Discretization:
     """Assemble everything needed to march or analyze ``problem``.
 
-    The result's ``problem`` is ``problem`` itself, or a copy if ``order``
-    or ``basis_kind`` is given.  The edge rule defaults to the volume rule.
-    ``split_alpha`` weights every flux group's Q as in ``build_operators``.
+    The spec fixes the order and basis; the result's ``problem`` is the spec
+    itself.  The edge rule defaults to the volume rule.  ``split_alpha``
+    weights every flux group's Q as in ``build_operators``.
     """
     p = problem
-    if order is not None or basis_kind is not None:
-        p = replace(p, order=p.order if order is None else order,
-                    basis=p.basis if basis_kind is None else basis_kind)
     scale = 1.0 if sat_scale is None else sat_scale
     if mesh is None:
         mesh = generate_mesh(p.mesh_recipe)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields
 
 import pytest
 
@@ -7,6 +8,7 @@ import cgsat.spectra as spectra
 import cgsat.timeint as timeint
 from cgsat.cli import RunConfig, main
 from cgsat.mesh import load_mesh
+from cgsat.problems import wave_1d
 
 
 def test_config_roundtrip():
@@ -502,6 +504,25 @@ def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = -1\n")
+    out = str(tmp_path / "out")
+    for argv in (["solve", "--problem", "wave1d", "--seed", "-1",
+                  "--outdir", out],
+                 ["solve", "--problem", "wave1d", "--config", str(config),
+                  "--outdir", out],
+                 ["mesh-gen", "--recipe", "interval(4,random,-1)",
+                  "--out", str(tmp_path / "m.mesh")],
+                 ["mesh-gen", "--recipe", "perturbed_square(4,-1)",
+                  "--out", str(tmp_path / "m.mesh")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed -1 must be >= 0\n"
+    with pytest.raises(ValueError, match=r"^seed -1 must be >= 0$"):
+        wave_1d(spacing="random", seed=-1)
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--t-end", "-1"], "t_end -1.0 is not positive"),
     (["--steps", "-2"], "steps must be at least 1"),
@@ -604,7 +625,7 @@ def test_every_refusal_exits_1_and_writes_nothing(tmp_path, capsys, command,
     (["mesh-gen", "--recipe", "interval(2)", "--out", "x.mesh", "--wibble"],
      "error: unrecognized arguments: --wibble\n"),
     (["solve", "--cfl", "fast"],
-     "error: argument --cfl: invalid float value: 'fast'\n")],
+     "error: config key 'cfl': expected a number, got 'fast'\n")],
     ids=["no-command", "missing-flag", "unknown-flag", "bad-float"])
 def test_parse_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -672,7 +693,7 @@ def test_convergence_refuses_mesh_n_0(tmp_path, capsys, monkeypatch):
     rc = main(["convergence", "--problem", "sine_advection2d", "--mesh-n", "0",
                "--levels", "3", "--outdir", str(tmp_path / "c")])
     assert rc == 1
-    assert capsys.readouterr().err == "error: need n >= 1\n"
+    assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
     assert not (tmp_path / "c").exists()
 
 
@@ -685,3 +706,61 @@ def test_aborted_solve_still_writes_its_files(tmp_path, capsys):
     assert "status = aborted" in (out / "summary.txt").read_text()
     assert (out / "energy.csv").exists()
 
+
+
+def test_none_unsets_only_a_key_whose_default_is_none(tmp_path, capsys,
+                                                      monkeypatch):
+    cfg = RunConfig.from_text("cfl = none\nproblem = none\ninit = none\n"
+                              "outdir = none\n")
+    assert cfg.cfl is None
+    assert (cfg.problem, cfg.init, cfg.outdir) == ("none", "none", "none")
+    # `none` names a directory, in a file as after --outdir
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("outdir = none\n")
+    assert main(["spectrum", "--config", "run.cfg", "--problem", "wave1d",
+                 "--cells", "4"]) == 0
+    assert (tmp_path / "none" / "spectrum.csv").exists()
+    capsys.readouterr()
+    for key in ("problem", "init"):
+        (tmp_path / "run.cfg").write_text(f"{key} = none\n")
+        errs = []
+        for argv in (["--config", "run.cfg"], [f"--{key}", "none"]):
+            assert main(["solve", "--steps", "1", *argv]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and "'none'" in errs[0]
+
+
+# the cheapest run of a command, as key -> text, for the key sweep
+SWEEP_RUNS = {
+    "spectrum": {"problem": "wave1d", "mesh_n": "4"},
+    "solve": {"problem": "advection2d", "mesh_n": "2", "order": "1"},
+}
+SWEEP_KEYS = [f.name for f in fields(RunConfig) if f.type != "bool"
+              and f.name not in ("problem", "outdir", "mesh_file")]
+
+
+@pytest.mark.parametrize("key", SWEEP_KEYS)
+def test_flag_and_config_key_are_one_setting(tmp_path, capsys, key):
+    # a flag and its config key are read by one converter, so each value
+    # gives the same exit code and the same stderr either way; each run
+    # exits 0 or 2, or exits 1 naming the key or the value, or is a `solve`
+    # march that aborted and wrote its summary
+    commands = ["spectrum"] + ["solve"] * (key in cli._MARCH_KEYS)
+    for command in commands:
+        base = [f"--{k.replace('_', '-')}={v}"
+                for k, v in SWEEP_RUNS[command].items() if k != key]
+        for v in ("0", "-1", "nan", "inf", "-inf", "none", "abc"):
+            config = tmp_path / f"{command}-{v}.cfg"
+            config.write_text(f"{key} = {v}\n")
+            seen = []
+            for via, setting in (("flag", [f"--{key.replace('_', '-')}={v}"]),
+                                 ("file", ["--config", str(config)])):
+                out = tmp_path / f"{command}-{v}-{via}"
+                rc = main([command, *base, *setting, "--outdir", str(out)])
+                err = capsys.readouterr().err
+                seen.append((rc, err))
+                assert rc in (0, 2) or rc == 1 and (
+                    err.startswith("error: ") and (key in err or v in err)
+                    or command == "solve" and (out / "summary.txt").exists()
+                ), (command, key, v, via, rc, err)
+            assert seen[0] == seen[1], (command, key, v, seen)

@@ -349,7 +349,9 @@ def test_each_setting_has_one_home():
     params = inspect.signature(assembly.build_operators).parameters.values()
     assert all(p.default is inspect.Parameter.empty for p in params)
     prob = wave_1d(n=10)
-    assert discretize(prob, order=3).problem.scheme == "SSPRK54"
+    assert not {"order", "basis_kind"} & set(
+        inspect.signature(discretize).parameters)
+    assert discretize(wave_1d(n=10, order=3)).problem.scheme == "SSPRK54"
     assert (prob.order, prob.scheme) == (2, "SSPRK33")
     for factory, ncomp, norm_q, h_min in STORED_AT_BUILD:
         disc = discretize(factory())
@@ -433,7 +435,7 @@ def test_solve_problem_marches_only_the_problem_it_is_given():
     assert disc.problem is prob
     with pytest.raises(ValueError, match="pass disc.problem"):
         solve_problem(wave_1d(n=4), disc=disc, steps=1)
-    other = discretize(prob, order=2)
+    other = discretize(advection_2d(n=2, order=2))
     assert other.problem is not prob and (other.problem.order, prob.order) == (2, 1)
     with pytest.raises(ValueError, match="pass disc.problem"):
         solve_problem(prob, disc=other, steps=1)
