@@ -27,6 +27,9 @@ from .mesh import DofMap, Mesh
 # relative roundoff allowed in Q + Q^T = Bq and in the stability certificate
 STABILITY_RTOL = 1e-12
 
+# elements per step of the in-place split form, whose temporary is one chunk
+SPLIT_CHUNK = 256
+
 
 def default_quad_degree(p: int) -> int:
     """Volume/edge exactness used unless overridden: max(2p, p+2), floor 6."""
@@ -85,14 +88,25 @@ def physical_points(mesh: Mesh, rule: QuadratureRule):
 def scatter_blocks(idx: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
     """Sum blocks (nb, k, k) into an n x n CSR at idx[b] x idx[b], in block order.
 
-    The indices are int32, scipy's own index type, unless n needs int64, so
-    scipy neither scans nor copies them down.
+    Bit for bit this is the COO -> CSR conversion of the blocks' entries in
+    (block, row, column) order, without the per-entry row and column arrays.
+    Each row of the unsorted CSR lists the block rows that land on it in
+    block order, as scipy's counting sort does; ``sum_duplicates`` then sorts
+    each row by a permutation that depends only on its column sequence, so it
+    sums the duplicates as scipy's conversion does.  The indices are int32,
+    scipy's own index type, unless n or the entry count needs int64.
     """
     nb, k = idx.shape
-    idx = idx.astype(np.int32 if n < 2 ** 31 else np.int64, copy=False)
-    rows = np.broadcast_to(idx[:, :, None], (nb, k, k)).ravel()
-    cols = np.broadcast_to(idx[:, None, :], (nb, k, k)).ravel()
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    itype = np.int32 if max(n, nb * k * k) < 2 ** 31 else np.int64
+    idx = idx.astype(itype, copy=False)
+    occ = np.argsort(idx.ravel(), kind="stable")     # (block, row) by global row
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(k * np.bincount(idx.ravel(), minlength=n), out=indptr[1:])
+    indices = idx[occ // k].ravel()
+    data = blocks.reshape(nb * k, k)[occ].ravel()
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    mat.sum_duplicates()
+    return mat
 
 
 def _scatter(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
@@ -205,6 +219,16 @@ def assemble_boundary_quadratic(dofmap: DofMap, coeff,
     return scatter_blocks(fq.dofs, blocks, dofmap.n_dofs)
 
 
+def _split_in_place(local: np.ndarray, alpha: float) -> None:
+    """Overwrite blocks A_e with (1 - alpha) A_e - alpha A_e^T, SPLIT_CHUNK
+    elements at a time, so no second full-size block array is made."""
+    for s in range(0, local.shape[0], SPLIT_CHUNK):
+        chunk = local[s:s + SPLIT_CHUNK]
+        transposed = alpha * np.swapaxes(chunk, 1, 2)
+        chunk *= 1.0 - alpha
+        chunk -= transposed
+
+
 @dataclass(frozen=True)
 class GlobalOperators:
     """Stiffness and boundary quadratic form of one coefficient field."""
@@ -234,17 +258,18 @@ def build_operators(dofmap: DofMap, coeff, volume_degree: int, edge_degree: int,
     if split_alpha is None:
         split_alpha = 0.0 if const is not None else 0.5
     elif not np.isfinite(split_alpha):
-        raise ValueError(f"split weight alpha = {split_alpha} is not finite")
+        raise ValueError(f"split_alpha = {split_alpha} is not finite")
     local = _advective_local(dofmap.mesh, dofmap.basis_spec(), coeff_fun,
                              const, volume_degree)
     Bq = assemble_boundary_quadratic(dofmap, coeff, edge_degree)
     if split_alpha == 0.0:
-        Q = _scatter(dofmap, local)
-    else:
-        split = (1.0 - split_alpha) * local
-        split -= split_alpha * np.swapaxes(local, 1, 2)
-        Q = _scatter(dofmap, split) + split_alpha * Bq
-    return GlobalOperators(Q, Bq, dofmap, volume_degree, edge_degree)
+        return GlobalOperators(_scatter(dofmap, local), Bq, dofmap,
+                               volume_degree, edge_degree)
+    _split_in_place(local, split_alpha)
+    Q = _scatter(dofmap, local)
+    del local                          # the blocks go before Q + alpha Bq is made
+    return GlobalOperators(Q + split_alpha * Bq, Bq, dofmap, volume_degree,
+                           edge_degree)
 
 
 @dataclass(frozen=True)

@@ -496,9 +496,9 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
     A given ``disc`` must be built from ``problem`` (``disc.problem``).
     Unless ``skip_sbp_guard`` is set, a failed integration-by-parts check
     aborts before time stepping; the quadrature-mismatch experiment disables
-    the guard deliberately.  ``initial`` selects interpolated ('interp') or
-    mass-projected ('project') initial data; ``dt_order_scaling`` toggles
-    the (2p+1) factor in the time-step rule.  ``steps`` (an exact step
+    the guard deliberately.  ``initial`` (the ``init`` setting) selects
+    interpolated ('interp') or mass-projected ('project') initial data;
+    ``dt_order_scaling`` toggles the (2p+1) factor in the time-step rule.  ``steps`` (an exact step
     count) and ``t_end`` exclude each other.
     """
     if steps is not None and t_end is not None:
@@ -507,7 +507,7 @@ def solve_problem(problem: ProblemSpec, disc: Discretization | None = None,
     if initial not in INITIAL_MODES:
         raise ValueError(f"initial must be "
                          f"{' or '.join(map(repr, INITIAL_MODES))}, "
-                         f"got {initial!r}")
+                         f"got {initial!r} (the init setting)")
     if disc is None:
         disc = discretize(problem)
     elif disc.problem is not problem:

@@ -82,7 +82,8 @@ def _check_scale(scale: float) -> float:
     scale = float(scale)
     if not (np.isfinite(scale) and scale >= 1.0):
         raise StabilityViolationError(
-            f"SAT scale factor {scale} must be finite and >= 1")
+            f"SAT scale factor {scale} must be finite and >= 1 "
+            f"(the sat_scale setting)")
     return scale
 
 
@@ -100,7 +101,8 @@ def scalar_sat_2d(dofmap: DofMap, coeff, g=None, edge_quad_degree: int = 6,
     scale = float(scale)
     if not (np.isfinite(scale) and scale > 0.5):
         raise StabilityViolationError(
-            f"SAT scale factor {scale} must be finite and > 1/2")
+            f"SAT scale factor {scale} must be finite and > 1/2 "
+            f"(the sat_scale setting)")
     fq = face_quadrature(dofmap, edge_quad_degree)
     an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
     inflow = np.nonzero(np.any(an_m < 0.0, axis=1))[0]

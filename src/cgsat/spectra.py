@@ -131,19 +131,25 @@ def boundary_block(S, budget: float):
     ||E||_2 <= ||E||_F <= that value, so by Weyl's theorem each sorted
     eigenvalue of S lies within it of the matching one of
     S[rows][:, rows] padded with zeros.  With a zero budget only rows that
-    are identically zero are dropped.  Returns (rows, dropped).
+    are identically zero are dropped.  Returns (rows, dropped).  An S
+    whose row masses overflow is refused: no eigensolve of it can be checked.
     """
     S = _csr(S)
     # squared row norms, reduced exactly as scipy's S.multiply(S).sum(axis=1),
     # which stores no product that underflows to zero
-    sq = S.data * S.data
-    stored = sq != 0.0
-    indptr = np.concatenate(([0], np.cumsum(stored)))[S.indptr]
-    filled = np.flatnonzero(np.diff(indptr))
-    mass = np.zeros(S.shape[0])
-    mass[filled] = np.add.reduceat(sq[stored], indptr[filled])
-    order = np.argsort(mass, kind="stable")
-    bound = np.sqrt(2.0 * np.cumsum(mass[order]))
+    with np.errstate(over="ignore"):
+        sq = S.data * S.data
+        stored = sq != 0.0
+        indptr = np.concatenate(([0], np.cumsum(stored)))[S.indptr]
+        filled = np.flatnonzero(np.diff(indptr))
+        mass = np.zeros(S.shape[0])
+        mass[filled] = np.add.reduceat(sq[stored], indptr[filled])
+        order = np.argsort(mass, kind="stable")
+        bound = np.sqrt(2.0 * np.cumsum(mass[order]))
+    if bound.size and not np.isfinite(bound[-1]):
+        raise ValueError(f"stability test matrix entries reach magnitude "
+                         f"{np.abs(S.data).max():.3g}: their row masses "
+                         f"overflow")
     n_drop = int(np.searchsorted(bound, budget, side="right"))
     dropped = float(bound[n_drop - 1]) if n_drop else 0.0
     return np.sort(order[n_drop:]), dropped
@@ -225,10 +231,11 @@ def build_spectrum_report(Q, pi, k: int, interior_dofs, ncomp: int,
     tol = STABILITY_RTOL * max(norm_q, 1e-300)
     s0 = _csr(stability_matrix(Q))
     s1 = _csr(_with_penalty(s0, pi.matrix))       # Q + Q^T is formed once
+    # dropped rows may move the verdict's eigenvalue by a tenth of tol; both
+    # blocks are picked, and an overflowing matrix refused, before any solve
+    blocks = [boundary_block(S, 0.1 * tol) for S in (s0, s1)]
     columns, support, dropped = [], 0, 0.0
-    for S in (s0, s1):
-        # dropped rows may move the verdict's eigenvalue by a tenth of tol
-        rows, bound = boundary_block(S, 0.1 * tol)
+    for S, (rows, bound) in zip((s0, s1), blocks):
         columns += extreme_eigs(S, k, rows)
         support, dropped = max(support, rows.size), max(dropped, bound)
     neg0, pos0, neg1, pos1 = columns

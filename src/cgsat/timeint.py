@@ -285,39 +285,41 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         first, filled = first + filled, 0
         return blowup is None
 
-    for k in range(1, n_steps + 1):
-        dt_k = dt
-        if steps is None and t + dt > t_end:
-            dt_k = t_end - t
-            if dt_k <= 1e-15 * max(1.0, t_end):
+    # a march that overflows is caught below as non-finite and aborted
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            dt_k = dt
+            if steps is None and t + dt > t_end:
+                dt_k = t_end - t
+                if dt_k <= 1e-15 * max(1.0, t_end):
+                    break
+            u = step(u, t, dt_k, rhs, scheme)
+            t = t + dt_k
+            if filled == len(block) and not flush():
                 break
-        u = step(u, t, dt_k, rhs, scheme)
-        t = t + dt_k
-        if filled == len(block) and not flush():
-            break
-        block[filled] = u
-        filled += 1
-        times.append(t)
-        mx, mn = extrema(u)
-        umax.append(mx)
-        umin.append(mn)
-        if not (math.isfinite(mx) and math.isfinite(mn)):
-            status, blowup_step = "aborted", k
-            break
-        if amplitude_limit is not None and \
-                max(abs(mx), abs(mn)) > amplitude_limit:
-            status, blowup_step = "aborted", k
-            break
-        if steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
-            if not flush():
+            block[filled] = u
+            filled += 1
+            times.append(t)
+            mx, mn = extrema(u)
+            umax.append(mx)
+            umin.append(mn)
+            if not (math.isfinite(mx) and math.isfinite(mn)):
+                status, blowup_step = "aborted", k
                 break
-            r = rhs(t, u)[None]
-            steady_res = float(np.sqrt(block_energies(M_sys, r)[0]))
-            if steady_res < steady_tol:
-                status = "steady"
+            if amplitude_limit is not None and \
+                    max(abs(mx), abs(mn)) > amplitude_limit:
+                status, blowup_step = "aborted", k
                 break
-    if filled:
-        flush()
+            if steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
+                if not flush():
+                    break
+                r = rhs(t, u)[None]
+                steady_res = float(np.sqrt(block_energies(M_sys, r)[0]))
+                if steady_res < steady_tol:
+                    status = "steady"
+                    break
+        if filled:
+            flush()
     if blowup is not None:        # the march ends at that step
         k, u = blowup
         for hist in (times, energies, umax, umin):

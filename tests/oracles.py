@@ -10,8 +10,9 @@ no Bernstein code, and the variable-coefficient stiffness is the
 four-operand einsum per element, at rule points mapped by einsum, and the
 split form the global sparse expression, with no reference tensor.  The
 DoF owners are read from ``np.unique``, and a block scatter is a dense
-``np.add.at``.  A characteristic penalty is admissible by the two-test
-rule: the reflected energy budget and the boundary quadratic form.
+``np.add.at`` or, bit for bit, scipy's COO -> CSR conversion.  A
+characteristic penalty is admissible by the two-test rule: the reflected
+energy budget and the boundary quadratic form.
 """
 
 import math
@@ -260,6 +261,17 @@ def reference_scatter(idx: np.ndarray, blocks: np.ndarray, n: int) -> np.ndarray
     out = np.zeros((n, n))
     np.add.at(out, (idx[:, :, None], idx[:, None, :]), blocks)
     return out
+
+
+def reference_coo_scatter(idx: np.ndarray, blocks: np.ndarray,
+                          n: int) -> sp.csr_matrix:
+    """Blocks (nb, k, k) at idx[b] x idx[b] as one COO of every entry, in
+    (block, row, column) order, converted to CSR by scipy."""
+    nb, k = idx.shape
+    idx = idx.astype(np.int32 if n < 2 ** 31 else np.int64, copy=False)
+    rows = np.broadcast_to(idx[:, :, None], (nb, k, k)).ravel()
+    cols = np.broadcast_to(idx[:, None, :], (nb, k, k)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def reference_admissible(decomp, R) -> bool:

@@ -1,11 +1,13 @@
 import hashlib
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (reference_advective_local, reference_scatter,
-                     reference_split_stiffness)
+from oracles import (reference_advective_local, reference_coo_scatter,
+                     reference_scatter, reference_split_stiffness)
 
 from cgsat import assembly, problems
 from cgsat.assembly import (GlobalOperators, _advective_local, _scatter,
@@ -258,6 +260,21 @@ def test_constant_coefficient_operators_keep_every_bit(name):
     assert {k: _digest(getattr(d, k)) for k in digests} == digests
 
 
+# The variable-coefficient split form, recorded before the split was taken
+# in place and the blocks scattered straight into CSR.
+SPLIT_FORM_DIGESTS = {
+    None: {"ops_sys": "6d11e26d26c4867a", "rhs_matrix": "de2d448c07463113"},
+    0.3: {"ops_sys": "2fc08048d752d97c", "rhs_matrix": "f8f33e9cd3104661"},
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(SPLIT_FORM_DIGESTS, key=str))
+def test_split_form_operators_keep_every_bit(alpha):
+    d = problems.discretize(problems.rotation_2d(5), split_alpha=alpha)
+    digests = SPLIT_FORM_DIGESTS[alpha]
+    assert {k: _digest(getattr(d, k)) for k in digests} == digests
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), k=st.integers(1, 4),
        nb=st.integers(0, 12), dtype=st.sampled_from([np.int32, np.int64]))
@@ -271,6 +288,111 @@ def test_scatter_blocks_matches_dense_add_at(seed, n, k, nb, dtype):
     got = scatter_blocks(idx, blocks, n)
     assert got.shape == (n, n) and got.indices.dtype == np.int32
     assert np.array_equal(got.toarray(), reference_scatter(idx, blocks, n))
+
+
+def assert_same_csr(got, ref):
+    assert got.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), k=st.integers(1, 8),
+       nb=st.integers(0, 40), dtype=st.sampled_from([np.int32, np.int64]))
+@example(seed=0, n=5, k=3, nb=0, dtype=np.int32)
+@example(seed=0, n=5, k=3, nb=0, dtype=np.int64)
+def test_scatter_blocks_is_the_coo_conversion_bit_for_bit(seed, n, k, nb, dtype):
+    """Random float blocks sum exactly as scipy's COO -> CSR conversion sums
+    them, and no blocks give its empty matrix.  Up to 40 blocks of 8 over at
+    most 9 DoFs give rows of more than 16 entries, where scipy's per-row sort
+    is no longer stable, so the summation order of equal columns matters to
+    the last bit."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=(nb, k)).astype(dtype)
+    blocks = rng.standard_normal((nb, k, k))
+    assert_same_csr(scatter_blocks(idx, blocks, n),
+                    reference_coo_scatter(idx, blocks, n))
+
+
+@pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
+def test_scatter_blocks_is_the_coo_conversion_on_every_problem_map(name):
+    """The element map, the face map and the DoF-major system face map that
+    the penalty kernel scatters through, of every shipped problem."""
+    spec = problems.PROBLEMS[name](n=3)
+    dm = build_dofmap(generate_mesh(spec.mesh_recipe), spec.order, spec.basis)
+    m = spec.ncomp
+    faces = dm.face_dofs
+    system = (faces[:, :, None] * m + np.arange(m)).reshape(len(faces), -1)
+    rng = np.random.default_rng(11)
+    for idx, n in ((dm.element_dofs, dm.n_dofs), (faces, dm.n_dofs),
+                   (system, dm.n_dofs * m)):
+        blocks = rng.standard_normal(idx.shape + idx.shape[1:])
+        assert_same_csr(scatter_blocks(idx, blocks, n),
+                        reference_coo_scatter(idx, blocks, n))
+
+
+def _rotation_dofmap(n):
+    spec = problems.rotation_2d(n)
+    dm = build_dofmap(generate_mesh(spec.mesh_recipe), spec.order, spec.basis)
+    (velocity, _), = spec.fluxes
+    return dm, velocity
+
+
+def test_scatter_blocks_allocates_no_per_entry_row_array():
+    """Its peak is the unsorted CSR's data and indices, one of each per block
+    entry, and per-(block, row) arrays.  A per-entry row or column array
+    would add 4 bytes an entry; the bound leaves less than that.  The result
+    has at least half as many entries as the blocks, so scipy trims the
+    arrays in place and makes no pruned copy beside them."""
+    dm, _ = _rotation_dofmap(13)
+    idx = dm.element_dofs
+    blocks = np.random.default_rng(0).standard_normal(idx.shape + idx.shape[1:])
+    entries = blocks.size
+    int32 = np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        mat = scatter_blocks(idx, blocks, dm.n_dofs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.indices.dtype == np.int32 and 2 * mat.nnz >= entries
+    assert peak < entries * (blocks.itemsize + int32 + int32)
+
+
+def test_split_form_holds_one_block_array(monkeypatch):
+    """From the element blocks' making to their scatter, the split branch of
+    build_operators allocates less than one more array of their size, and the
+    blocks are gone before Q + alpha Bq is handed back."""
+    dm, velocity = _rotation_dofmap(13)
+    seen = {}
+    advective_local, scatter = assembly._advective_local, assembly._scatter
+
+    def traced_local(*args):
+        local = advective_local(*args)
+        seen.update(blocks=weakref.ref(local), nbytes=local.nbytes,
+                    held=tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return local
+
+    def traced_scatter(dofmap, local):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return scatter(dofmap, local)
+
+    def operators(*args):
+        seen["dropped"] = seen["blocks"]() is None
+        return GlobalOperators(*args)
+
+    monkeypatch.setattr(assembly, "_advective_local", traced_local)
+    monkeypatch.setattr(assembly, "_scatter", traced_scatter)
+    monkeypatch.setattr(assembly, "GlobalOperators", operators)
+    tracemalloc.start()
+    try:
+        build_operators(dm, velocity, 6, 6, 0.5)
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] - seen["held"] < seen["nbytes"]
+    assert seen["dropped"]
 
 
 @pytest.mark.parametrize("velocity, message", [

@@ -1,4 +1,6 @@
 import hashlib
+import re
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -527,11 +529,13 @@ def test_a_negative_seed_is_refused_by_name(tmp_path, capsys):
     (["--t-end", "-1"], "t_end -1.0 is not positive"),
     (["--steps", "-2"], "steps must be at least 1"),
     (["--amplitude-limit", "-1"], "amplitude_limit must be positive"),
-    (["--sat-scale", "nan"], "SAT scale factor nan must be finite and > 1/2"),
-    (["--sat-scale", "inf"], "SAT scale factor inf must be finite and > 1/2"),
-    (["--split-alpha", "nan"], "split weight alpha = nan is not finite"),
+    (["--sat-scale", "nan"],
+     "SAT scale factor nan must be finite and > 1/2 (the sat_scale setting)"),
+    (["--sat-scale", "inf"],
+     "SAT scale factor inf must be finite and > 1/2 (the sat_scale setting)"),
+    (["--split-alpha", "nan"], "split_alpha = nan is not finite"),
     (["--problem", "r13", "--steps", "3", "--sat-scale", "0"],
-     "SAT scale factor 0.0 must be finite and >= 1"),
+     "SAT scale factor 0.0 must be finite and >= 1 (the sat_scale setting)"),
     (["--t-end", "inf"], "t_end inf is not finite"),
     # a 1D face is one point, but the edge rule is checked all the same
     (["--problem", "wave1d", "--cells", "10", "--steps", "5", "--edge-quad", "99"],
@@ -540,7 +544,7 @@ def test_a_negative_seed_is_refused_by_name(tmp_path, capsys):
      "quadrature degree -3 outside the supported range 1..8"),
     (["--cfl", "inf"], "cfl must be positive and finite, got inf"),
     (["--problem", "wave1d", "--cells", "10", "--steps", "5", "--split-alpha", "nan"],
-     "split weight alpha = nan is not finite"),
+     "split_alpha = nan is not finite"),
     # a step count fixes the end time, so t_end would be dropped unread
     (["--steps", "2", "--t-end", "-1"],
      "steps 2 and t_end -1.0 both given; the step count fixes the end time")])
@@ -565,8 +569,9 @@ def test_scalar_penalty_takes_a_scale_above_one_half(tmp_path, capsys):
         rc = main(["solve", *flags, "--steps", "3", "--sat-scale", "0.75",
                    "--outdir", str(tmp_path / "sys")])
         assert rc == 1
-        assert capsys.readouterr().err == \
-            "error: SAT scale factor 0.75 must be finite and >= 1\n"
+        assert capsys.readouterr().err == (
+            "error: SAT scale factor 0.75 must be finite and >= 1 "
+            "(the sat_scale setting)\n")
     assert not (tmp_path / "sys" / "summary.txt").exists()
 
 
@@ -577,8 +582,8 @@ def test_solve_rejects_misspelt_init_in_config(tmp_path, capsys):
     rc = main(["solve", "--config", str(config),
                "--outdir", str(tmp_path / "s")])
     assert rc == 1
-    assert "initial must be 'interp' or 'project', got 'projct'" in \
-        capsys.readouterr().err
+    assert ("initial must be 'interp' or 'project', got 'projct' "
+            "(the init setting)") in capsys.readouterr().err
 
 
 def test_unknown_problem_fails_cleanly(tmp_path):
@@ -612,9 +617,9 @@ def test_every_refusal_exits_1_and_writes_nothing(tmp_path, capsys, command,
     rc = main([command, *COMMANDS[command], *flags, "--outdir", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    flag, value = flags[0], flags[-1]
+    key = flags[0].lstrip("-").replace("-", "_")
     assert err.startswith("error: ")
-    assert value in err or flag.lstrip("-") in err      # the value or the key
+    assert re.search(rf"\b{key}\b", err)                 # the key, as a word
     assert not out.exists()
 
 
@@ -706,6 +711,42 @@ def test_aborted_solve_still_writes_its_files(tmp_path, capsys):
     assert "status = aborted" in (out / "summary.txt").read_text()
     assert (out / "energy.csv").exists()
 
+
+
+def test_an_overflowing_march_aborts_without_warnings(tmp_path, capsys):
+    # the march reports the non-finite step itself; numpy adds nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["solve", "--problem", "wave1d", "--cells", "4",
+                   "--cfl", "1e300", "--t-end", "1e300",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert "status = aborted" in out and err == ""
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--problem", "wave1d", "--cells", "4"],
+    ["--problem", "advection2d", "--mesh-n", "2", "--order", "1"],
+    ["--problem", "r13", "--mesh-n", "1"]], ids=["wave1d", "advection2d", "r13"])
+@pytest.mark.parametrize("setting", ["--sat-scale", "--split-alpha"])
+def test_spectrum_refuses_an_overflowing_test_matrix(tmp_path, capsys,
+                                                     monkeypatch, flags, setting):
+    def no_eigensolve(*args):
+        raise AssertionError("eigensolved an overflowing test matrix")
+
+    monkeypatch.setattr(spectra, "symmetric_eig", no_eigensolve)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["spectrum", *flags, setting, "1e300", "--outdir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: stability test matrix entries reach magnitude "
+                        r"\S+: their row masses overflow\n", err)
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
 
 
 def test_none_unsets_only_a_key_whose_default_is_none(tmp_path, capsys,
