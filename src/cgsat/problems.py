@@ -351,13 +351,13 @@ def _kron_sum(parts, fluxes) -> sp.csr_matrix:
 def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
     """The boundary penalty of ``problem``, by the type of its condition.
 
-    Both system conditions give one table: per boundary face a pointwise
-    operator Pi L (nf, m, m) and a data matrix (nf, 1, m, W) over a stacked
-    data vector, assembled in one kernel call.  Characteristic data are
-    linear in the stacked tag vectors g(t), so their G(t) = D g(t) is one
-    map; the accommodation data do not depend on t, so their one column
-    holds each face's Pi g and G is evaluated once.
-    Inflow data g(points, t) go through the kernel at every call.
+    Every condition gives the one face kernel the same penalty table.  The
+    inflow penalty is the scalar s a_n^- with operator [[1]] and pointwise
+    data g(points, t).  Both system conditions give scalar 1, a pointwise
+    operator Pi L per boundary face (nf, m, m) and a data table (nf, 1, m,
+    W) linear in a stacked data vector, so G(t) = D g(t) is one map: the
+    characteristic data stack the tag vectors g(t), and the accommodation
+    data, which do not depend on t, are one column with g = [1].
     """
     bc, fluxes = problem.bc, problem.fluxes
     if isinstance(bc, ScalarBC):
@@ -405,15 +405,14 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
         gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
         op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma)
         s = sat_mod._check_scale(scale)
-        ops, g = s * op.pi_mat, None
+        ops, g = s * op.pi_mat, lambda t: np.ones(1)
         data_mat = np.array([s * (op.data_mat[f] @ bc.data[t](gamma[f]))
                              if t in bc.data else np.zeros(m)
                              for f, t in enumerate(tags)])[:, None, :, None]
     else:
         raise TypeError(f"unsupported boundary condition {type(bc)}")
-    return sat_mod.assemble_face_sat(
-        dofmap, fq, np.arange(nf), fq.weights * fq.lengths[:, None], ops,
-        data_mat, g)
+    return sat_mod.assemble_face_sat(dofmap, fq, np.arange(nf), 1.0, ops,
+                                     data_mat, g)
 
 
 def discretize(problem: ProblemSpec, mesh: Mesh | None = None,

@@ -14,15 +14,17 @@ only on boundary-trace DoFs.  Constructors are provided for
 Both system penalties are one pointwise type, Pi (L u - g) as the
 matrices Pi L and Pi (``PointOperator``).
 
-Every constructor is a thin caller of one kernel, ``assemble_face_sat``:
-weights per rule point, one m x m operator per face and the boundary data
-give both the matrix and G(t).  Its rule and face basis are those of the
-boundary quadratic form (``assembly.face_quadrature``), so penalty and Bq
-share one edge rule and the discrete energy estimate closes exactly; in 1D
-a face is one point of weight 1.  Mesh and basis come from the DoF map
-alone.  A scalar penalty scale s must be finite and above 1/2 (in 1D the
-endpoint penalty with tau = -s < -1/2); a system penalty scale must be
-finite and at least 1.
+Every constructor is a thin caller of one kernel, ``assemble_face_sat``,
+fed one penalty table: a scalar per rule point (s a_n^- inflow, 1 for a
+system), one m x m operator per face ([[1]] inflow, Pi L for a system)
+and the boundary data; the kernel alone forms the weights and gives both
+the matrix and G(t).  Its rule and face basis are those of the boundary
+quadratic form (``assembly.face_quadrature``), so penalty and Bq share one
+edge rule and the discrete energy estimate closes exactly; in 1D a face is
+one point of weight 1.  Mesh and basis come from the DoF map alone.  A
+scalar penalty scale s must be finite and above 1/2 (in 1D the endpoint
+penalty with tau = -s < -1/2); a system penalty scale must be finite and
+at least 1.
 """
 
 from __future__ import annotations
@@ -106,11 +108,12 @@ def scalar_sat_2d(dofmap: DofMap, coeff, g=None, edge_quad_degree: int = 6,
     fq = face_quadrature(dofmap, edge_quad_degree)
     an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
     inflow = np.nonzero(np.any(an_m < 0.0, axis=1))[0]
-    w = fq.weights * an_m[inflow] * fq.lengths[inflow, None]      # (nf, nq)
+    point = an_m[inflow]                                          # (nf, nq)
     pts = fq.points[inflow].reshape(-1, dofmap.mesh.dimension)
     fun = None if g is None else lambda t: np.asarray(
-        g(pts, t), dtype=float).reshape(*w.shape, 1)
-    return assemble_face_sat(dofmap, fq, inflow, w, data=fun)
+        g(pts, t), dtype=float).reshape(*point.shape, 1)
+    return assemble_face_sat(dofmap, fq, inflow, point,
+                             np.ones((inflow.size, 1, 1)), fun)
 
 
 # ---------------------------------------------------------------------------
@@ -300,30 +303,29 @@ def build_pi_r13(alpha: float, beta: float, gamma) -> PointOperator:
 # the penalty kernel
 # ---------------------------------------------------------------------------
 
-def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, w, ops=None,
+def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, point, ops,
                       data=None, g=None) -> BoundaryOperator:
     """The penalty on ``faces`` (indices into ``fq``) and its data G(t).
 
-    ``w[f, q]`` is the rule weight of ``fq`` times the face length times
-    any pointwise scalar such as a_n^-; ``ops[f]`` (m, m) is the pointwise
-    operator, constant along a straight face (omitted for m = 1).  The
-    matrix sum_q w phi_i phi_j (x) ops[f] is scattered DoF-major: component
-    c of DoF i sits at index i * m + c.  ``data`` is None (homogeneous), a
-    callable t -> (nf, nq or 1, m) of boundary values d, pointwise or
-    constant along each face, or a table (nf, 1, m, W) of face values
-    linear in the stacked data vector ``g(t)`` (W,); G(t) = -sum_q w phi_i
-    d, faces added in order.  A table gives G(t) = D g(t) as a
-    :class:`DataMap`; without ``g`` its one column is constant data, and
-    G is evaluated once.
+    The one penalty table: ``point`` (nf, nq), or a scalar, is a pointwise
+    scalar such as s a_n^-, and ``ops[f]`` (m, m) the operator of face f,
+    constant along a straight face.  The weight w = rule weight * point *
+    face length is formed here alone, and the matrix sum_q w phi_i phi_j
+    (x) ops[f] is scattered DoF-major: component c of DoF i sits at index
+    i * m + c.  ``data`` is None (homogeneous), a callable t -> (nf, nq or
+    1, m) of boundary values d, or a table (nf, 1, m, W) of face values
+    linear in the stacked data vector ``g(t)`` (W,), which gives G(t) =
+    D g(t) as a :class:`DataMap`; G(t) = -sum_q w phi_i d, faces added in
+    order.
     """
-    m = 1 if ops is None else ops.shape[-1]
+    m = ops.shape[-1]
     n = dofmap.n_dofs * m
     dofs = fq.dofs[faces]                                         # (nf, p+1)
     k = dofs.shape[1] * m
+    w = fq.weights * point * fq.lengths[faces, None]              # (nf, nq)
     blocks = np.einsum("fq,qi,qj->fij", w, fq.basis, fq.basis)
-    if ops is not None:
-        blocks = (blocks[:, :, None, :, None]
-                  * ops[:, None, :, None, :]).reshape(-1, k, k)
+    blocks = (blocks[:, :, None, :, None]
+              * ops[:, None, :, None, :]).reshape(-1, k, k)
     gidx = (dofs[:, :, None] * m + np.arange(m)).reshape(-1, k)
     mat = scatter_blocks(gidx, blocks, n)
     if data is None or not len(faces):
@@ -333,9 +335,6 @@ def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, w, ops=None,
         width = data.shape[-1]
         D = np.matmul(basis_t, neg_w * data.reshape(len(faces), 1, -1))
         D = D.reshape(-1, width)                   # one row per entry of rows
-        if g is None:
-            G = np.bincount(rows, D[:, 0], minlength=n)
-            return BoundaryOperator(mat, lambda t: G)
         support, at = np.unique(rows, return_inverse=True)
         block = np.zeros((support.size, width))
         np.add.at(block, at, D)

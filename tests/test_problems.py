@@ -123,10 +123,10 @@ def _data_map_and_kernel(prob, monkeypatch):
     pointwise, s -> data_mat @ s."""
     seen = {}
 
-    def spy(dofmap, fq, faces, w, ops, data_mat, g):
-        seen.update(g=g, kernel=real(dofmap, fq, faces, w, ops,
+    def spy(dofmap, fq, faces, point, ops, data_mat, g):
+        seen.update(g=g, kernel=real(dofmap, fq, faces, point, ops,
                                      lambda s: data_mat @ s).data)
-        return real(dofmap, fq, faces, w, ops, data_mat, g)
+        return real(dofmap, fq, faces, point, ops, data_mat, g)
 
     real = sat.assemble_face_sat
     monkeypatch.setattr(sat, "assemble_face_sat", spy)
@@ -234,8 +234,8 @@ def test_r13_problem_facts():
 
 
 def test_r13_boundary_data_run_once_per_face_at_build():
-    # the accommodation data do not depend on t: G is built once, and a
-    # march calls no data callable
+    # the accommodation data do not depend on t: each face's data enter
+    # the one-column table once, at build, and a march calls no data callable
     calls = {"inner": 0, "outer": 0}
     prob = r13_heat(2)
 

@@ -235,12 +235,16 @@ def test_scalar_sat_2d_matches_face_loop():
 
 @pytest.mark.parametrize("recipe", ["annulus(0.5,1.0,2)", "interval(6,random,2)"])
 def test_assemble_face_sat_matches_face_loop(recipe):
-    # random pointwise operators on all faces but one in five; the data are
-    # zero on a third of them, static on a third, time dependent on the rest
+    # random pointwise scalars, varying along each face, and random
+    # operators on all faces but one in five; pointwise data are zero on a
+    # third of them, static on a third and time dependent on the rest, and a
+    # one-column table with g = [1] holds static data
     dm = build_dofmap(generate_mesh(recipe), 2, "lagrange")
     m = 3
     rng = np.random.default_rng(8)
     faces = np.array([f for f in range(len(dm.face_dofs)) if f % 5 != 4])
+    fq = face_quadrature(dm, 6)
+    point = rng.uniform(-2.0, -0.5, (faces.size, fq.weights.size))
     ops = rng.standard_normal((faces.size, m, m))
     vecs = rng.standard_normal((faces.size, m)) * (faces % 3 != 0)[:, None]
     static = (faces % 3 == 1)[:, None]
@@ -248,25 +252,32 @@ def test_assemble_face_sat_matches_face_loop(recipe):
     def data(t):
         return np.where(static, vecs, np.sin(t) * vecs)[:, None, :]
 
-    fq = face_quadrature(dm, 6)
-    pi = assemble_face_sat(dm, fq, faces, fq.weights * fq.lengths[faces, None],
-                           ops, data)
+    pointwise = assemble_face_sat(dm, fq, faces, point, ops, data)
+    table = assemble_face_sat(dm, fq, faces, point, ops, vecs[:, None, :, None],
+                              lambda t: np.ones(1))
     n = dm.n_dofs * m
     mat = np.zeros((n, n))
     weights, b, _ = edge_rule(dm, 6)
     if dm.mesh.dimension == 1:
         weights, b = np.ones(1), np.ones((1, 1))
     lengths = dm.mesh.boundary_faces.lengths
+    w = [weights * pt * lengths[f] for f, pt in zip(faces, point)]
     gidx = [(dm.face_dofs[f][:, None] * m + np.arange(m)).ravel() for f in faces]
-    for gi, f, pi_mat in zip(gidx, faces, ops):
-        eloc = np.einsum("q,qi,qj->ij", weights * lengths[f], b, b)
+    for gi, wf, pi_mat in zip(gidx, w, ops):
+        eloc = np.einsum("q,qi,qj->ij", wf, b, b)
         mat[np.ix_(gi, gi)] += np.kron(eloc, pi_mat)
-    assert np.array_equal(pi.matrix.toarray(), mat)
-    for t in (0.0, 1.3):
+    assert np.array_equal(pointwise.matrix.toarray(), mat)
+    assert np.array_equal(table.matrix.toarray(), mat)
+
+    def face_loop(d):
         out = np.zeros(n)
-        for gi, f, d in zip(gidx, faces, data(t)):
-            np.add.at(out, gi, (b.T @ (-(weights * lengths[f])[:, None] * d)).ravel())
-        assert np.array_equal(pi.rhs_data(t), out)
+        for gi, wf, df in zip(gidx, w, d):
+            np.add.at(out, gi, (b.T @ (-wf[:, None] * df)).ravel())
+        return out
+
+    for t in (0.0, 1.3):
+        assert np.array_equal(pointwise.rhs_data(t), face_loop(data(t)))
+        assert np.array_equal(table.rhs_data(t), face_loop(vecs[:, None, :]))
 
 
 def test_sat_scale_validation():
