@@ -357,7 +357,8 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
     operator Pi L per boundary face (nf, m, m) and a data table (nf, 1, m,
     W) linear in a stacked data vector, so G(t) = D g(t) is one map: the
     characteristic data stack the tag vectors g(t), and the accommodation
-    data, which do not depend on t, are one column with g = [1].
+    data, which do not depend on t, are one column with g = [1].  Each
+    condition's data are checked once at build, at t = 0.
     """
     bc, fluxes = problem.bc, problem.fluxes
     if isinstance(bc, ScalarBC):
@@ -368,7 +369,7 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
                                      edge_quad_degree=edge_deg, scale=scale)
     faces, m = dofmap.mesh.boundary_faces, problem.ncomp
     fq = face_quadrature(dofmap, edge_deg)
-    nf, tags = len(faces), list(faces.tags)
+    nf, tags = len(faces), faces.tags.tolist()
     if isinstance(bc, CharacteristicBC):
         # A_n = sum_g (c_g . n) A_g, one per face
         speeds = [fq.normal_speed(c) for c, _ in fluxes]
@@ -387,6 +388,7 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
         widths = [pos[tags.index(t)].data_mat.shape[1] for t in bc.data]
         data_mat = np.zeros((nf, 1, m, sum(widths))) if widths else None
         for t, c, wt in zip(bc.data, np.cumsum([0] + widths), widths):
+            sat_mod._checked(bc.data[t](0.0), (wt,), f"boundary data of tag {t!r}")
             for f in np.nonzero(faces.tags == t)[0]:
                 data_mat[f, 0, :, c:c + wt] = pos[f].data_mat
 
@@ -405,10 +407,12 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
         gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
         op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma)
         s = sat_mod._check_scale(scale)
-        ops, g = s * op.pi_mat, lambda t: np.ones(1)
-        data_mat = np.array([s * (op.data_mat[f] @ bc.data[t](gamma[f]))
-                             if t in bc.data else np.zeros(m)
-                             for f, t in enumerate(tags)])[:, None, :, None]
+        with np.errstate(over="ignore"):        # the kernel refuses an overflow
+            ops, g = s * op.pi_mat, lambda t: np.ones(1)
+            data_mat = np.array([s * (op.data_mat[f] @ sat_mod._checked(
+                bc.data[t](gamma[f]), (2,), f"accommodation data of tag {t!r}"))
+                if t in bc.data else np.zeros(m)
+                for f, t in enumerate(tags)])[:, None, :, None]
     else:
         raise TypeError(f"unsupported boundary condition {type(bc)}")
     return sat_mod.assemble_face_sat(dofmap, fq, np.arange(nf), 1.0, ops,

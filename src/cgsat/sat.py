@@ -24,7 +24,7 @@ edge rule and the discrete energy estimate closes exactly; in 1D a face is
 one point of weight 1.  Mesh and basis come from the DoF map alone.  A
 scalar penalty scale s must be finite and above 1/2 (in 1D the endpoint
 penalty with tau = -s < -1/2); a system penalty scale must be finite and
-at least 1.
+at least 1, and a table with a non-finite entry is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class BoundaryOperator:
     ``matrix`` is square over the DoF-major state and has support only on
     boundary-trace DoFs.  ``data`` maps time to the assembled right-hand-side
     vector (None means homogeneous); data linear in a stacked vector g(t),
-    such as characteristic data, come as a precomputed :class:`DataMap`.
+    such as both system conditions give, come as a precomputed :class:`DataMap`.
     """
 
     matrix: sp.csr_matrix
@@ -94,8 +94,9 @@ def scalar_sat_2d(dofmap: DofMap, coeff, g=None, edge_quad_degree: int = 6,
     """Inflow penalty  s a_n^-(u - g)  assembled with the edge rule.
 
     Outflow portions (a . n > 0) contribute nothing.  ``g`` is either None
-    (homogeneous) or a callable g(points, t) -> values, evaluated once per
-    call at the quadrature points of all inflow faces.  In 1D a face is one
+    (homogeneous) or a callable g(points, t) -> values, one per point,
+    evaluated once per call at the quadrature points of all inflow faces
+    and checked at t = 0 for shape and finiteness.  In 1D a face is one
     point of weight 1, so this is the endpoint penalty with tau = -s.  With
     Q + Q' = Bq the energy rate at an inflow point is (2s - 1) a_n u^2, so
     the scale s must be finite and above 1/2.
@@ -106,14 +107,28 @@ def scalar_sat_2d(dofmap: DofMap, coeff, g=None, edge_quad_degree: int = 6,
             f"SAT scale factor {scale} must be finite and > 1/2 "
             f"(the sat_scale setting)")
     fq = face_quadrature(dofmap, edge_quad_degree)
-    an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
+    with np.errstate(over="ignore"):        # the kernel refuses an overflow
+        an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
     inflow = np.nonzero(np.any(an_m < 0.0, axis=1))[0]
     point = an_m[inflow]                                          # (nf, nq)
     pts = fq.points[inflow].reshape(-1, dofmap.mesh.dimension)
+    if g is not None and inflow.size:
+        _checked(g(pts, 0.0), (len(pts),), "inflow data g(points, t)")
     fun = None if g is None else lambda t: np.asarray(
         g(pts, t), dtype=float).reshape(*point.shape, 1)
     return assemble_face_sat(dofmap, fq, inflow, point,
                              np.ones((inflow.size, 1, 1)), fun)
+
+
+def _checked(values, shape, what) -> np.ndarray:
+    """``values`` as floats, refused unless finite and of ``shape``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{what} must return shape {shape}, "
+                         f"got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} returned a non-finite value")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +241,9 @@ def build_pi_system(decomp: CharacteristicDecomposition, R=None,
     xm = decomp.X[:, decomp.neg]
     xp = decomp.X[:, decomp.pos]
     core = xm @ np.diag(lam_m)
-    pi_mat = scale * decomp.p_sqrt @ core @ (xm.T - R @ xp.T) @ decomp.p_inv_sqrt
-    data_mat = scale * decomp.p_sqrt @ core
+    with np.errstate(over="ignore", invalid="ignore"):   # refused by the kernel
+        pi_mat = scale * decomp.p_sqrt @ core @ (xm.T - R @ xp.T) @ decomp.p_inv_sqrt
+        data_mat = scale * decomp.p_sqrt @ core
     return PointOperator(pi_mat, data_mat)
 
 
@@ -316,8 +332,13 @@ def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, point, ops,
     1, m) of boundary values d, or a table (nf, 1, m, W) of face values
     linear in the stacked data vector ``g(t)`` (W,), which gives G(t) =
     D g(t) as a :class:`DataMap`; G(t) = -sum_q w phi_i d, faces added in
-    order.
+    order.  A non-finite operator, scalar or table entry is refused.
     """
+    table = (point, ops) + (() if data is None or callable(data) else (data,))
+    if not all(np.isfinite(a).all() for a in table):
+        raise StabilityViolationError(
+            "the penalty table has a non-finite entry: its coefficients "
+            "overflow or are not finite (is the sat_scale setting too large?)")
     m = ops.shape[-1]
     n = dofmap.n_dofs * m
     dofs = fq.dofs[faces]                                         # (nf, p+1)

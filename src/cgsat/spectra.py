@@ -102,7 +102,8 @@ def _with_penalty(s0, pi):
         raise ValueError(
             f"dimension mismatch: Q is {s0.shape}, Pi is {pi.shape}")
     P = pi + pi.T
-    P *= 2.0
+    with np.errstate(over="ignore"):      # boundary_block refuses an overflow
+        P *= 2.0
     return P - s0
 
 

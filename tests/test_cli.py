@@ -749,6 +749,35 @@ def test_spectrum_refuses_an_overflowing_test_matrix(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--problem", "wave1d", "--cells", "4"],
+    ["--problem", "advection2d", "--mesh-n", "2", "--order", "1"],
+    ["--problem", "r13", "--mesh-n", "1"]], ids=["wave1d", "advection2d", "r13"])
+@pytest.mark.parametrize("command", ["solve", "spectrum"])
+@pytest.mark.parametrize("scale", ["1e308", "1.7e308"])
+def test_a_huge_sat_scale_gives_one_error_line_and_no_warning(
+        tmp_path, capsys, flags, command, scale):
+    # r13's scaled table overflows and is refused at build, naming the
+    # setting; the wave and inflow tables stay finite, so their test matrix
+    # is refused by its row masses and their march aborts at its first
+    # step, which reports the non-finite state itself
+    march = ["--steps", "1"] if command == "solve" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, *flags, "--sat-scale", scale, *march,
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if flags[1] == "r13":
+        assert re.fullmatch(r"error: the penalty table has a non-finite "
+                            r"entry: [^\n]*sat_scale[^\n]*\n", err)
+    elif command == "spectrum":
+        assert re.fullmatch(r"error: [^\n]*row masses overflow\n", err)
+    else:
+        assert err == "" and "status = aborted" in out
+
+
 def test_none_unsets_only_a_key_whose_default_is_none(tmp_path, capsys,
                                                       monkeypatch):
     cfg = RunConfig.from_text("cfl = none\nproblem = none\ninit = none\n"

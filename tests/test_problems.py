@@ -298,6 +298,36 @@ def test_discretize_rejects_malformed_initial_data(prob, initial, message):
         discretize(replace(prob, initial=initial))
 
 
+def _with_data(prob, tag, fn):
+    return replace(prob, bc=replace(prob.bc, data={**prob.bc.data, tag: fn}))
+
+
+@pytest.mark.parametrize("prob, message", [
+    (_with_data(wave_1d(4), "left", lambda t: np.array([np.sin(t), 1.0])),
+     r"tag 'left' must return shape \(1,\), got \(2,\)"),
+    (_with_data(wave_1d(4), "right", lambda t: np.sin(t)),
+     r"tag 'right' must return shape \(1,\), got \(\)"),
+    (_with_data(wave_1d(4), "left", lambda t: np.array([np.nan])),
+     "tag 'left' returned a non-finite value"),
+    (replace(sine_advection_2d(n=2), bc=problems.ScalarBC(
+        lambda pts, t: np.zeros(len(pts) + 1))),
+     r"inflow data g\(points, t\) must return shape \(\d+,\), got \(\d+,\)"),
+    (replace(sine_advection_2d(n=2), bc=problems.ScalarBC(
+        lambda pts, t: np.full(len(pts), np.inf))),
+     r"inflow data g\(points, t\) returned a non-finite value"),
+    (_with_data(r13_heat(2), "outer", lambda gamma: np.zeros(3)),
+     r"tag 'outer' must return shape \(2,\), got \(3,\)"),
+    (_with_data(r13_heat(2), "inner", lambda gamma: np.array([np.nan, 0.0])),
+     "tag 'inner' returned a non-finite value")],
+    ids=["wave-two-values", "wave-float", "wave-nan", "inflow-length",
+         "inflow-inf", "r13-three-values", "r13-nan"])
+def test_discretize_rejects_malformed_boundary_data(prob, message):
+    # checked once at build, at t = 0, and named by tag or condition, not
+    # left to fail mid-march
+    with pytest.raises(ValueError, match=message):
+        discretize(prob)
+
+
 def test_error_norms_reject_malformed_exact_values():
     disc = discretize(advection_2d(n=2, order=1))
     bad = replace(disc, problem=replace(disc.problem,

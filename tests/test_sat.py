@@ -280,6 +280,17 @@ def test_assemble_face_sat_matches_face_loop(recipe):
         assert np.array_equal(table.rhs_data(t), face_loop(vecs[:, None, :]))
 
 
+def test_assemble_face_sat_refuses_a_non_finite_table():
+    dm = build_dofmap(generate_mesh("interval(4)"), 2, "lagrange")
+    fq = face_quadrature(dm, 2)
+    faces, ones = np.arange(2), np.ones((2, 1, 1))
+    table = np.ones((2, 1, 1, 1))
+    for point, ops, data in ((np.inf, ones, None), (1.0, -np.inf * ones, None),
+                             (1.0, ones, np.nan * table)):
+        with pytest.raises(StabilityViolationError, match="sat_scale"):
+            assemble_face_sat(dm, fq, faces, point, ops, data, lambda t: [1.0])
+
+
 def test_sat_scale_validation():
     mesh = unit_square_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
