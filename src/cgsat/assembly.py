@@ -12,6 +12,11 @@ holds to machine precision whenever the volume rule integrates the stiffness
 integrand exactly and the edge rule used for Bq matches the one used in any
 split-form assembly.  ``check_sbp`` measures the defect.  Every assembler
 takes only the DoF map, so M, Q and Bq share its mesh and its basis.
+
+Two builders write CSR arrays directly: ``scatter_blocks`` sums element
+or face blocks, and ``kron_sum`` forms the system operators
+sum_g Q_g (x) A_g, the system mass M (x) I and the source M (x) S, each
+bit for bit what scipy's conversions and sparse sums give.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ STABILITY_RTOL = 1e-12
 
 # elements per step of the in-place split form, whose temporary is one chunk
 SPLIT_CHUNK = 256
+
+# stored part entries per step of kron_sum, whose temporaries are a few
+# arrays of one chunk and of one chunk times the mats' nonzeros per row
+KRON_CHUNK = 8192
 
 
 def default_quad_degree(p: int) -> int:
@@ -107,6 +116,124 @@ def scatter_blocks(idx: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix
     mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
     mat.sum_duplicates()
     return mat
+
+
+def _on_one_pattern(parts):
+    """The parts' common (indptr, indices) and their values on it.
+
+    Parts of different patterns are placed on the union of their patterns,
+    found from row-major keys, with their absent entries set to 0.0.
+    """
+    first = parts[0]
+    if all(np.array_equal(p.indptr, first.indptr)
+           and np.array_equal(p.indices, first.indices) for p in parts[1:]):
+        return first.indptr, first.indices, [p.data for p in parts]
+    n, ncols = first.shape
+    keys = [np.repeat(np.arange(n, dtype=np.int64) * ncols, np.diff(p.indptr))
+            + p.indices for p in parts]
+    union = np.unique(np.concatenate(keys))
+    values = []
+    for p, k in zip(parts, keys):
+        v = np.zeros(union.size, dtype=p.dtype)
+        v[np.searchsorted(union, k)] = p.data
+        values.append(v)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(union // ncols, minlength=n), out=indptr[1:])
+    return indptr, union % ncols, values
+
+
+def kron_sum(parts, mats) -> sp.csr_matrix:
+    """sum_g parts[g] (x) mats[g], written straight into the arrays of one CSR.
+
+    Bit for bit this is scipy's ``sum(sp.kron(q, a, format="csr") ...)``,
+    without a Kronecker matrix per part, COO temporaries or a sparse sum.
+    The parts are canonical CSR matrices of one shape and the mats finite
+    arrays of one shape.  One part whose mat is [[1]] is returned as it is.
+    Row (i, a) lists, for each stored (i, j) of the parts in order, the
+    columns j m + b for b in the union of the mats' nonzero patterns in row
+    a, where -0.0 counts as zero.  One part keeps its explicit zeros, as
+    ``sp.kron`` does.  Several parts give each entry as the left fold
+    (q0 a0 + q1 a1) + q2 a2 ... over the mats whose entry is nonzero, and
+    exact zeros are dropped after, as scipy's sparse sum drops them.
+
+    The output is written KRON_CHUNK stored part entries at a time, and
+    kept entries are moved down in place, so the peak is the unpruned
+    result and chunk-sized temporaries.
+    """
+    mats = [np.asarray(a) for a in mats]
+    if len(parts) == len(mats) == 1 and np.array_equal(mats[0], [[1.0]]):
+        return parts[0]
+    if not parts or len(parts) != len(mats) or len({p.shape for p in parts}) != 1 \
+            or len({a.shape for a in mats}) != 1 or mats[0].ndim != 2:
+        raise ValueError("kron_sum takes as many parts as mats, the parts of "
+                         "one shape and the mats 2-D arrays of one shape")
+    if not all(p.has_canonical_format for p in parts):
+        raise ValueError("kron_sum takes canonical CSR parts (sorted, no duplicates)")
+    (n, ncols), (mr, mc) = parts[0].shape, mats[0].shape
+    nonzero = np.array([a != 0 for a in mats])
+    cols = [np.flatnonzero(row) for row in nonzero.any(axis=0)]
+    offsets = np.concatenate(([0], np.cumsum([c.size for c in cols])))
+    width = int(offsets[-1])                  # result entries per part entry
+    indptr, indices, values = _on_one_pattern(parts)
+    indptr = indptr.astype(np.intp, copy=False)
+    total = indices.size * width
+    itype = np.int32 if max(n * mr, ncols * mc, total) < 2 ** 31 else np.int64
+    dtype = np.result_type(*(p.dtype for p in parts), *mats)
+    data = np.empty(total, dtype=dtype)
+    out_indices = np.empty(total, dtype=itype)
+    out_indptr = np.zeros(n * mr + 1, dtype=itype)
+    prune = len(parts) > 1
+    # per (a, b): the parts' values and mat entries that enter the fold
+    terms = [[(v, a[r, b]) for v, a in zip(values, mats) if a[r, b] != 0]
+             for r in range(mr) for b in cols[r]]
+
+    def write(r0, r1, kept):
+        """Rows r0..r1 of the parts; their result goes to ``kept`` onwards."""
+        s0, s1 = indptr[r0], indptr[r1]
+        lens = np.diff(indptr[r0:r1 + 1])
+        starts = indptr[r0:r1] - s0
+        first = np.repeat(starts * width, lens)      # local start of row (i, 0)
+        along = np.arange(s1 - s0) - np.repeat(starts, lens)
+        row_len = np.repeat(lens, lens)
+        col = indices[s0:s1].astype(itype) * itype(mc)
+        block = slice(s0 * width, s1 * width)
+        dv, iv = data[block], out_indices[block]
+        pos = np.empty(s1 - s0, dtype=np.intp)
+        val = np.empty(s1 - s0, dtype=dtype)
+        zeros = []                          # local positions of exact zeros
+        fold = iter(terms)
+        for r, c in enumerate(cols):
+            base = first + row_len * offsets[r] + along * c.size
+            for t, b in enumerate(c):
+                (v, x), *rest = next(fold)
+                np.multiply(v[s0:s1], x, out=val)
+                for v, x in rest:
+                    val += v[s0:s1] * x
+                np.add(base, t, out=pos)
+                dv[pos] = val
+                iv[pos] = col + b
+                if prune:
+                    zeros.append(pos[val == 0])
+        ends = (starts[:, None] * width + lens[:, None] * offsets[1:]).ravel()
+        z = np.sort(np.concatenate(zeros)) if zeros else np.empty(0, dtype=np.intp)
+        out_indptr[r0 * mr + 1:r1 * mr + 1] = kept + ends - np.searchsorted(z, ends)
+        if len(z) or kept < block.start:
+            keep = np.ones(dv.size, dtype=bool)
+            keep[z] = False
+            dv, iv = dv[keep], iv[keep]
+            data[kept:kept + dv.size] = dv
+            out_indices[kept:kept + dv.size] = iv
+        return kept + dv.size
+
+    kept, r0 = 0, 0
+    while r0 < n:
+        r1 = max(int(np.searchsorted(indptr, indptr[r0] + KRON_CHUNK, "right")) - 1,
+                 r0 + 1)
+        kept, r0 = write(r0, r1, kept), r1
+    if kept < total:                   # shrink in place: no view is left
+        data.resize(kept, refcheck=False)
+        out_indices.resize(kept, refcheck=False)
+    return sp.csr_matrix((data, out_indices, out_indptr), shape=(n * mr, ncols * mc))
 
 
 def _scatter(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:

@@ -28,7 +28,8 @@ from . import sat as sat_mod
 # bench/tracer.py times the assemblers under their names in this module
 from .assembly import (assemble_boundary_quadratic, assemble_mass,  # noqa: F401
                        assemble_stiffness, build_operators, check_sbp,
-                       default_quad_degree, face_quadrature, physical_points)
+                       default_quad_degree, face_quadrature, kron_sum,
+                       physical_points)
 from .basis import BasisSpec, lattice_inverse, quad_rule, tabulate
 from .mesh import DofMap, Mesh, build_dofmap, check_spacing, generate_mesh
 from .timeint import (_check_march, factor_mass, run, scheme_for_order,
@@ -341,13 +342,6 @@ class Discretization:
         return [check_sbp(ops) for ops in self.group_ops]
 
 
-def _kron_sum(parts, fluxes) -> sp.csr_matrix:
-    """sum_g parts[g] (x) A_g; a part whose A_g is [[1]] is taken as it is."""
-    terms = [q if np.array_equal(a, [[1.0]]) else sp.kron(q, a, format="csr")
-             for q, (_, a) in zip(parts, fluxes)]
-    return sum(terms[1:], terms[0]).tocsr()
-
-
 def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
     """The boundary penalty of ``problem``, by the type of its condition.
 
@@ -446,6 +440,13 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
     if not shapes or shapes != {(p.ncomp, p.ncomp)}:
         raise ValueError(f"problem {p.name}: flux matrices must be square "
                          f"and of one size, got shapes {sorted(shapes)}")
+    if p.source_matrix is not None and np.shape(p.source_matrix) != (p.ncomp,) * 2:
+        raise ValueError(f"problem {p.name}: the source matrix must have shape "
+                         f"({p.ncomp}, {p.ncomp}), got {np.shape(p.source_matrix)}")
+    named_mats = [(f"flux matrix {g}", a) for g, (_, a) in enumerate(p.fluxes)]
+    for what, mat in named_mats + [("source matrix", p.source_matrix)]:
+        if mat is not None and not np.isfinite(mat).all():
+            raise ValueError(f"problem {p.name}: the {what} is not finite")
     dofmap = build_dofmap(mesh, p.order, p.basis)
     vol = default_quad_degree(p.order) if volume_degree is None else volume_degree
     edge = vol if edge_degree is None else edge_degree
@@ -453,11 +454,11 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
     M = assemble_mass(dofmap, vol)
     groups = [build_operators(dofmap, c, vol, edge, split_alpha)
               for c, _ in p.fluxes]
-    q_sys = _kron_sum([o.Q for o in groups], p.fluxes)
-    bq_sys = _kron_sum([o.Bq for o in groups], p.fluxes)
+    mats = [a for _, a in p.fluxes]
+    q_sys = kron_sum([o.Q for o in groups], mats)
+    bq_sys = kron_sum([o.Bq for o in groups], mats)
     pi = _penalty(p, dofmap, edge, scale)
-    source = None if p.source_matrix is None else \
-        sp.kron(M, p.source_matrix, format="csr")
+    source = None if p.source_matrix is None else kron_sum([M], [p.source_matrix])
     u0 = interpolate(p.initial, dofmap, p.ncomp).reshape(-1)
     return Discretization(p, dofmap, M, q_sys, bq_sys, groups, pi, source, u0,
                           nodal_value_operator(dofmap))

@@ -29,6 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import kron_sum
+
 
 MIN_PIVOT_RATIO = 1e-10       # smallest / largest pivot of an accepted M
 STEADY_CHECK_EVERY = 25       # steps between steady-state residual checks
@@ -251,7 +253,7 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
             r += data_fun(t)
         return lu.solve(r.reshape(shape)).ravel()
 
-    M_sys = M if ncomp == 1 else sp.kron(M, sp.identity(ncomp), format="csr")
+    M_sys = kron_sum([M], [np.eye(ncomp)])          # M itself for one field
 
     def extrema(v):
         vals = v if value_op is None else value_op @ v.reshape(shape)

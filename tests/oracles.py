@@ -10,7 +10,8 @@ no Bernstein code, and the variable-coefficient stiffness is the
 four-operand einsum per element, at rule points mapped by einsum, and the
 split form the global sparse expression, with no reference tensor.  The
 DoF owners are read from ``np.unique``, and a block scatter is a dense
-``np.add.at`` or, bit for bit, scipy's COO -> CSR conversion.  A
+``np.add.at`` or, bit for bit, scipy's COO -> CSR conversion, and a sum of
+Kronecker products one ``sp.kron`` per part and scipy's sparse sum.  A
 characteristic penalty is admissible by the two-test rule: the reflected
 energy budget and the boundary quadratic form.
 """
@@ -272,6 +273,14 @@ def reference_coo_scatter(idx: np.ndarray, blocks: np.ndarray,
     rows = np.broadcast_to(idx[:, :, None], (nb, k, k)).ravel()
     cols = np.broadcast_to(idx[:, None, :], (nb, k, k)).ravel()
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def reference_kron_sum(parts, mats) -> sp.csr_matrix:
+    """sum_g parts[g] (x) mats[g] as one ``sp.kron`` per part and scipy's
+    sparse sum; a part whose mat is [[1]] is taken as it is."""
+    terms = [q if np.array_equal(a, [[1.0]]) else sp.kron(q, a, format="csr")
+             for q, a in zip(parts, mats)]
+    return sum(terms[1:], terms[0]).tocsr()
 
 
 def reference_admissible(decomp, R) -> bool:

@@ -4,19 +4,23 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (reference_advective_local, reference_coo_scatter,
-                     reference_scatter, reference_split_stiffness)
+                     reference_kron_sum, reference_scatter,
+                     reference_split_stiffness)
 
 from cgsat import assembly, problems
 from cgsat.assembly import (GlobalOperators, _advective_local, _scatter,
                             as_coefficient, assemble_boundary_quadratic,
                             assemble_mass, assemble_stiffness, build_operators,
-                            check_sbp, default_quad_degree, scatter_blocks)
+                            check_sbp, default_quad_degree, kron_sum,
+                            scatter_blocks)
 from cgsat.basis import BasisSpec, quad_rule, tabulate
 from cgsat.mesh import (build_dofmap, generate_mesh, interval_mesh,
                         unit_disk_mesh, unit_square_mesh, _build_mesh)
+from cgsat.problems import discretize, r13_heat
 from cgsat.spectra import symmetric_eig
 from cgsat.timeint import factor_mass
 
@@ -360,6 +364,77 @@ def test_scatter_blocks_allocates_no_per_entry_row_array():
     assert peak < entries * (blocks.itemsize + int32 + int32)
 
 
+def _random_part(rng, shape, mask, dtype, small):
+    """A canonical CSR on ``mask`` with explicit +-0.0 among its entries."""
+    rows, cols = np.nonzero(mask)
+    data = (rng.integers(-2, 3, rows.size).astype(float) if small
+            else rng.standard_normal(rows.size))
+    data[rng.random(rows.size) < 0.15] = 0.0
+    data[rng.random(rows.size) < 0.1] = -0.0
+    indptr = np.zeros(shape[0] + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((data, cols.astype(dtype), indptr), shape=shape)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), ncols=st.integers(1, 7),
+       nparts=st.integers(1, 3), shared=st.booleans(), m=st.integers(1, 6),
+       small=st.booleans(), dtype=st.sampled_from([np.int32, np.int64]))
+def test_kron_sum_is_the_sum_of_kron_bit_for_bit(seed, n, ncols, nparts, shared,
+                                                 m, small, dtype):
+    """Parts on one pattern or on different ones, with explicit zeros and
+    empty rows, and mats with zeros, -0.0 and entries of both signs give
+    the dtype, shape and bytes of scipy's sum of ``sp.kron``.  Small integer
+    values make exact cancellations, which the sum drops."""
+    rng = np.random.default_rng(seed)
+    density = rng.uniform(0.1, 0.9)
+    masks = [rng.random((n, ncols)) < density for _ in range(nparts)]
+    if shared:
+        masks = [masks[0]] * nparts
+    for mask in masks:
+        mask[rng.random(n) < 0.2] = False                 # empty rows
+    parts = [_random_part(rng, (n, ncols), mask, dtype, small) for mask in masks]
+    levels = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0])
+    mats = [rng.choice(levels, (m, m)) for _ in range(nparts)]
+    assert_same_csr(kron_sum(parts, mats), reference_kron_sum(parts, mats))
+
+
+def test_kron_sum_of_one_part_with_the_unit_mat_is_the_part():
+    part = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, -3.0]]))
+    assert kron_sum([part], [np.eye(1)]) is part
+    assert kron_sum([part], [[[1]]]) is part
+
+
+@pytest.mark.parametrize("parts, mats, message", [
+    ([], [], "as many parts as mats"),
+    ([sp.eye(2, format="csr")], [np.eye(2), np.eye(2)], "as many parts as mats"),
+    ([sp.eye(2, format="csr"), sp.eye(3, format="csr")], [np.eye(2)] * 2,
+     "the parts of one shape"),
+    ([sp.eye(2, format="csr")] * 2, [np.eye(2), np.eye(3)], "mats 2-D arrays"),
+    ([sp.csr_matrix(([1.0, 2.0], [1, 0], [0, 2]), shape=(1, 2))], [np.eye(2)],
+     "canonical CSR")],
+    ids=["none", "counts", "part-shapes", "mat-shapes", "unsorted"])
+def test_kron_sum_rejects_parts_and_mats_that_do_not_fit(parts, mats, message):
+    with pytest.raises(ValueError, match=message):
+        kron_sum(parts, mats)
+
+
+def test_kron_sum_peak_is_little_more_than_its_result():
+    """r13's Q = Q_x (x) A + Q_y (x) B at n = 12: the builder holds the
+    unpruned result and chunk-sized temporaries, while one ``sp.kron`` per
+    part and their sparse sum peaked at about twice the result."""
+    disc = discretize(r13_heat(12))
+    parts = [o.Q for o in disc.group_ops]
+    mats = [a for _, a in disc.problem.fluxes]
+    tracemalloc.start()
+    try:
+        q = kron_sum(parts, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * (q.data.nbytes + q.indices.nbytes + q.indptr.nbytes)
+
+
 def test_split_form_holds_one_block_array(monkeypatch):
     """From the element blocks' making to their scatter, the split branch of
     build_operators allocates less than one more array of their size, and the
@@ -479,11 +554,10 @@ def test_galerkin_derivative_exact_on_polynomials(kind, p):
 
 
 def test_system_mass_is_kron_identity():
-    import scipy.sparse as sp
     mesh = interval_mesh(4)
     dm, bs = setup(mesh, 2, "lagrange")
     M = assemble_mass(dm, 6)
-    Msys = sp.kron(M, np.eye(3)).tocsr()
+    Msys = kron_sum([M], [np.eye(3)])
     rng = np.random.default_rng(0)
     for _ in range(20):
         i, j = rng.integers(0, 3 * dm.n_dofs, 2)

@@ -453,6 +453,40 @@ def test_discretize_rejects_flux_groups_that_do_not_fit(prob, message):
         discretize(prob)
 
 
+def _with_flux(prob, g, fn):
+    fluxes = list(prob.fluxes)
+    c, a = fluxes[g]
+    fluxes[g] = (c, fn(a.copy()))
+    return replace(prob, fluxes=tuple(fluxes))
+
+
+def _nan_at_corner(a):
+    a[0, -1] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("prob, message", [
+    (_with_flux(wave_1d(n=4), 0, _nan_at_corner),
+     "problem wave1d: the flux matrix 0 is not finite"),
+    (_with_flux(r13_heat(2), 1, lambda a: a + np.inf),
+     "problem r13: the flux matrix 1 is not finite"),
+    (replace(r13_heat(2), source_matrix=np.eye(5)),
+     r"problem r13: the source matrix must have shape \(6, 6\), got \(5, 5\)"),
+    (replace(r13_heat(2), source_matrix=np.ones((6, 5))),
+     r"the source matrix must have shape \(6, 6\), got \(6, 5\)"),
+    (replace(r13_heat(2), source_matrix=np.full((6, 6), np.nan)),
+     "problem r13: the source matrix is not finite"),
+    (replace(wave_1d(n=4), source_matrix=np.diag([0.0, -np.inf])),
+     "problem wave1d: the source matrix is not finite")],
+    ids=["wave-flux-nan", "r13-flux-inf", "r13-source-5x5", "r13-source-6x5",
+         "r13-source-nan", "wave-source-inf"])
+def test_discretize_rejects_malformed_flux_and_source_matrices(prob, message):
+    # refused before any assembly, with one named error and no numpy or
+    # scipy warning (pytest turns a warning into a failure)
+    with pytest.raises(ValueError, match=message):
+        discretize(prob)
+
+
 def test_characteristic_penalty_of_a_constant_2d_group_is_certified():
     # A_n = (c . n) A on each wall of the square; upwind data dissipate
     prob = replace(SHEARED, fluxes=((np.array([1.0, 0.5]), SHEARED.fluxes[0][1]),))
