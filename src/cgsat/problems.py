@@ -320,8 +320,7 @@ class Discretization:
 
     @property
     def norm_q(self) -> float:
-        q = self.ops_sys.data
-        return float(np.abs(q).max()) if q.size else 0.0
+        return float(np.abs(self.ops_sys.data).max(initial=0.0))
 
     @property
     def mesh(self) -> Mesh:
@@ -440,11 +439,13 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
     if not shapes or shapes != {(p.ncomp, p.ncomp)}:
         raise ValueError(f"problem {p.name}: flux matrices must be square "
                          f"and of one size, got shapes {sorted(shapes)}")
-    if p.source_matrix is not None and np.shape(p.source_matrix) != (p.ncomp,) * 2:
-        raise ValueError(f"problem {p.name}: the source matrix must have shape "
-                         f"({p.ncomp}, {p.ncomp}), got {np.shape(p.source_matrix)}")
+    optional = [("source matrix", p.source_matrix), ("symmetrizer", p.symmetrizer)]
+    for what, mat in optional:
+        if mat is not None and np.shape(mat) != (p.ncomp,) * 2:
+            raise ValueError(f"problem {p.name}: the {what} must have shape "
+                             f"({p.ncomp}, {p.ncomp}), got {np.shape(mat)}")
     named_mats = [(f"flux matrix {g}", a) for g, (_, a) in enumerate(p.fluxes)]
-    for what, mat in named_mats + [("source matrix", p.source_matrix)]:
+    for what, mat in named_mats + optional:
         if mat is not None and not np.isfinite(mat).all():
             raise ValueError(f"problem {p.name}: the {what} is not finite")
     dofmap = build_dofmap(mesh, p.order, p.basis)

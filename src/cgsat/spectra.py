@@ -18,7 +18,8 @@ and pad the spectrum with exact zeros.  Past ``stability_matrix`` a report
 makes no sparse matrix: the row masses that pick the block, the dense
 block itself (gathered once, and reused for the eigenpair residuals) and
 the interior residual of Q + Q^T are all read off the stored entries of
-the two CSR test matrices.
+the two CSR test matrices, with ``check_sbp``'s row reader and tolerance
+(``assembly.row_entries``, ``assembly.stability_tolerance``).
 
 ``stability_matrix(Q, pi)`` takes matrices; ``build_spectrum_report(Q, pi,
 k, interior_dofs, ncomp, norm_q)`` takes the stiffness matrix and the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import STABILITY_RTOL
+from .assembly import STABILITY_RTOL, row_entries, stability_tolerance  # noqa: F401
 from .timeint import factor_mass
 
 DENSE_EIG_CAP = 5000
@@ -117,13 +118,6 @@ def _csr(S):
     return S
 
 
-def _row_entries(S, rows):
-    """Positions in S.data of the stored entries of ``rows``, row by row."""
-    first, count = S.indptr[rows], np.diff(S.indptr)[rows]
-    return (np.repeat(first - np.cumsum(count) + count, count)
-            + np.arange(count.sum()))
-
-
 def boundary_block(S, budget: float):
     """Rows of a symmetric S to eigensolve, and a bound on what the rest moves.
 
@@ -176,7 +170,7 @@ def extreme_eigs(S, k: int, rows):
     _check_order(m)
     at = np.full(n, -1)
     at[rows] = np.arange(m)
-    ent = _row_entries(S, rows)
+    ent = row_entries(S, rows)
     r = np.repeat(np.arange(m), np.diff(S.indptr)[rows])
     c = at[S.indices[ent]]
     inside = c >= 0
@@ -219,7 +213,7 @@ class SpectrumReport:
         return self.verdict == "stable"
 
     def tolerance(self) -> float:
-        return STABILITY_RTOL * max(self.norm_q, 1e-300)
+        return stability_tolerance(self.norm_q)
 
 
 def build_spectrum_report(Q, pi, k: int, interior_dofs, ncomp: int,
@@ -229,7 +223,7 @@ def build_spectrum_report(Q, pi, k: int, interior_dofs, ncomp: int,
     ``pi`` is the ``BoundaryOperator``; ``interior_dofs`` are scalar DoF
     indices, each standing for ``ncomp`` unknowns; ``norm_q`` is max|Q|.
     """
-    tol = STABILITY_RTOL * max(norm_q, 1e-300)
+    tol = stability_tolerance(norm_q)
     s0 = _csr(stability_matrix(Q))
     s1 = _csr(_with_penalty(s0, pi.matrix))       # Q + Q^T is formed once
     # dropped rows may move the verdict's eigenvalue by a tenth of tol; both
@@ -243,8 +237,7 @@ def build_spectrum_report(Q, pi, k: int, interior_dofs, ncomp: int,
     verdict = "stable" if (pos1.size == 0 or pos1[0] <= tol) else "unstable"
     interior = (np.asarray(interior_dofs, dtype=np.intp)[:, None] * ncomp
                 + np.arange(ncomp)[None, :]).ravel()
-    max_int = float(np.abs(s0.data[_row_entries(s0, interior)])
-                    .max(initial=0.0))
+    max_int = float(np.abs(s0.data[row_entries(s0, interior)]).max(initial=0.0))
     return SpectrumReport(s0.shape[0], neg0, pos0, neg1, pos1,
                           max_int, norm_q, verdict, support, dropped)
 

@@ -160,8 +160,8 @@ def stable_dt(cfl: float, h_min: float, max_speed: float, order: int) -> float:
     """
     if not 0 < cfl < np.inf:
         raise ValueError(f"cfl must be positive and finite, got {cfl}")
-    if not max_speed > 0:
-        raise ValueError("max_speed must be positive")
+    if not 0 < max_speed < np.inf:
+        raise ValueError(f"max_speed must be positive and finite, got {max_speed}")
     return cfl * h_min / (max_speed * (2 * order + 1))
 
 

@@ -12,8 +12,8 @@ from oracles import (reference_advective_local, reference_coo_scatter,
                      reference_split_stiffness)
 
 from cgsat import assembly, problems
-from cgsat.assembly import (GlobalOperators, _advective_local, _scatter,
-                            as_coefficient, assemble_boundary_quadratic,
+from cgsat.assembly import (STABILITY_RTOL, GlobalOperators, _advective_local,
+                            _scatter, as_coefficient, assemble_boundary_quadratic,
                             assemble_mass, assemble_stiffness, build_operators,
                             check_sbp, default_quad_degree, kron_sum,
                             scatter_blocks)
@@ -533,6 +533,46 @@ def test_sbp_zero_velocity():
     assert rep.passed
     assert rep.max_interior_residual == 0.0
     assert rep.max_boundary_residual == 0.0
+
+
+# DoF maps with 1 to 25 interior DoFs, and one with none
+SBP_DOFMAPS = ([build_dofmap(unit_square_mesh(2), p, "lagrange") for p in (1, 2, 3)]
+               + [build_dofmap(interval_mesh(3), 2, "bernstein"),
+                  build_dofmap(unit_square_mesh(1), 1, "lagrange")])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, len(SBP_DOFMAPS) - 1),
+       skew=st.booleans(), bq_scale=st.sampled_from([1.0, 1e-14, 0.0]))
+def test_check_sbp_reads_the_dense_defect_bit_for_bit(seed, which, skew, bq_scale):
+    """A random Q with explicit zeros, -0.0 and empty rows, and a Bq stored
+    on boundary x boundary entries only: every report field is the dense
+    oracle's max |Q + Q^T - Bq| over entries in an interior row or column
+    and over the rest.  A skew Q has Q + Q^T = 0 exactly, so with a small
+    Bq some reports pass."""
+    dm = SBP_DOFMAPS[which]
+    n, b = dm.n_dofs, dm.boundary_dofs
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+    mask[rng.random(n) < 0.2] = False                 # empty rows
+    q = _random_part(rng, (n, n), mask, np.int32, small=False)
+    if skew:
+        q = (q - q.T).tocsr()
+    on_boundary = np.zeros(n, dtype=bool)
+    on_boundary[b] = True
+    both = on_boundary[:, None] & on_boundary[None, :]
+    bq = _random_part(rng, (n, n), both & (rng.random((n, n)) < 0.5), np.int32,
+                      small=False) * bq_scale
+    rep = check_sbp(GlobalOperators(q, bq, dm, 6, 6))
+    Q = q.toarray()
+    defect = np.abs(Q + Q.T - bq.toarray())
+    max_int = defect[~both].max(initial=0.0)
+    max_bnd = defect[both].max(initial=0.0)
+    tol = STABILITY_RTOL * max(np.abs(Q).max(initial=0.0), 1e-300)
+    fields = (rep.max_interior_residual, rep.max_boundary_residual, rep.tolerance)
+    assert [float(x).hex() for x in fields] == [float(x).hex()
+                                                for x in (max_int, max_bnd, tol)]
+    assert rep.passed is bool(max_int <= tol and max_bnd <= tol)
 
 
 @pytest.mark.parametrize("kind", ["lagrange", "bernstein"])

@@ -477,9 +477,16 @@ def _nan_at_corner(a):
     (replace(r13_heat(2), source_matrix=np.full((6, 6), np.nan)),
      "problem r13: the source matrix is not finite"),
     (replace(wave_1d(n=4), source_matrix=np.diag([0.0, -np.inf])),
-     "problem wave1d: the source matrix is not finite")],
+     "problem wave1d: the source matrix is not finite"),
+    (replace(wave_1d(n=4), symmetrizer=np.array([[np.nan, 0.0], [0.0, 1.0]])),
+     "problem wave1d: the symmetrizer is not finite"),
+    (replace(wave_1d(n=4), symmetrizer=np.diag([1.0, np.inf])),
+     "problem wave1d: the symmetrizer is not finite"),
+    (replace(wave_1d(n=4), symmetrizer=np.eye(3)),
+     r"problem wave1d: the symmetrizer must have shape \(2, 2\), got \(3, 3\)")],
     ids=["wave-flux-nan", "r13-flux-inf", "r13-source-5x5", "r13-source-6x5",
-         "r13-source-nan", "wave-source-inf"])
+         "r13-source-nan", "wave-source-inf", "wave-symmetrizer-nan",
+         "wave-symmetrizer-inf", "wave-symmetrizer-3x3"])
 def test_discretize_rejects_malformed_flux_and_source_matrices(prob, message):
     # refused before any assembly, with one named error and no numpy or
     # scipy warning (pytest turns a warning into a failure)

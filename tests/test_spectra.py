@@ -381,3 +381,17 @@ def test_noise_above_budget_joins_the_block(seed, n, data, stable, k,
     w1 = np.linalg.eigvalsh(stability_matrix(Q, pi))
     scale = max(np.abs(w0).max(), np.abs(w1).max())
     _assert_columns_match(rep, w0, w1, k, 1e-12 * scale)
+
+
+@pytest.mark.parametrize("prob, degrees", [
+    (advection_2d(n=4, order=3, basis="bernstein"),
+     dict(volume_degree=6, edge_degree=5)),
+    (rotation_2d(4), {})], ids=["4a-edge-5", "rotation"])
+def test_spectrum_interior_residual_is_check_sbps(prob, degrees):
+    """For one field the report reads the interior rows of Q + Q^T with
+    check_sbp's reader and tolerance, so both give the same bits."""
+    disc = discretize(prob, **degrees)
+    rep, = disc.sbp_reports()
+    spec = spectrum_report(disc)
+    assert spec.max_interior_residual.hex() == rep.max_interior_residual.hex()
+    assert spec.tolerance().hex() == rep.tolerance.hex()

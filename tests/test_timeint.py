@@ -160,8 +160,9 @@ def test_step_matches_reference_bitwise(name):
 
 def test_stable_dt_rule():
     assert stable_dt(0.3, 0.1, 2.0, 1) == pytest.approx(0.3 * 0.1 / (2.0 * 3))
-    for speed in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="max_speed must be positive"):
+    for speed in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"max_speed must be positive "
+                                             f"and finite, got {speed}"):
             stable_dt(0.3, 0.1, speed, 1)
     for cfl in (0.0, float("inf")):
         with pytest.raises(ValueError,

@@ -43,6 +43,9 @@ MUTATIONS = {
            "core @ (xm.T - R @ xp.T)"),
     "m7": ("sign of G(t) flipped", "src/cgsat/sat.py",
            "fq.basis.T, -w[:, :, None]", "fq.basis.T, w[:, :, None]"),
+    "m8": ("SBP boundary residual without the boundary-column filter",
+           "src/cgsat/assembly.py", "(S[b] - ops.Bq[b])[:, b].data",
+           "(S[b] - ops.Bq[b]).data"),
 }
 
 # tests that compare with digests or hex floats recorded from earlier code
