@@ -3,9 +3,10 @@ exclusively through weakly imposed boundary operators, plus an operator
 spectrum analyzer that certifies (or refutes) stability of a discretization.
 """
 
-from .assembly import (GlobalOperators, assemble_boundary_quadratic,
-                       assemble_mass, assemble_stiffness, build_operators,
-                       check_sbp, default_quad_degree)
+from .assembly import (FaceQuadrature, GlobalOperators,
+                       assemble_boundary_quadratic, assemble_mass,
+                       assemble_stiffness, build_operators, check_sbp,
+                       default_quad_degree, face_quadrature)
 from .basis import BasisSpec, QuadratureRule, quad_rule
 from .mesh import (DofMap, Mesh, annulus_mesh, build_dofmap, generate_mesh,
                    interval_mesh, load_mesh, save_mesh, unit_disk_mesh,

@@ -9,9 +9,9 @@ they are scattered.  The discrete integration by parts identity
     Q + Q^T = Bq        (Bq the boundary quadratic form)
 
 holds to machine precision whenever the volume rule integrates the stiffness
-integrand exactly and the edge rule used for Bq matches the one used in any
-split-form assembly.  ``check_sbp`` measures the defect.  Every assembler
-takes only the DoF map, so M, Q and Bq share its mesh and its basis.
+integrand exactly; the split form adds the Bq it returns.  ``check_sbp``
+measures the defect.  Volume assemblers take the DoF map and Bq its face
+table (``face_quadrature``), so M, Q and Bq share one mesh and basis.
 
 Two builders write CSR arrays directly: ``scatter_blocks`` sums element
 or face blocks, and ``kron_sum`` forms the system operators
@@ -257,6 +257,7 @@ def _scatter(dofmap: DofMap, local: np.ndarray) -> sp.csr_matrix:
 class FaceQuadrature:
     """The edge rule on every boundary face at once, in ``face_dofs`` order.
 
+    The one face table of a discretization: Bq and every penalty read it.
     A 1D face is one point with weight 1, length 1 and face basis [1], so
     the same contractions serve both dimensions.
     """
@@ -267,6 +268,8 @@ class FaceQuadrature:
     lengths: np.ndarray    # (nf,)
     weights: np.ndarray    # (nq,) rule weights on [0, 1]
     basis: np.ndarray      # (nq, p+1) face basis at the rule points
+    tags: np.ndarray       # (nf,) boundary tags
+    n_dofs: int            # DoFs of the whole DoF map
 
     def normal_speed(self, coeff) -> np.ndarray:
         """a . n at every face point, shape (nf, nq)."""
@@ -278,7 +281,7 @@ class FaceQuadrature:
 
 
 def face_quadrature(dofmap: DofMap, edge_degree: int) -> FaceQuadrature:
-    """Face DoFs, points, normals, lengths, weights and basis of all faces."""
+    """Face DoFs, points, normals, lengths, weights, basis and tags of all faces."""
     mesh = dofmap.mesh
     dim = mesh.dimension
     rule = quad_rule("edge", edge_degree)   # rejects a bad degree in 1D too
@@ -292,7 +295,7 @@ def face_quadrature(dofmap: DofMap, edge_degree: int) -> FaceQuadrature:
     p1 = mesh.vertices[mesh.elements[bf.element, (bf.local_face + 1) % (dim + 1)]]
     return FaceQuadrature(
         dofmap.face_dofs, p0[:, None, :] + xi[None, :, :] * (p1 - p0)[:, None, :],
-        bf.normals, bf.lengths, weights, basis)
+        bf.normals, bf.lengths, weights, basis, bf.tags, dofmap.n_dofs)
 
 
 def assemble_mass(dofmap: DofMap, quad_degree: int) -> sp.csr_matrix:
@@ -340,22 +343,21 @@ def assemble_stiffness(dofmap: DofMap, coeff, quad_degree: int,
                        split_alpha: float | None = None,
                        edge_quad_degree: int | None = None) -> sp.csr_matrix:
     """The Q of ``build_operators``; the edge rule defaults to the volume rule."""
-    edge_deg = edge_quad_degree if edge_quad_degree is not None else quad_degree
-    return build_operators(dofmap, coeff, quad_degree, edge_deg, split_alpha).Q
+    fq = face_quadrature(dofmap, quad_degree if edge_quad_degree is None
+                         else edge_quad_degree)
+    return build_operators(dofmap, coeff, quad_degree, fq, split_alpha).Q
 
 
-def assemble_boundary_quadratic(dofmap: DofMap, coeff,
-                                edge_quad_degree: int) -> sp.csr_matrix:
-    """Boundary form Bq_ij = contour integral phi_i phi_j (a . n).
+def assemble_boundary_quadratic(fq: FaceQuadrature, coeff) -> sp.csr_matrix:
+    """Boundary form Bq_ij = contour integral phi_i phi_j (a . n) on ``fq``.
 
     Supported only on DoFs whose basis functions are nonzero on the physical
     boundary.  In 1D this degenerates to point values at the endpoints.
     """
-    fq = face_quadrature(dofmap, edge_quad_degree)
     an = fq.normal_speed(coeff)
     blocks = fq.lengths[:, None, None] * np.einsum(
         "q,fq,qi,qj->fij", fq.weights, an, fq.basis, fq.basis)
-    return scatter_blocks(fq.dofs, blocks, dofmap.n_dofs)
+    return scatter_blocks(fq.dofs, blocks, fq.n_dofs)
 
 
 def _split_in_place(local: np.ndarray, alpha: float) -> None:
@@ -376,22 +378,25 @@ class GlobalOperators:
     Bq: sp.csr_matrix
     dofmap: DofMap
     volume_degree: int
-    edge_degree: int
+    faces: FaceQuadrature          # the face table Bq was built on
 
     @property
     def norm_q(self) -> float:
         return float(np.abs(self.Q.data).max(initial=0.0))
 
 
-def build_operators(dofmap: DofMap, coeff, volume_degree: int, edge_degree: int,
+def build_operators(dofmap: DofMap, coeff, volume_degree: int, fq: FaceQuadrature,
                     split_alpha: float | None) -> GlobalOperators:
     """Stiffness Q_ij = integral phi_i (a . grad phi_j), optionally split, and Bq.
 
-    ``coeff`` is a constant vector or a callable a(x).  The split form
+    ``coeff`` is a constant vector or a callable a(x); Bq is read from the
+    face table ``fq``, which must be built on ``dofmap``.  The split form
     Q = (1 - alpha) A + alpha (Bq - A^T), A the advective stiffness, is taken
     per element, and the returned Bq is added after.  ``split_alpha`` None
     selects alpha = 0 (advective) for a constant field and 1/2 otherwise.
     """
+    if fq.dofs is not dofmap.face_dofs:
+        raise ValueError("the face table fq was built on another DoF map")
     coeff_fun, const = as_coefficient(coeff, dofmap.mesh.dimension)
     if split_alpha is None:
         split_alpha = 0.0 if const is not None else 0.5
@@ -399,15 +404,13 @@ def build_operators(dofmap: DofMap, coeff, volume_degree: int, edge_degree: int,
         raise ValueError(f"split_alpha = {split_alpha} is not finite")
     local = _advective_local(dofmap.mesh, dofmap.basis_spec(), coeff_fun,
                              const, volume_degree)
-    Bq = assemble_boundary_quadratic(dofmap, coeff, edge_degree)
+    Bq = assemble_boundary_quadratic(fq, coeff)
     if split_alpha == 0.0:
-        return GlobalOperators(_scatter(dofmap, local), Bq, dofmap,
-                               volume_degree, edge_degree)
+        return GlobalOperators(_scatter(dofmap, local), Bq, dofmap, volume_degree, fq)
     _split_in_place(local, split_alpha)
     Q = _scatter(dofmap, local)
     del local                          # the blocks go before Q + alpha Bq is made
-    return GlobalOperators(Q + split_alpha * Bq, Bq, dofmap, volume_degree,
-                           edge_degree)
+    return GlobalOperators(Q + split_alpha * Bq, Bq, dofmap, volume_degree, fq)
 
 
 @dataclass(frozen=True)

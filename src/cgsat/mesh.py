@@ -409,11 +409,16 @@ def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
     The angular resolution follows the radial spacing, so cells stay close
     to isotropic.  Tags: 'inner' and 'outer'.
     """
-    if not 0 < r0 < r1:
-        raise ValueError("need 0 < r0 < r1")
+    if not (0 < r0 < r1 and np.isfinite(r1)):
+        raise ValueError(f"need finite radii 0 < r0 < r1, got {r0} and {r1}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    m = max(8, int(round(np.pi * (r0 + r1) * n / (r1 - r0))))
+    with np.errstate(over="ignore"):
+        count = np.pi * (r0 + r1) * n / (r1 - r0)
+    if not np.isfinite(count):
+        raise ValueError(f"annulus angular cell count pi (r0 + r1) n / (r1 - r0) "
+                         f"overflows for r0 = {r0}, r1 = {r1}, n = {n}")
+    m = max(8, int(round(count)))
     m += m % 2          # even count keeps the angular layout mirror-symmetric
     radii = np.linspace(r0, r1, n + 1)
     th = 2.0 * np.pi * np.arange(m) / m

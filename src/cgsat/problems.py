@@ -187,12 +187,12 @@ def wave_1d(n: int = 100, order: int = 2, spacing: str = "regular",
 
     Fields (du/dx-like, -du/dt-like) couple through A = [[0,1],[1,0]]; the
     incoming characteristic at each end is set to sin(t) against reflection
-    parameters r0, r1 with |r| < 1 (rejected otherwise at operator build).
+    parameters r0, r1 with |r| < 1 (NaN and the rest are refused here).
     """
-    for r in (r0, r1):
-        if abs(r) >= 1.0:
+    for name, r in (("r0", r0), ("r1", r1)):
+        if not abs(r) < 1.0:                     # NaN fails every comparison
             raise sat_mod.StabilityViolationError(
-                f"wave reflection {r} violates |R| < 1")
+                f"wave reflection {name} = {r} violates |R| < 1")
     check_spacing(spacing, seed)
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     recipe = f"interval({n})" if seed is None else f"interval({n},random,{seed})"
@@ -217,8 +217,17 @@ def r13_heat(n: int = 5, order: int = 2, basis: str = "lagrange",
 
     Six fields (theta, s, R) with accommodation boundary rows; the heat flux
     and stress relax with the given relaxation time, entering as a linear
-    mass-weighted source.  Marched to steady state.
+    mass-weighted source.  Marched to steady state.  The relaxation time
+    and its rate 1/relaxation_time must be positive and finite, and every
+    other parameter finite.
     """
+    if not (0.0 < relaxation_time < np.inf and 1.0 / relaxation_time < np.inf):
+        raise ValueError(f"r13 relaxation_time and its inverse must be positive "
+                         f"and finite, got {relaxation_time}")
+    named = dict(alpha=alpha, beta=beta, theta0=theta0, theta1=theta1, ux=ux, uy=uy)
+    for name, value in named.items():
+        if not abs(value) < np.inf:
+            raise ValueError(f"r13 parameter {name} must be finite, got {value}")
     A, B, P = sat_mod.r13_matrices()
     relax = np.diag([0.0, 1.0, 1.0, 1.0, 1.0, 1.0]) * (-1.0 / relaxation_time)
     bc = R13BC(alpha=alpha, beta=beta,
@@ -341,8 +350,9 @@ class Discretization:
         return [check_sbp(ops) for ops in self.group_ops]
 
 
-def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
-    """The boundary penalty of ``problem``, by the type of its condition.
+def _penalty(problem, fq, scale) -> sat_mod.BoundaryOperator:
+    """The boundary penalty of ``problem`` on the face table ``fq``, by the
+    type of its condition.
 
     Every condition gives the one face kernel the same penalty table.  The
     inflow penalty is the scalar s a_n^- with operator [[1]] and pointwise
@@ -358,11 +368,8 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
         if len(fluxes) != 1 or not np.array_equal(fluxes[0][1], [[1.0]]):
             raise ValueError(f"problem {problem.name}: an inflow condition "
                              f"takes one flux group (velocity, [[1]])")
-        return sat_mod.scalar_sat_2d(dofmap, fluxes[0][0], g=bc.g,
-                                     edge_quad_degree=edge_deg, scale=scale)
-    faces, m = dofmap.mesh.boundary_faces, problem.ncomp
-    fq = face_quadrature(dofmap, edge_deg)
-    nf, tags = len(faces), faces.tags.tolist()
+        return sat_mod.scalar_sat_2d(fq, fluxes[0][0], g=bc.g, scale=scale)
+    m, nf, tags = problem.ncomp, len(fq.tags), fq.tags.tolist()
     if isinstance(bc, CharacteristicBC):
         # A_n = sum_g (c_g . n) A_g, one per face
         speeds = [fq.normal_speed(c) for c, _ in fluxes]
@@ -382,7 +389,7 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
         data_mat = np.zeros((nf, 1, m, sum(widths))) if widths else None
         for t, c, wt in zip(bc.data, np.cumsum([0] + widths), widths):
             sat_mod._checked(bc.data[t](0.0), (wt,), f"boundary data of tag {t!r}")
-            for f in np.nonzero(faces.tags == t)[0]:
+            for f in np.nonzero(fq.tags == t)[0]:
                 data_mat[f, 0, :, c:c + wt] = pos[f].data_mat
 
         def g(t):
@@ -397,7 +404,7 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
             raise ValueError(f"problem {problem.name}: an accommodation "
                              f"condition takes the moment system's flux "
                              f"groups ((e_x, A), (e_y, B)) and symmetrizer P")
-        gamma = np.arctan2(faces.normals[:, 1], faces.normals[:, 0])
+        gamma = np.arctan2(fq.normals[:, 1], fq.normals[:, 0])
         op = sat_mod.build_pi_r13(bc.alpha, bc.beta, gamma)
         s = sat_mod._check_scale(scale)
         with np.errstate(over="ignore"):        # the kernel refuses an overflow
@@ -408,8 +415,7 @@ def _penalty(problem, dofmap, edge_deg, scale) -> sat_mod.BoundaryOperator:
                 for f, t in enumerate(tags)])[:, None, :, None]
     else:
         raise TypeError(f"unsupported boundary condition {type(bc)}")
-    return sat_mod.assemble_face_sat(dofmap, fq, np.arange(nf), 1.0, ops,
-                                     data_mat, g)
+    return sat_mod.assemble_face_sat(fq, np.arange(nf), 1.0, ops, data_mat, g)
 
 
 def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
@@ -419,8 +425,9 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
     """Assemble everything needed to march or analyze ``problem``.
 
     The spec fixes the order and basis; the result's ``problem`` is the spec
-    itself.  The edge rule defaults to the volume rule.  ``split_alpha``
-    weights every flux group's Q as in ``build_operators``.
+    itself.  The edge rule defaults to the volume rule; its one face table
+    gives every flux group's Bq and the penalty.  ``split_alpha`` weights
+    every flux group's Q as in ``build_operators``.
     """
     p = problem
     scale = 1.0 if sat_scale is None else sat_scale
@@ -450,15 +457,14 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
             raise ValueError(f"problem {p.name}: the {what} is not finite")
     dofmap = build_dofmap(mesh, p.order, p.basis)
     vol = default_quad_degree(p.order) if volume_degree is None else volume_degree
-    edge = vol if edge_degree is None else edge_degree
 
     M = assemble_mass(dofmap, vol)
-    groups = [build_operators(dofmap, c, vol, edge, split_alpha)
-              for c, _ in p.fluxes]
+    fq = face_quadrature(dofmap, vol if edge_degree is None else edge_degree)
+    groups = [build_operators(dofmap, c, vol, fq, split_alpha) for c, _ in p.fluxes]
     mats = [a for _, a in p.fluxes]
     q_sys = kron_sum([o.Q for o in groups], mats)
     bq_sys = kron_sum([o.Bq for o in groups], mats)
-    pi = _penalty(p, dofmap, edge, scale)
+    pi = _penalty(p, fq, scale)
     source = None if p.source_matrix is None else kron_sum([M], [p.source_matrix])
     u0 = interpolate(p.initial, dofmap, p.ncomp).reshape(-1)
     return Discretization(p, dofmap, M, q_sys, bq_sys, groups, pi, source, u0,

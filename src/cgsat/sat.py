@@ -18,13 +18,13 @@ Every constructor is a thin caller of one kernel, ``assemble_face_sat``,
 fed one penalty table: a scalar per rule point (s a_n^- inflow, 1 for a
 system), one m x m operator per face ([[1]] inflow, Pi L for a system)
 and the boundary data; the kernel alone forms the weights and gives both
-the matrix and G(t).  Its rule and face basis are those of the boundary
-quadratic form (``assembly.face_quadrature``), so penalty and Bq share one
-edge rule and the discrete energy estimate closes exactly; in 1D a face is
-one point of weight 1.  Mesh and basis come from the DoF map alone.  A
-scalar penalty scale s must be finite and above 1/2 (in 1D the endpoint
-penalty with tau = -s < -1/2); a system penalty scale must be finite and
-at least 1, and a table with a non-finite entry is refused.
+the matrix and G(t).  It takes no edge rule: it reads the face table
+(``assembly.FaceQuadrature``) its boundary form Bq was built on, so penalty
+and Bq share one edge rule by construction and the discrete energy
+estimate closes exactly; in 1D a face is one point of weight 1.  A scalar
+penalty scale s must be finite and above 1/2 (in 1D the endpoint penalty
+with tau = -s < -1/2); a system penalty scale must be finite and at least
+1, and a table with a non-finite entry is refused.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import FaceQuadrature, face_quadrature, scatter_blocks
-from .mesh import DofMap
+from .assembly import FaceQuadrature, scatter_blocks
 
 
 class StabilityViolationError(ValueError):
@@ -89,9 +88,9 @@ def _check_scale(scale: float) -> float:
     return scale
 
 
-def scalar_sat_2d(dofmap: DofMap, coeff, g=None, edge_quad_degree: int = 6,
+def scalar_sat_2d(fq: FaceQuadrature, coeff, g=None,
                   scale: float = 1.0) -> BoundaryOperator:
-    """Inflow penalty  s a_n^-(u - g)  assembled with the edge rule.
+    """Inflow penalty  s a_n^-(u - g)  assembled on the face table ``fq``.
 
     Outflow portions (a . n > 0) contribute nothing.  ``g`` is either None
     (homogeneous) or a callable g(points, t) -> values, one per point,
@@ -106,18 +105,16 @@ def scalar_sat_2d(dofmap: DofMap, coeff, g=None, edge_quad_degree: int = 6,
         raise StabilityViolationError(
             f"SAT scale factor {scale} must be finite and > 1/2 "
             f"(the sat_scale setting)")
-    fq = face_quadrature(dofmap, edge_quad_degree)
     with np.errstate(over="ignore"):        # the kernel refuses an overflow
         an_m = np.minimum(fq.normal_speed(coeff), 0.0) * scale
     inflow = np.nonzero(np.any(an_m < 0.0, axis=1))[0]
     point = an_m[inflow]                                          # (nf, nq)
-    pts = fq.points[inflow].reshape(-1, dofmap.mesh.dimension)
+    pts = fq.points[inflow].reshape(-1, fq.points.shape[-1])
     if g is not None and inflow.size:
         _checked(g(pts, 0.0), (len(pts),), "inflow data g(points, t)")
     fun = None if g is None else lambda t: np.asarray(
         g(pts, t), dtype=float).reshape(*point.shape, 1)
-    return assemble_face_sat(dofmap, fq, inflow, point,
-                             np.ones((inflow.size, 1, 1)), fun)
+    return assemble_face_sat(fq, inflow, point, np.ones((inflow.size, 1, 1)), fun)
 
 
 def _checked(values, shape, what) -> np.ndarray:
@@ -319,8 +316,8 @@ def build_pi_r13(alpha: float, beta: float, gamma) -> PointOperator:
 # the penalty kernel
 # ---------------------------------------------------------------------------
 
-def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, point, ops,
-                      data=None, g=None) -> BoundaryOperator:
+def assemble_face_sat(fq: FaceQuadrature, faces, point, ops, data=None,
+                      g=None) -> BoundaryOperator:
     """The penalty on ``faces`` (indices into ``fq``) and its data G(t).
 
     The one penalty table: ``point`` (nf, nq), or a scalar, is a pointwise
@@ -340,7 +337,7 @@ def assemble_face_sat(dofmap: DofMap, fq: FaceQuadrature, faces, point, ops,
             "the penalty table has a non-finite entry: its coefficients "
             "overflow or are not finite (is the sat_scale setting too large?)")
     m = ops.shape[-1]
-    n = dofmap.n_dofs * m
+    n = fq.n_dofs * m
     dofs = fq.dofs[faces]                                         # (nf, p+1)
     k = dofs.shape[1] * m
     w = fq.weights * point * fq.lengths[faces, None]              # (nf, nq)

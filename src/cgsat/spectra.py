@@ -195,6 +195,11 @@ class SpectrumReport:
     ``support`` is the order of the larger of the two eigensolved blocks;
     ``dropped`` bounds how far the rows outside them move any reported
     eigenvalue, and is at most a tenth of ``tolerance()``.
+    ``max_interior_residual`` is the largest |entry| in the interior rows
+    of Q + Q^T = sum_g (Q_g (x) A_g + Q_g^T (x) A_g^T).  Those rows hold
+    sum_g Q_g (x) (A_g - A_g^T) on top of the SBP defect, so the field is
+    ``check_sbp``'s interior residual only when every A_g is symmetric (one
+    field, the wave system); for the moment system it is not a defect.
     """
 
     n_dofs: int

@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgsat.assembly import build_operators, check_sbp, default_quad_degree
+from cgsat.assembly import (build_operators, check_sbp, default_quad_degree,
+                            face_quadrature)
 from cgsat.mesh import build_dofmap, generate_mesh
 from cgsat.problems import (advection_2d, discretize, error_norms,
                             gaussian_bump, r13_heat, rotation_2d,
@@ -41,8 +42,8 @@ class Config:
         dm = build_dofmap(mesh, order, kind)
         coeff = [1.0] if mesh.dimension == 1 else [1.0, 0.0]
         deg = default_quad_degree(order)
-        self.ops = build_operators(dm, coeff, deg, deg, None)
-        self.pi = scalar_sat_2d(dm, coeff, edge_quad_degree=self.ops.edge_degree)
+        self.ops = build_operators(dm, coeff, deg, face_quadrature(dm, deg), None)
+        self.pi = scalar_sat_2d(self.ops.faces, coeff)
         self.dofmap = dm
 
 
@@ -97,13 +98,13 @@ def test_criterion_3_sat_sharpness():
     tau = -0.49 rejected; tau = -0.51 certified; analytic 3x3 matches."""
     mesh = generate_mesh("interval(2)")
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0], 6, 6, None)
+    ops = build_operators(dm, [1.0], 6, face_quadrature(dm, 6), None)
     with pytest.raises(StabilityViolationError):
-        scalar_sat_2d(dm, [1.0], scale=0.49)
-    pi = scalar_sat_2d(dm, [1.0], scale=0.51)
+        scalar_sat_2d(ops.faces, [1.0], scale=0.49)
+    pi = scalar_sat_2d(ops.faces, [1.0], scale=0.51)
     w, _ = symmetric_eig(stability_matrix(ops.Q, pi.matrix))
     assert w.max() <= STABILITY_RTOL * ops.norm_q
-    pi1 = scalar_sat_2d(dm, [1.0], scale=1.0)
+    pi1 = scalar_sat_2d(ops.faces, [1.0], scale=1.0)
     S = stability_matrix(ops.Q, pi1.matrix).toarray()
     assert np.abs(S - np.diag([-3.0, 0.0, -1.0])).max() < 1e-14
     print("\nACCEPTANCE 3 (1D SAT sharpness): PASS - "

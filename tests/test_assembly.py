@@ -15,8 +15,8 @@ from cgsat import assembly, problems
 from cgsat.assembly import (STABILITY_RTOL, GlobalOperators, _advective_local,
                             _scatter, as_coefficient, assemble_boundary_quadratic,
                             assemble_mass, assemble_stiffness, build_operators,
-                            check_sbp, default_quad_degree, kron_sum,
-                            scatter_blocks)
+                            check_sbp, default_quad_degree, face_quadrature,
+                            kron_sum, scatter_blocks)
 from cgsat.basis import BasisSpec, quad_rule, tabulate
 from cgsat.mesh import (build_dofmap, generate_mesh, interval_mesh,
                         unit_disk_mesh, unit_square_mesh, _build_mesh)
@@ -83,7 +83,7 @@ def test_boundary_quadratic_1d():
     for p in (1, 2, 3):
         dm, bs = setup(mesh, p, "lagrange")
         a = 1.7
-        Bq = assemble_boundary_quadratic(dm, [a], 6).toarray()
+        Bq = assemble_boundary_quadratic(face_quadrature(dm, 6), [a]).toarray()
         expected = np.zeros_like(Bq)
         normal = mesh.boundary_faces.normals[:, 0]
         left = dm.face_dofs[0, 0] if normal[0] < 0 else dm.face_dofs[1, 0]
@@ -123,14 +123,14 @@ def test_boundary_quadratic_matches_face_loop(recipe, p, kind):
     dm, bs = setup(mesh, p, kind)
     dim = mesh.dimension
     for coeff in ([0.7, -1.3][:dim], lambda x: np.cos(x + 0.3 * x[:, ::-1])):
-        got = assemble_boundary_quadratic(dm, coeff, 6).toarray()
+        got = assemble_boundary_quadratic(face_quadrature(dm, 6), coeff).toarray()
         assert np.array_equal(got, face_loop_bq(dm, coeff, 6))
 
 
 def test_boundary_quadratic_flux_identities():
     mesh = unit_square_mesh(4)
     dm, bs = setup(mesh, 2, "lagrange")
-    Bq = assemble_boundary_quadratic(dm, [1.0, 0.0], 6)
+    Bq = assemble_boundary_quadratic(face_quadrature(dm, 6), [1.0, 0.0])
     one = np.ones(dm.n_dofs)
     assert abs(one @ Bq @ one) < 1e-13           # closed-surface flux of 1
     x = dm.dof_coords[:, 0]
@@ -149,7 +149,7 @@ def test_sbp_identity_matched(kind, p, recipe):
     dm, bs = setup(mesh, p, kind)
     coeff = [1.0] if mesh.dimension == 1 else [1.0, 0.0]
     deg = default_quad_degree(p)
-    ops = build_operators(dm, coeff, deg, deg, None)
+    ops = build_operators(dm, coeff, deg, face_quadrature(dm, deg), None)
     rep = check_sbp(ops)
     assert rep.passed, str(rep)
 
@@ -161,7 +161,7 @@ def test_sbp_rotation_split_form():
     def rot(pts):
         return np.stack([2 * np.pi * pts[:, 1], -2 * np.pi * pts[:, 0]], axis=1)
 
-    ops = build_operators(dm, rot, 6, 6, 0.5)
+    ops = build_operators(dm, rot, 6, face_quadrature(dm, 6), 0.5)
     rep = check_sbp(ops)
     assert rep.passed, str(rep)
     assert rep.max_interior_residual <= rep.tolerance
@@ -181,14 +181,23 @@ def test_build_operators_assembles_bq_once(monkeypatch, split_alpha):
     (velocity, _), = problems.rotation_2d().fluxes
     q = assemble_stiffness(dm, velocity, 6, split_alpha=split_alpha,
                            edge_quad_degree=5)
-    bq = assemble_boundary_quadratic(dm, velocity, 5)
+    bq = assemble_boundary_quadratic(face_quadrature(dm, 5), velocity)
     calls = []
     real = assembly.assemble_boundary_quadratic
     monkeypatch.setattr(assembly, "assemble_boundary_quadratic",
                         lambda *args: calls.append(args) or real(*args))
-    ops = build_operators(dm, velocity, 6, 5, split_alpha)
+    ops = build_operators(dm, velocity, 6, face_quadrature(dm, 5), split_alpha)
     assert len(calls) == 1
     assert same_csr(ops.Q, q) and same_csr(ops.Bq, bq)
+
+
+def test_build_operators_refuses_the_face_table_of_another_dofmap():
+    """Lagrange and Bernstein maps of one mesh have the same DoF count but
+    different face bases, so Bq must come from the map's own table."""
+    mesh = unit_disk_mesh(2)
+    lagrange, bernstein = (build_dofmap(mesh, 2, k) for k in ("lagrange", "bernstein"))
+    with pytest.raises(ValueError, match="built on another DoF map"):
+        build_operators(lagrange, [1.0, 0.0], 6, face_quadrature(bernstein, 6), None)
 
 
 @pytest.mark.parametrize("kind", ["lagrange", "bernstein"])
@@ -211,18 +220,19 @@ def test_variable_stiffness_matches_einsum_and_global_split_oracles(kind, p):
     ref_local = reference_advective_local(mesh, bs, velocity, vol)
     local = _advective_local(mesh, bs, fun, None, vol)
     assert np.abs(local - ref_local).max() <= 1e-15 * np.abs(ref_local).max()
-    bq = assemble_boundary_quadratic(dm, velocity, vol)
+    fq = face_quadrature(dm, vol)
+    bq = assemble_boundary_quadratic(fq, velocity)
     for alpha in (0.25, 0.5, 1.0):
         q = assemble_stiffness(dm, velocity, vol,
                                split_alpha=alpha, edge_quad_degree=vol)
         q_ref = reference_split_stiffness(_scatter(dm, ref_local), bq, alpha)
         scale = np.abs(q_ref.data).max()
         assert abs(q - q_ref).max() <= 1e-15 * scale
-        rep = check_sbp(GlobalOperators(q, bq, dm, vol, vol))
+        rep = check_sbp(GlobalOperators(q, bq, dm, vol, fq))
         assert rep.passed, str(rep)
         if alpha == 0.5:
             assert rep.max_interior_residual == 0.0
-            rep_ref = check_sbp(GlobalOperators(q_ref, bq, dm, vol, vol))
+            rep_ref = check_sbp(GlobalOperators(q_ref, bq, dm, vol, fq))
             assert rep.max_boundary_residual <= rep_ref.max_boundary_residual
 
 
@@ -463,7 +473,7 @@ def test_split_form_holds_one_block_array(monkeypatch):
     monkeypatch.setattr(assembly, "GlobalOperators", operators)
     tracemalloc.start()
     try:
-        build_operators(dm, velocity, 6, 6, 0.5)
+        build_operators(dm, velocity, 6, face_quadrature(dm, 6), 0.5)
     finally:
         tracemalloc.stop()
     assert seen["peak"] - seen["held"] < seen["nbytes"]
@@ -482,7 +492,7 @@ def test_bad_velocity_rejected(velocity, message):
     mesh = unit_disk_mesh(3)
     dm, bs = setup(mesh, 2, "bernstein")
     with pytest.raises(ValueError, match=message):
-        build_operators(dm, velocity, 6, 6, None)
+        build_operators(dm, velocity, 6, face_quadrature(dm, 6), None)
 
 
 @settings(max_examples=25, deadline=None)
@@ -508,9 +518,9 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
         return np.stack([c[0] + c[2] * pts[:, 1], c[1] + c[2] * pts[:, 0]], axis=1)
 
     for coeff, alpha in ((smooth, 0.5), (affine, 0.0)):
-        rep = check_sbp(build_operators(dm, coeff, 6, 6, alpha))
+        rep = check_sbp(build_operators(dm, coeff, 6, face_quadrature(dm, 6), alpha))
         assert rep.passed, str(rep)
-    bq = build_operators(dm, list(c[:2]), 6, 6, None).Bq
+    bq = build_operators(dm, list(c[:2]), 6, face_quadrature(dm, 6), None).Bq
     one = np.ones(dm.n_dofs)
     assert abs(one @ bq @ one) <= 1e-13 * (1.0 + abs(c[0]) + abs(c[1]))
 
@@ -518,7 +528,7 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
 def test_sbp_degraded_edge_quadrature_fails():
     mesh = unit_square_mesh(4)
     dm, bs = setup(mesh, 3, "lagrange")
-    ops = build_operators(dm, [1.0, 0.0], 6, 5, None)
+    ops = build_operators(dm, [1.0, 0.0], 6, face_quadrature(dm, 5), None)
     rep = check_sbp(ops)
     assert not rep.passed
     assert rep.max_boundary_residual > 1e-8
@@ -528,7 +538,7 @@ def test_sbp_degraded_edge_quadrature_fails():
 def test_sbp_zero_velocity():
     mesh = unit_square_mesh(2)
     dm, bs = setup(mesh, 1, "lagrange")
-    ops = build_operators(dm, [0.0, 0.0], 6, 6, None)
+    ops = build_operators(dm, [0.0, 0.0], 6, face_quadrature(dm, 6), None)
     rep = check_sbp(ops)
     assert rep.passed
     assert rep.max_interior_residual == 0.0
@@ -563,7 +573,7 @@ def test_check_sbp_reads_the_dense_defect_bit_for_bit(seed, which, skew, bq_scal
     both = on_boundary[:, None] & on_boundary[None, :]
     bq = _random_part(rng, (n, n), both & (rng.random((n, n)) < 0.5), np.int32,
                       small=False) * bq_scale
-    rep = check_sbp(GlobalOperators(q, bq, dm, 6, 6))
+    rep = check_sbp(GlobalOperators(q, bq, dm, 6, face_quadrature(dm, 6)))
     Q = q.toarray()
     defect = np.abs(Q + Q.T - bq.toarray())
     max_int = defect[~both].max(initial=0.0)
@@ -582,7 +592,7 @@ def test_galerkin_derivative_exact_on_polynomials(kind, p):
     mesh = interval_mesh(5, "random", seed=1)
     dm, bs = setup(mesh, p, kind)
     deg = default_quad_degree(p)
-    ops = build_operators(dm, [1.0], deg, deg, None)
+    ops = build_operators(dm, [1.0], deg, face_quadrature(dm, deg), None)
     lu = factor_mass(assemble_mass(dm, deg))
     from cgsat.problems import interpolate
     for j in range(p + 1):

@@ -506,6 +506,15 @@ def test_mesh_gen_rejects_unseeded_random_spacing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mesh_gen_refuses_an_infinite_annulus(tmp_path, capsys):
+    out = tmp_path / "mesh.txt"
+    assert main(["mesh-gen", "--recipe", "annulus(0.5,inf,2)",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: need finite radii 0 < r0 < r1, got 0.5 and inf\n")
+    assert not out.exists()
+
+
 def test_a_negative_seed_is_refused_by_name(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("seed = -1\n")

@@ -492,6 +492,23 @@ def test_recipe_argument_count_checked(recipe, signature):
     assert recipe in str(err.value) and signature in str(err.value)
 
 
+BAD_ANNULI = [
+    ("annulus(0.5,inf,2)", "finite radii 0 < r0 < r1, got 0.5 and inf"),
+    ("annulus(nan,1.0,2)", "finite radii 0 < r0 < r1, got nan and 1.0"),
+    ("annulus(0.5,nan,2)", "finite radii"),
+    ("annulus(1.0,0.5,2)", "finite radii"),
+    ("annulus(0.5,1e308,2)",
+     "angular cell count .* overflows for r0 = 0.5, r1 = 1e[+]308, n = 2"),
+    ("annulus(1e-300,1e308,1)", "angular cell count .* overflows")]
+
+
+@pytest.mark.parametrize("recipe, message", BAD_ANNULI,
+                         ids=[recipe for recipe, _ in BAD_ANNULI])
+def test_annulus_radii_and_angular_count_checked(recipe, message):
+    with pytest.raises(ValueError, match=message):
+        generate_mesh(recipe)
+
+
 def test_seed_with_regular_spacing_rejected():
     with pytest.raises(ValueError, match="regular spacing takes no seed"):
         generate_mesh("interval(4,regular,3)")

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from cgsat import assembly, problems, sat, timeint
+from cgsat import mesh as mesh_module
 from cgsat.basis import tabulate
 from cgsat.mesh import build_dofmap, generate_mesh
 from cgsat.problems import (Discretization, advection_2d, check_error_norms,
@@ -123,10 +124,10 @@ def _data_map_and_kernel(prob, monkeypatch):
     pointwise, s -> data_mat @ s."""
     seen = {}
 
-    def spy(dofmap, fq, faces, point, ops, data_mat, g):
-        seen.update(g=g, kernel=real(dofmap, fq, faces, point, ops,
+    def spy(fq, faces, point, ops, data_mat, g):
+        seen.update(g=g, kernel=real(fq, faces, point, ops,
                                      lambda s: data_mat @ s).data)
-        return real(dofmap, fq, faces, point, ops, data_mat, g)
+        return real(fq, faces, point, ops, data_mat, g)
 
     real = sat.assemble_face_sat
     monkeypatch.setattr(sat, "assemble_face_sat", spy)
@@ -350,6 +351,74 @@ def test_dofmap_is_the_one_source_of_mesh_and_basis():
     disc = discretize(advection_2d(n=2, order=1, basis="bernstein"))
     assert disc.mesh is disc.dofmap.mesh
     assert disc.basis == disc.dofmap.basis_spec()
+
+
+@pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
+def test_one_face_table_per_discretization(name, monkeypatch):
+    """discretize builds the face table of its edge rule once, and every
+    flux group's Bq and the penalty read that one object."""
+    calls = []
+    real = assembly.face_quadrature
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (assembly, sat, problems):
+        monkeypatch.setattr(module, "face_quadrature", counted, raising=False)
+    disc = discretize(problems.PROBLEMS[name](2))
+    assert len(calls) == 1
+    assert all(ops.faces is disc.group_ops[0].faces for ops in disc.group_ops)
+
+
+def test_the_penalty_is_read_from_the_table_of_bq():
+    disc = discretize(rotation_2d(4))
+    (velocity, _), = disc.problem.fluxes
+    pi = sat.scalar_sat_2d(disc.group_ops[0].faces, velocity).matrix
+    assert all(np.array_equal(getattr(pi, k), getattr(disc.pi.matrix, k))
+               for k in ("indptr", "indices", "data"))
+
+
+def test_the_edge_rule_is_decided_in_one_place():
+    """Below discretize only face_quadrature, and the convenience wrapper
+    assemble_stiffness, take an edge degree; the penalty layer reads face
+    tables and does not see the mesh module."""
+    takers = set()
+    for module in (assembly, sat, problems):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            if fn.__module__ == module.__name__ and any("edge" in p for p in params):
+                takers.add(name)
+    assert takers == {"face_quadrature", "assemble_stiffness", "discretize"}
+    from_mesh = [name for name, value in vars(sat).items() if value is mesh_module
+                 or getattr(value, "__module__", "") == mesh_module.__name__]
+    assert not from_mesh
+
+
+BAD_PARAMETERS = [
+    (wave_1d, "r0", np.nan, "reflection r0 = nan violates"),
+    (wave_1d, "r1", -np.inf, "reflection r1 = -inf violates"),
+    (wave_1d, "r0", 1.0, "reflection r0 = 1.0 violates"),
+    (r13_heat, "relaxation_time", 0, "relaxation_time .* got 0$"),
+    (r13_heat, "relaxation_time", -1.0, "relaxation_time .* got -1.0"),
+    (r13_heat, "relaxation_time", np.nan, "relaxation_time .* got nan"),
+    (r13_heat, "relaxation_time", np.inf, "relaxation_time .* got inf"),
+    (r13_heat, "relaxation_time", 1e-320, "relaxation_time .* got 1e-320"),
+    (r13_heat, "alpha", np.nan, "parameter alpha must be finite, got nan"),
+    (r13_heat, "beta", np.inf, "parameter beta must be finite, got inf"),
+    (r13_heat, "theta0", np.nan, "parameter theta0 must be finite"),
+    (r13_heat, "theta1", -np.inf, "parameter theta1 must be finite"),
+    (r13_heat, "ux", np.nan, "parameter ux must be finite"),
+    (r13_heat, "uy", np.inf, "parameter uy must be finite")]
+
+
+@pytest.mark.parametrize("make, key, value, message", BAD_PARAMETERS,
+                         ids=[f"{m.__name__}-{k}={v}" for m, k, v, _ in BAD_PARAMETERS])
+def test_constructors_refuse_bad_parameters_by_name(make, key, value, message):
+    """Refused in the constructor, before any numpy operation could warn
+    (warnings are errors in this suite)."""
+    with pytest.raises(ValueError, match=message):
+        make(**{key: value})
 
 
 # ncomp, max|Q| and h_min as Discretization stored them before it computed them

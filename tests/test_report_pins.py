@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from cgsat.assembly import build_operators
+from cgsat.assembly import build_operators, face_quadrature
 from cgsat.mesh import build_dofmap, generate_mesh
 from cgsat.problems import discretize
 from cgsat.sat import scalar_sat_2d
@@ -87,8 +87,8 @@ def test_certify_reports_keep_their_bits(seed, label, monkeypatch):
 
 def test_criterion_3_report_keeps_its_bits():
     dm = build_dofmap(generate_mesh("interval(2)"), 1, "lagrange")
-    ops = build_operators(dm, [1.0], 6, 6, None)
-    rep = build_spectrum_report(ops.Q, scalar_sat_2d(dm, [1.0]),
+    ops = build_operators(dm, [1.0], 6, face_quadrature(dm, 6), None)
+    rep = build_spectrum_report(ops.Q, scalar_sat_2d(ops.faces, [1.0]),
                                 k=10, interior_dofs=dm.interior_dofs(),
                                 ncomp=1, norm_q=ops.norm_q)
     assert _pin(rep) == INTERVAL_PIN

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgsat.assembly import build_operators, face_quadrature
@@ -24,7 +24,8 @@ WAVE_A = np.array([[0.0, 1.0], [1.0, 0.0]])
 def test_scalar_sat_interval_entries():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    pi = scalar_sat_2d(dm, [1.0], g=lambda pts, t: np.zeros(len(pts)))
+    pi = scalar_sat_2d(face_quadrature(dm, 6), [1.0],
+                       g=lambda pts, t: np.zeros(len(pts)))
     mat = pi.matrix.toarray()
     assert mat[0, 0] == -1.0                       # tau * a+ at the left
     assert np.abs(mat[1:, :]).max() == 0.0         # a- = 0: right inactive
@@ -38,7 +39,7 @@ def test_scalar_sat_interval_entries():
 def test_scalar_sat_interval_negative_speed():
     mesh = interval_mesh(3)
     dm = build_dofmap(mesh, 2, "lagrange")
-    pi = scalar_sat_2d(dm, [-1.0])
+    pi = scalar_sat_2d(face_quadrature(dm, 6), [-1.0])
     mat = pi.matrix.toarray()
     normal = mesh.boundary_faces.normals[:, 0]
     left = dm.face_dofs[0, 0] if normal[0] < 0 else dm.face_dofs[1, 0]
@@ -50,20 +51,20 @@ def test_scalar_sat_interval_negative_speed():
 def test_scalar_sat_interval_scale_validation():
     # tau = -s: the endpoint penalty is admissible for s > 1/2 only
     mesh = interval_mesh(2)
-    dm = build_dofmap(mesh, 1, "lagrange")
+    fq = face_quadrature(build_dofmap(mesh, 1, "lagrange"), 6)
     for bad in (0.49, 0.5, 0.0, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(StabilityViolationError,
                            match=f"factor {float(bad)} must be finite and > 1/2"):
-            scalar_sat_2d(dm, [1.0], scale=bad)
-    pi = scalar_sat_2d(dm, [1.0], scale=0.51)      # accepted
+            scalar_sat_2d(fq, [1.0], scale=bad)
+    pi = scalar_sat_2d(fq, [1.0], scale=0.51)      # accepted
     assert pi.matrix[0, 0] == -0.51
 
 
 def test_scalar_sat_interval_certificate():
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0], 6, 6, None)
-    pi = scalar_sat_2d(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, face_quadrature(dm, 6), None)
+    pi = scalar_sat_2d(ops.faces, [1.0])
     S = stability_matrix(ops.Q, pi.matrix).toarray()
     w, _ = symmetric_eig(S)
     assert w.max() <= 1e-15
@@ -73,8 +74,8 @@ def test_scalar_sat_interval_certificate_negative_speed():
     # mirrored configuration: inflow at the right endpoint
     mesh = interval_mesh(2)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [-1.0], 6, 6, None)
-    pi = scalar_sat_2d(dm, [-1.0])
+    ops = build_operators(dm, [-1.0], 6, face_quadrature(dm, 6), None)
+    pi = scalar_sat_2d(ops.faces, [-1.0])
     S = stability_matrix(ops.Q, pi.matrix).toarray()
     assert np.abs(S - np.diag([-1.0, 0.0, -3.0])).max() < 1e-14
 
@@ -82,8 +83,7 @@ def test_scalar_sat_interval_certificate_negative_speed():
 def test_scalar_sat_2d_inflow_only():
     mesh = unit_square_mesh(3)
     dm = build_dofmap(mesh, 2, "lagrange")
-    pi = scalar_sat_2d(dm, [1.0, 0.0],
-                       edge_quad_degree=6)
+    pi = scalar_sat_2d(face_quadrature(dm, 6), [1.0, 0.0])
     mat = pi.matrix.toarray()
     x = dm.dof_coords[:, 0]
     on_left = np.abs(x) < 1e-12
@@ -99,9 +99,8 @@ def test_scalar_sat_2d_inflow_only():
 def test_scalar_sat_2d_certificate_unit_square():
     mesh = unit_square_mesh(4)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0, 0.0], 6, 6, None)
-    pi = scalar_sat_2d(dm, [1.0, 0.0],
-                       edge_quad_degree=ops.edge_degree)
+    ops = build_operators(dm, [1.0, 0.0], 6, face_quadrature(dm, 6), None)
+    pi = scalar_sat_2d(ops.faces, [1.0, 0.0])
     S = stability_matrix(ops.Q, pi.matrix)
     w, _ = symmetric_eig(S)
     assert w.max() <= 1e-13
@@ -134,7 +133,7 @@ def test_scalar_sat_2d_on_interval_entries_and_data(a):
     def g(pts, t):
         return np.where(pts[:, 0] < 0.5, b0(t), b1(t))
 
-    pi = scalar_sat_2d(dm, [a], g=g)
+    pi = scalar_sat_2d(face_quadrature(dm, 6), [a], g=g)
     x = dm.dof_coords[:, 0]
     end = int(np.argmin(x)) if a > 0 else int(np.argmax(x))
     b = b0 if a > 0 else b1
@@ -153,15 +152,14 @@ SCALAR_PROBLEMS = {"advection": advection_2d, "sine": sine_advection_2d,
 
 @lru_cache(maxsize=None)
 def _scalar_setup(name, n, order, kind):
-    """(dofmap, coefficient, edge degree, Q) of a scalar discretization."""
+    """(face table, coefficient, Q) of a scalar discretization."""
     if name in ("interval+", "interval-"):           # inflow at either end
         a = [1.0 if name == "interval+" else -1.0]
         dm = build_dofmap(interval_mesh(3 * n), order, kind)
-        ops = build_operators(dm, a, 6, 6, None)
-        return dm, a, ops.edge_degree, ops.Q
+        ops = build_operators(dm, a, 6, face_quadrature(dm, 6), None)
+        return ops.faces, a, ops.Q
     disc = discretize(SCALAR_PROBLEMS[name](n=n, order=order, basis=kind))
-    return (disc.dofmap, disc.problem.fluxes[0][0],
-            disc.group_ops[0].edge_degree, disc.ops_sys)
+    return disc.group_ops[0].faces, disc.problem.fluxes[0][0], disc.ops_sys
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -171,18 +169,19 @@ def _scalar_setup(name, n, order, kind):
        scale=st.one_of(st.floats(0.5, 4.0, exclude_min=True),
                        st.floats(0.0, 0.5),
                        st.sampled_from([np.nan, np.inf, -np.inf])))
+@example(name="interval+", n=2, order=1, kind="lagrange", scale=0.5)
 def test_scalar_scale_rule_is_the_marched_energy_rate(name, n, order, kind,
                                                       scale):
     """Every scale s > 1/2 leaves sym(Pi - Q), the energy rate of the
-    march, negative semidefinite to roundoff; every other s is refused.
-    The interval takes 3n cells."""
-    dm, coeff, edge, Q = _scalar_setup(name, n, order, kind)
+    march, negative semidefinite to roundoff; every other s is refused,
+    the sharp s = 1/2 always among them.  The interval takes 3n cells."""
+    fq, coeff, Q = _scalar_setup(name, n, order, kind)
     if not scale > 0.5 or not np.isfinite(scale):
         with pytest.raises(StabilityViolationError,
                            match=f"factor {scale} must be finite and > 1/2"):
-            scalar_sat_2d(dm, coeff, edge_quad_degree=edge, scale=scale)
+            scalar_sat_2d(fq, coeff, scale=scale)
         return
-    pi = scalar_sat_2d(dm, coeff, edge_quad_degree=edge, scale=scale)
+    pi = scalar_sat_2d(fq, coeff, scale=scale)
     rate = (pi.matrix - Q).toarray()
     lam = np.linalg.eigvalsh(0.5 * (rate + rate.T)).max()
     assert lam <= 1e-12 * np.abs(Q).max()
@@ -212,7 +211,7 @@ def test_scalar_sat_2d_matches_face_loop():
     def g(pts, t):
         return np.sin(2.0 * pts[:, 0] - t) * np.cos(pts[:, 1])
 
-    pi = scalar_sat_2d(dm, a, g=g, scale=1.5)
+    pi = scalar_sat_2d(face_quadrature(dm, 6), a, g=g, scale=1.5)
     weights, b, points = edge_rule(dm, 6)
     mat = np.zeros((dm.n_dofs, dm.n_dofs))
     faces = []
@@ -252,8 +251,8 @@ def test_assemble_face_sat_matches_face_loop(recipe):
     def data(t):
         return np.where(static, vecs, np.sin(t) * vecs)[:, None, :]
 
-    pointwise = assemble_face_sat(dm, fq, faces, point, ops, data)
-    table = assemble_face_sat(dm, fq, faces, point, ops, vecs[:, None, :, None],
+    pointwise = assemble_face_sat(fq, faces, point, ops, data)
+    table = assemble_face_sat(fq, faces, point, ops, vecs[:, None, :, None],
                               lambda t: np.ones(1))
     n = dm.n_dofs * m
     mat = np.zeros((n, n))
@@ -288,19 +287,19 @@ def test_assemble_face_sat_refuses_a_non_finite_table():
     for point, ops, data in ((np.inf, ones, None), (1.0, -np.inf * ones, None),
                              (1.0, ones, np.nan * table)):
         with pytest.raises(StabilityViolationError, match="sat_scale"):
-            assemble_face_sat(dm, fq, faces, point, ops, data, lambda t: [1.0])
+            assemble_face_sat(fq, faces, point, ops, data, lambda t: [1.0])
 
 
 def test_sat_scale_validation():
     mesh = unit_square_mesh(2)
-    dm = build_dofmap(mesh, 1, "lagrange")
+    fq = face_quadrature(build_dofmap(mesh, 1, "lagrange"), 6)
     with pytest.raises(StabilityViolationError):
-        scalar_sat_2d(dm, [1.0, 0.0], scale=0.5)
+        scalar_sat_2d(fq, [1.0, 0.0], scale=0.5)
     # NaN fails every comparison, so it must not pass for "not below 1"
     decomp = characteristic_decompose(WAVE_A, None, np.eye(2), [1.0])
     for scale in (np.nan, np.inf):
         with pytest.raises(StabilityViolationError, match=f"factor {scale}"):
-            scalar_sat_2d(dm, [1.0, 0.0], scale=scale)
+            scalar_sat_2d(fq, [1.0, 0.0], scale=scale)
         with pytest.raises(StabilityViolationError, match=f"factor {scale}"):
             build_pi_system(decomp, scale=scale)
     for scale in (0.0, -1.0, np.nan):
@@ -489,8 +488,7 @@ def test_r13_data_vector():
     prob = r13_heat(2, ux=0.7, uy=-0.4)
     disc = discretize(prob)
     bc, bf, m = prob.bc, disc.mesh.boundary_faces, prob.ncomp
-    edge = disc.group_ops[0].edge_degree
-    rule = quad_rule("edge", edge)
+    rule = quad_rule("edge", disc.group_ops[0].volume_degree)   # the default
     phi = tabulate(BasisSpec(disc.basis.kind, disc.basis.order, "interval"),
                    rule.points)
     out = np.zeros(disc.dofmap.n_dofs * m)

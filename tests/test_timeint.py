@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cgsat import problems, timeint
-from cgsat.assembly import assemble_mass, build_operators
+from cgsat.assembly import assemble_mass, build_operators, face_quadrature
 from cgsat.mesh import build_dofmap, interval_mesh
 from cgsat.problems import (discretize, r13_heat, rotation_2d, solve_problem,
                             wave_1d)
@@ -255,8 +255,8 @@ def test_run_energy_decay_with_sat():
     # homogeneous advection with the endpoint penalty: M-norm nonincreasing
     mesh = interval_mesh(16)
     dm = build_dofmap(mesh, 2, "lagrange")
-    ops = build_operators(dm, [1.0], 6, 6, None)
-    pi = scalar_sat_2d(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, face_quadrature(dm, 6), None)
+    pi = scalar_sat_2d(ops.faces, [1.0])
     rhs = (pi.matrix - ops.Q).tocsr()
     x = dm.dof_coords[:, 0]
     u0 = np.exp(-50 * (x - 0.5) ** 2)
@@ -271,8 +271,8 @@ def test_run_energy_decay_with_sat():
 def test_run_linearity():
     mesh = interval_mesh(8)
     dm = build_dofmap(mesh, 1, "lagrange")
-    ops = build_operators(dm, [1.0], 6, 6, None)
-    pi = scalar_sat_2d(dm, [1.0])
+    ops = build_operators(dm, [1.0], 6, face_quadrature(dm, 6), None)
+    pi = scalar_sat_2d(ops.faces, [1.0])
     rhs = (pi.matrix - ops.Q).tocsr()
     rng = np.random.default_rng(8)
     u0, v0 = rng.standard_normal((2, dm.n_dofs))
