@@ -61,10 +61,6 @@ class RunConfig:
     seed: int | None = None
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        return cls.from_pairs(_read_pairs(text))
-
-    @classmethod
     def from_pairs(cls, texts: dict) -> "RunConfig":
         """Read each key's text: a flag's and a file line's alike."""
         raw = dict(texts)

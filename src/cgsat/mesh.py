@@ -339,7 +339,8 @@ def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
 
     With ``perturb_seed`` set, interior vertices are jittered by up to 0.3/n
     in each coordinate, producing an unstructured mesh with the same uniform
-    boundary discretization.
+    boundary discretization.  A jitter that inverts a triangle would fold
+    the mesh, so it is refused with DegenerateElementError.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -358,6 +359,14 @@ def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
     v00 = j * (n + 1) + i
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    # every triangle is listed counter-clockwise; _build_mesh would re-orient
+    # an inverted one and leave the mesh folded
+    area = _signed_measures(2, vertices, elements)
+    if not area.min() > 0:
+        bad = int(np.argmin(area))
+        raise DegenerateElementError(
+            f"perturb_seed {perturb_seed} inverts element {bad} of the "
+            f"{n} x {n} square (signed area {area[bad]:.3e})")
 
     def side(mid):
         x, y = mid.T

@@ -10,14 +10,12 @@ is factored as the symmetric positive-definite matrix it is: a symmetric
 minimum-degree ordering with diagonal pivots, i.e. a sparse LDL^T.
 
 Each right-hand side is one product with the rhs matrix, the boundary data
-G(t) added in place, and one mass solve.  After every step the march
-records the time and the largest and smallest nodal value (read off the
-coefficients, or through ``value_op`` when the coefficients are not nodal
-values).  The squared M-norms u^T (M (x) I) u are recorded in blocks: the
-states are copied into a buffer of at most ``RECORD_BLOCK_BYTES``, small
-enough to stay in cache, and one product with the system mass matrix
-(built once per march) gives the energies of all of them, bit for bit
-those of one product per state.
+G(t) added in place, and one mass solve.  :func:`run` records and judges
+the states in blocks of at most ``RECORD_BLOCK_BYTES``, small enough to
+stay in cache: one product with the system mass matrix (built once per
+march) gives the squared M-norms u^T (M (x) I) u of a block, bit for bit
+those of one product per state, and row-wise max/min its extrema (through
+``value_op`` when the coefficients are not nodal values).
 """
 
 from __future__ import annotations
@@ -233,11 +231,13 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
     finite, and so must ``t_end`` unless ``steps`` (an exact step count)
     is set; every setting is checked before M is factored.
 
-    Extrema, the amplitude limit and their finiteness are checked after
-    every step; the energies of a block of states are taken when the block
-    is full, before each steady check and when the march ends.  A march
-    stops at the first step whose energy is not finite, with the histories
-    and state of that step, as if it had been checked at once.
+    Every state is recorded and judged in one place, when its block is
+    flushed: when it is full, before each steady check and at the end.  A
+    state fails if its energy or an extremum is not finite, or if max |u|
+    passes ``amplitude_limit``; step 0 is not judged.  The march ends at
+    the first state that fails, with the histories and state of that step
+    as if each step were judged at once, and discards the steps it marched
+    past it: up to the end of that block.
     """
     u = np.array(u0, dtype=float)
     n_scalar = M.shape[0]
@@ -254,40 +254,39 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
         return lu.solve(r.reshape(shape)).ravel()
 
     M_sys = kron_sum([M], [np.eye(ncomp)])          # M itself for one field
-
-    def extrema(v):
-        vals = v if value_op is None else value_op @ v.reshape(shape)
-        return float(vals.max()), float(vals.min())
-
     n_steps = steps if steps is not None else \
         max(1, int(np.ceil(t_end / dt - 1e-12)))
 
-    times, energies = [0.0], []
-    mx, mn = extrema(u)
-    umax, umin = [mx], [mn]
-    status = "completed"
-    blowup_step = None
-    steady_res = None
+    times, energies, umax, umin = [0.0], [], [], []
+    status, blowup_step, steady_res = "completed", None, None
     t = 0.0
     # the block holds the states of steps first, first + 1, ...
     block = np.empty((max(1, RECORD_BLOCK_BYTES // (8 * u.size)), u.size))
     block[0], filled, first = u, 1, 0
-    blowup = None                 # (step, state) of a non-finite energy
 
     def flush():
-        """Record the block's energies; False at a non-finite one."""
-        nonlocal filled, first, blowup
-        e = block_energies(M_sys, block[:filled])
-        energies.extend(e.tolist())
-        finite = np.isfinite(e)
-        finite[0] |= first == 0   # step 0 is not checked
-        if not finite.all():
-            j = int(np.argmin(finite))
-            blowup = first + j, block[j].copy()
-        first, filled = first + filled, 0
-        return blowup is None
+        """Record and judge the block's states; True if one of them fails."""
+        nonlocal filled, first, blowup_step
+        U = block[:filled]
+        vals = U if value_op is None else \
+            np.stack([(value_op @ v.reshape(shape)).ravel() for v in U])
+        e, mx, mn = block_energies(M_sys, U), vals.max(axis=1), vals.min(axis=1)
+        for hist, new in ((energies, e), (umax, mx), (umin, mn)):
+            hist.extend(new.tolist())
+        fails = ~(np.isfinite(e) & np.isfinite(mx) & np.isfinite(mn))
+        if amplitude_limit is not None:
+            fails |= np.maximum(np.abs(mx), np.abs(mn)) > amplitude_limit
+        fails[0] &= first > 0     # step 0 is not judged
+        filled = 0
+        if fails.any():
+            blowup_step = first + int(np.argmax(fails))
+            return True
+        first += len(U)
+        return False
 
-    # a march that overflows is caught below as non-finite and aborted
+    if filled == len(block):      # u0 alone fills it; step 0 is not judged
+        flush()
+    # a march that overflows is caught by the flush and aborted
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             dt_k = dt
@@ -297,24 +296,13 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
                     break
             u = step(u, t, dt_k, rhs, scheme)
             t = t + dt_k
-            if filled == len(block) and not flush():
-                break
             block[filled] = u
             filled += 1
             times.append(t)
-            mx, mn = extrema(u)
-            umax.append(mx)
-            umin.append(mn)
-            if not (math.isfinite(mx) and math.isfinite(mn)):
-                status, blowup_step = "aborted", k
+            check = steady_tol is not None and k % STEADY_CHECK_EVERY == 0
+            if (check or filled == len(block)) and flush():
                 break
-            if amplitude_limit is not None and \
-                    max(abs(mx), abs(mn)) > amplitude_limit:
-                status, blowup_step = "aborted", k
-                break
-            if steady_tol is not None and k % STEADY_CHECK_EVERY == 0:
-                if not flush():
-                    break
+            if check:
                 r = rhs(t, u)[None]
                 steady_res = float(np.sqrt(block_energies(M_sys, r)[0]))
                 if steady_res < steady_tol:
@@ -322,11 +310,11 @@ def run(M: sp.csr_matrix, rhs_matrix: sp.csr_matrix, data_fun, u0, dt: float,
                     break
         if filled:
             flush()
-    if blowup is not None:        # the march ends at that step
-        k, u = blowup
+    if blowup_step is not None:   # the march ends at that step
+        u = block[blowup_step - first].copy()
         for hist in (times, energies, umax, umin):
-            del hist[k + 1:]
-        t, status, blowup_step = times[k], "aborted", k
+            del hist[blowup_step + 1:]
+        t, status = times[blowup_step], "aborted"
     return Trajectory(u, t, len(times) - 1, np.array(times),
                       np.array(energies), np.array(umax), np.array(umin),
                       status, blowup_step, steady_res)

@@ -18,8 +18,9 @@ from cgsat.assembly import (STABILITY_RTOL, GlobalOperators, _advective_local,
                             check_sbp, default_quad_degree, face_quadrature,
                             kron_sum, scatter_blocks)
 from cgsat.basis import BasisSpec, quad_rule, tabulate
-from cgsat.mesh import (build_dofmap, generate_mesh, interval_mesh,
-                        unit_disk_mesh, unit_square_mesh, _build_mesh)
+from cgsat.mesh import (DegenerateElementError, build_dofmap, generate_mesh,
+                        interval_mesh, unit_disk_mesh, unit_square_mesh,
+                        _build_mesh)
 from cgsat.problems import discretize, r13_heat
 from cgsat.spectra import symmetric_eig
 from cgsat.timeint import factor_mass
@@ -504,9 +505,19 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
 
     The split form meets the identity whatever its volume term, so an affine
     divergence-free a, which both rules integrate exactly, is also checked in
-    advective form: there the volume and face kernels must agree.
+    advective form: there the volume and face kernels must agree.  A jitter
+    that would fold the mesh is refused by name; a built mesh covers the
+    square once.
     """
-    mesh = generate_mesh(f"perturbed_square({n},{seed})")
+    try:
+        mesh = generate_mesh(f"perturbed_square({n},{seed})")
+    except DegenerateElementError as exc:
+        assert str(exc).startswith(f"perturb_seed {seed} inverts element ")
+        return
+    v = mesh.vertices[mesh.elements]
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    assert area.min() > 0 and abs(area.sum() - 1.0) < 1e-13
     dm, bs = setup(mesh, p, kind)
 
     def smooth(pts):
@@ -523,6 +534,16 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
     bq = build_operators(dm, list(c[:2]), 6, face_quadrature(dm, 6), None).Bq
     one = np.ones(dm.n_dofs)
     assert abs(one @ bq @ one) <= 1e-13 * (1.0 + abs(c[0]) + abs(c[1]))
+
+
+def test_a_folding_jitter_is_refused_before_assembly():
+    # element 21 is cell (12, 13, 18, 17)'s second triangle: re-oriented
+    # and assembled, the areas summed to 1.000515 and Q + Q^T missed Bq by
+    # 3.6e-3 on interior DoFs 12, 17 and 18 (P1, a = (y, x))
+    with pytest.raises(DegenerateElementError,
+                       match=r"^perturb_seed 315704843 inverts element 21 of "
+                             r"the 4 x 4 square \(signed area -2\.577e-04\)$"):
+        generate_mesh("perturbed_square(4,315704843)")
 
 
 def test_sbp_degraded_edge_quadrature_fails():

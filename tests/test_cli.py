@@ -8,7 +8,7 @@ import pytest
 import cgsat.cli as cli
 import cgsat.spectra as spectra
 import cgsat.timeint as timeint
-from cgsat.cli import RunConfig, main
+from cgsat.cli import RunConfig, _read_pairs, main
 from cgsat.mesh import load_mesh
 from cgsat.problems import wave_1d
 
@@ -21,36 +21,37 @@ def test_config_roundtrip():
             "cfl = 0.2\nt_end = 2.0\nsteps = none\namplitude_limit = 100.0\n"
             "init = project\ndt_order_scaling = false\nskip_sbp_guard = true\n"
             "outdir = results\nseed = 42\n")
-    assert RunConfig.from_text(text) == RunConfig(
+    assert RunConfig.from_pairs(_read_pairs(text)) == RunConfig(
         problem="rotation2d", mesh_n=13, order=3, basis="bernstein",
         volume_quad=6, edge_quad=5, split_alpha=0.5, sat_scale=1.25,
         scheme="SSPRK54", cfl=0.2, t_end=2.0, steps=None,
         amplitude_limit=100.0, init="project", dt_order_scaling=False,
         skip_sbp_guard=True, outdir="results", seed=42)
-    assert RunConfig.from_text("") == RunConfig()
+    assert RunConfig.from_pairs(_read_pairs("")) == RunConfig()
     # no seed and seed 0 are different configurations
-    assert RunConfig.from_text("seed = none\n").seed is None
-    assert RunConfig.from_text("seed = 0\n").seed == 0
+    assert RunConfig.from_pairs(_read_pairs("seed = none\n")).seed is None
+    assert RunConfig.from_pairs(_read_pairs("seed = 0\n")).seed == 0
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
-        RunConfig.from_text("problem = advection2d\nwibble = 3\n")
+        RunConfig.from_pairs(_read_pairs("problem = advection2d\n"
+                                         "wibble = 3\n"))
 
 
 @pytest.mark.parametrize("key", ["skip_sbp_guard", "dt_order_scaling"])
 @pytest.mark.parametrize("value", ["ture", "flase", "2", "none", ""])
 def test_config_rejects_unreadable_boolean(key, value):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
-        RunConfig.from_text(f"problem = wave1d\n{key} = {value}\n")
+        RunConfig.from_pairs(_read_pairs(f"problem = wave1d\n{key} = {value}\n"))
 
 
 def test_config_reads_every_boolean_spelling():
     for text, flag in (("true", True), ("TRUE", True), ("1", True),
                        ("Yes", True), ("false", False), ("False", False),
                        ("0", False), ("NO", False)):
-        cfg = RunConfig.from_text(f"skip_sbp_guard = {text}\n"
-                                  f"dt_order_scaling = {text}\n")
+        cfg = RunConfig.from_pairs(_read_pairs(
+            f"skip_sbp_guard = {text}\ndt_order_scaling = {text}\n"))
         assert cfg.skip_sbp_guard is flag and cfg.dt_order_scaling is flag
 
 
@@ -61,7 +62,8 @@ def test_config_reads_every_boolean_spelling():
 def test_config_rejects_unreadable_number(key, value, what):
     with pytest.raises(ValueError, match=f"config key '{key}': expected {what}, "
                                          f"got '{value}'"):
-        RunConfig.from_text(f"problem = advection2d\n{key} = {value}\n")
+        RunConfig.from_pairs(_read_pairs(
+            f"problem = advection2d\n{key} = {value}\n"))
 
 
 def test_solve_rejects_unreadable_number_in_config(tmp_path, capsys):
@@ -789,8 +791,8 @@ def test_a_huge_sat_scale_gives_one_error_line_and_no_warning(
 
 def test_none_unsets_only_a_key_whose_default_is_none(tmp_path, capsys,
                                                       monkeypatch):
-    cfg = RunConfig.from_text("cfl = none\nproblem = none\ninit = none\n"
-                              "outdir = none\n")
+    cfg = RunConfig.from_pairs(_read_pairs(
+        "cfl = none\nproblem = none\ninit = none\noutdir = none\n"))
     assert cfg.cfl is None
     assert (cfg.problem, cfg.init, cfg.outdir) == ("none", "none", "none")
     # `none` names a directory, in a file as after --outdir

@@ -389,9 +389,16 @@ def test_block_recording_matches_per_step_reference(prob):
 
 
 def test_block_recording_matches_reference_on_abort_and_steady():
-    block, both = _marches(wave_1d(n=100))
-    traj, ref = both(steps=3 * block, amplitude_limit=0.02)
-    assert traj.status == "aborted" and 1 < traj.blowup_step % block < block - 1
+    # aborts inside a block, with value_op None and with value_op used
+    for prob, limit in ((wave_1d(n=100), 0.02), (rotation_2d(2), 0.9)):
+        block, both = _marches(prob)
+        traj, ref = both(steps=3 * block, amplitude_limit=limit)
+        assert traj.status == "aborted"
+        assert 1 < traj.blowup_step % block < block - 1
+        _assert_same_bytes(traj, ref)
+    # u0 passes the limit, but step 0 is not judged: the march ends at step 1
+    traj, ref = both(steps=3 * block, amplitude_limit=0.5)
+    assert traj.umax[0] > 0.5 and traj.blowup_step == traj.steps == 1
     _assert_same_bytes(traj, ref)
     _, both = _marches(r13_heat(1))
     traj, ref = both()
@@ -399,14 +406,48 @@ def test_block_recording_matches_reference_on_abort_and_steady():
     _assert_same_bytes(traj, ref)
 
 
+def test_an_aborted_march_steps_at_most_to_the_end_of_its_block(monkeypatch):
+    # states are judged when their block is flushed, so the steps after the
+    # failing one are marched, up to the end of its block, and discarded
+    calls = Counter()
+    real_step = timeint.step
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(timeint, "step", counted_step)
+    for prob, limit in ((wave_1d(n=100), 0.02), (rotation_2d(2), 0.9),
+                        (rotation_2d(2), 0.5)):
+        block, both = _marches(prob)
+        calls.clear()
+        traj = both(steps=3 * block, amplitude_limit=limit)[0]
+        # step k's block ends at step (k // block + 1) * block - 1; only run
+        # is counted, as the reference march holds its own import of step
+        k = traj.blowup_step
+        assert traj.status == "aborted"
+        assert k <= calls["step"] <= (k // block + 1) * block - 1
+    n = RECORD_BLOCK_BYTES // 32                  # 4 states to a block
+    M, A = sp.identity(n, format="csr"), sp.diags([50.0] * n).tocsr()
+    calls.clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run(M, A, None, np.full(n, 1e150), 0.05, scheme="SSPRK22",
+                   steps=200)
+    k, block = traj.blowup_step, 4
+    assert traj.status == "aborted"
+    assert k <= calls["step"] <= (k // block + 1) * block - 1
+
+
 @pytest.mark.parametrize("n, start", [
-    (4, 1e150), (RECORD_BLOCK_BYTES // 32, 1e150), (4, 1e160)])
+    (4, 1e150), (RECORD_BLOCK_BYTES // 32, 1e150),
+    (RECORD_BLOCK_BYTES // 8 + 1, 1e150), (4, 1e160)])
 def test_march_stops_at_the_first_non_finite_energy(n, start):
     # u'u overflows within five steps while every value stays finite for
     # many more: the march ends where a per-step check would have, with
     # the state of that step, whether the block was flushed as it filled
-    # (4 states of 8192 values) or when the march ended (4 values).  The
-    # initial energy is not checked: from 1e160 the march stops at step 1.
+    # (4 states of 8192 values, or each state of 32 769 values alone) or
+    # when the march ended (4 values).  The initial energy is not checked:
+    # from 1e160 the march stops at step 1.
     M, A = sp.identity(n, format="csr"), sp.diags([50.0] * n).tocsr()
     cfg = {"scheme": "SSPRK22", "steps": 200}
     with np.errstate(over="ignore", invalid="ignore"):

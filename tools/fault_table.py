@@ -46,6 +46,13 @@ MUTATIONS = {
     "m8": ("SBP boundary residual without the boundary-column filter",
            "src/cgsat/assembly.py", "(S[b] - ops.Bq[b])[:, b].data",
            "(S[b] - ops.Bq[b]).data"),
+    "m9": ("the march judges step 0", "src/cgsat/timeint.py",
+           "fails[0] &= first > 0", "fails[0] &= True"),
+    "m10": ("the march ends at the last failing state of a block, not the "
+            "first", "src/cgsat/timeint.py",
+            "blowup_step = first + int(np.argmax(fails))",
+            "blowup_step = first + len(fails) - 1 "
+            "- int(np.argmax(fails[::-1]))"),
 }
 
 # tests that compare with digests or hex floats recorded from earlier code
@@ -96,9 +103,9 @@ def main(argv=None) -> int:
         os.path.dirname(os.path.abspath(__file__))))
     parser.add_argument("names", nargs="*", metavar="NAME",
                         help=f"mutations to apply (default: all of "
-                             f"{', '.join(sorted(MUTATIONS))})")
+                             f"{', '.join(MUTATIONS)})")
     args = parser.parse_args(argv)
-    args.names = args.names or sorted(MUTATIONS)
+    args.names = args.names or list(MUTATIONS)
     check_mutations(args.repo, args.names)
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "repo")
