@@ -1,8 +1,9 @@
 """Grids, triangulations and the continuous-Galerkin DoF map.
 
 Meshes are 1D interval grids or conforming 2D triangulations with tagged
-boundary faces and outward unit normals.  Triangles are stored with positive
-orientation.  A small ASCII format is used on disk::
+boundary faces and outward unit normals.  Elements may be listed either way
+round and are stored with positive orientation; overlapping ones fold the
+mesh, which is refused naming the face.  A small ASCII format is used on disk::
 
     # comment lines allowed anywhere
     dim nv ne nb
@@ -37,8 +38,8 @@ class MeshFormatError(ValueError):
 
 
 class NonconformingMeshError(ValueError):
-    """A face is shared by more than two elements, tags are inconsistent, or
-    a vertex belongs to no element."""
+    """A face is shared by more than two elements or by two overlapping
+    ones, tags are inconsistent, or a vertex belongs to no element."""
 
 
 class DegenerateElementError(ValueError):
@@ -77,9 +78,10 @@ class Mesh:
     vertices: np.ndarray          # (nv, dim)
     elements: np.ndarray          # (ne, dim+1) vertex indices
     boundary_faces: BoundaryFaces
+    face_ids: np.ndarray          # (ne, dim+1) face ids by first appearance
 
     def __post_init__(self):
-        _readonly(self.vertices, self.elements)
+        _readonly(self.vertices, self.elements, self.face_ids)
 
     @property
     def n_vertices(self) -> int:
@@ -178,13 +180,23 @@ def _build_mesh(dim, vertices, elements, tags) -> Mesh:
         raise DegenerateElementError(
             f"element {bad} has {'width' if dim == 1 else 'area'} {size[bad]:.3e}")
 
-    keys, first, counts = np.unique(_face_keys(dim, elements),
-                                    return_index=True, return_counts=True)
-    shared = np.flatnonzero(counts > 2)
-    if shared.size:
-        i = shared[np.argmin(first[shared])]
-        raise NonconformingMeshError(
-            f"face {_key_tuple(dim, keys[i])} shared by {counts[i]} elements")
+    keys, first, inverse, counts = np.unique(
+        _face_keys(dim, elements).ravel(), return_index=True,
+        return_inverse=True, return_counts=True)
+    # positively oriented elements on either side of a face pass it opposite
+    # ways (2D: along the edge; 1D: one ends where the other starts)
+    way = (np.tile([0, 1], (len(elements), 1)) if dim == 1
+           else elements > np.roll(elements, -1, axis=1))
+    bad = np.flatnonzero((counts > 2) | (counts == 2) & (
+        np.bincount(inverse, weights=way.ravel()) != 1))
+    if bad.size:
+        i = bad[np.argmin(first[bad])]
+        e = np.flatnonzero(inverse == i) // (dim + 1)
+        raise NonconformingMeshError(f"face {_key_tuple(dim, keys[i])} " + (
+            f"shared by {counts[i]} elements" if counts[i] > 2 else
+            f"has elements {e[0]} and {e[1]} on the same side: the mesh folds there"))
+    rank = np.empty_like(first)         # face ids in order of first appearance
+    rank[np.argsort(first)] = np.arange(first.size)
 
     boundary = np.flatnonzero(counts == 1)
     if not callable(tags):
@@ -215,7 +227,8 @@ def _build_mesh(dim, vertices, elements, tags) -> Mesh:
     names = tags(0.5 * (a + b)) if callable(tags) else tagged[tag_of[boundary], 2]
     faces = BoundaryFaces(element, local_face, np.asarray(names).astype(str),
                           normals, lengths)
-    return Mesh(dim, vertices, elements, faces)
+    return Mesh(dim, vertices, elements, faces,
+                rank[inverse].reshape(-1, dim + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +352,8 @@ def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
 
     With ``perturb_seed`` set, interior vertices are jittered by up to 0.3/n
     in each coordinate, producing an unstructured mesh with the same uniform
-    boundary discretization.  A jitter that inverts a triangle would fold
-    the mesh, so it is refused with DegenerateElementError.
+    boundary discretization.  A jitter that inverts a triangle folds the
+    mesh, which is refused with NonconformingMeshError naming the face.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -359,14 +372,6 @@ def unit_square_mesh(n: int, perturb_seed=None) -> Mesh:
     v00 = j * (n + 1) + i
     v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
     elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-    # every triangle is listed counter-clockwise; _build_mesh would re-orient
-    # an inverted one and leave the mesh folded
-    area = _signed_measures(2, vertices, elements)
-    if not area.min() > 0:
-        bad = int(np.argmin(area))
-        raise DegenerateElementError(
-            f"perturb_seed {perturb_seed} inverts element {bad} of the "
-            f"{n} x {n} square (signed area {area[bad]:.3e})")
 
     def side(mid):
         x, y = mid.T
@@ -412,6 +417,12 @@ def unit_disk_mesh(n: int) -> Mesh:
                        lambda mid: np.full(len(mid), "circle"))
 
 
+# The angular count grows as 1 / (r1 - r0) even at n = 1; r13_heat(24) uses
+# 226.  At the cap one ring of 2^17 triangles is ~0.8M P3 DoFs, far beyond the
+# largest set-up measured (91k DoFs), so a larger count is refused unbuilt.
+ANNULUS_MAX_ANGULAR = 2 ** 16
+
+
 def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
     """Ring mesh between radii r0 < r1 with n radial layers.
 
@@ -424,9 +435,9 @@ def annulus_mesh(r0: float, r1: float, n: int) -> Mesh:
         raise ValueError(f"need n >= 1, got {n}")
     with np.errstate(over="ignore"):
         count = np.pi * (r0 + r1) * n / (r1 - r0)
-    if not np.isfinite(count):
-        raise ValueError(f"annulus angular cell count pi (r0 + r1) n / (r1 - r0) "
-                         f"overflows for r0 = {r0}, r1 = {r1}, n = {n}")
+    if not count <= ANNULUS_MAX_ANGULAR:
+        raise ValueError(f"annulus angular cell count {count:.8g} overflows for r0 = "
+                         f"{r0}, r1 = {r1}, n = {n} (at most {ANNULUS_MAX_ANGULAR})")
     m = max(8, int(round(count)))
     m += m % 2          # even count keeps the angular layout mirror-symmetric
     radii = np.linspace(r0, r1, n + 1)
@@ -457,14 +468,8 @@ _RECIPES = {
 
 
 def generate_mesh(spec: str) -> Mesh:
-    """Build a mesh from a recipe string, one of the ``_RECIPES`` signatures::
-
-        interval(n[,regular|random[,seed]])
-        unit_square(n)
-        perturbed_square(n,seed)
-        unit_disk(n)
-        annulus(r0,r1,n)
-    """
+    """Build a mesh from a recipe string: interval(n[,regular|random[,seed]]),
+    unit_square(n), perturbed_square(n,seed), unit_disk(n) or annulus(r0,r1,n)."""
     spec = spec.strip()
     if "(" not in spec or not spec.endswith(")"):
         raise ValueError(f"bad mesh recipe {spec!r}")
@@ -519,9 +524,9 @@ def build_dofmap(mesh: Mesh, p: int, kind: str) -> DofMap:
     Lattice points shared between neighboring elements receive a single
     global id; edge-interior DoFs follow the global edge orientation
     (low vertex id to high), so both neighbors agree on the ordering.
-    Edges are numbered in order of first appearance, and a shared DoF takes
-    its coordinates from the last element listing it.  The kind and order
-    are checked by ``BasisSpec`` before anything is built.
+    Edges take the mesh's face numbering (``Mesh.face_ids``), and a shared
+    DoF takes its coordinates from the last element listing it.  The kind
+    and order are checked by ``BasisSpec`` before anything is built.
     """
     dim = mesh.dimension
     BasisSpec(kind, p, "interval" if dim == 1 else "triangle")   # validates
@@ -539,18 +544,13 @@ def build_dofmap(mesh: Mesh, p: int, kind: str) -> DofMap:
     else:
         n_int = p - 1
         n_cell = (p - 1) * (p - 2) // 2
-        _, first, inverse = np.unique(_face_keys(2, el), return_index=True,
-                                      return_inverse=True)
-        rank = np.empty_like(first)         # edge ids in order of first appearance
-        rank[np.argsort(first)] = np.arange(first.size)
-        edge = rank[inverse].reshape(ne, 3)
-        cell0 = nv + first.size * n_int
+        cell0 = nv + (int(mesh.face_ids.max()) + 1) * n_int
         n_dofs = cell0 + ne * n_cell
         step = np.arange(n_int)
         # a local edge running from the higher vertex id walks its DoFs backwards
         t = np.where((el > np.roll(el, -1, axis=1))[..., None],
                      n_int - 1 - step, step)
-        edges = nv + edge[..., None] * n_int + t
+        edges = nv + mesh.face_ids[..., None] * n_int + t
         cells = cell0 + np.arange(ne * n_cell).reshape(ne, n_cell)
         element_dofs = np.hstack([el, edges.reshape(ne, -1), cells])
         bary = np.array(triangle_multi_indices(p), dtype=float) / p

@@ -316,10 +316,8 @@ class Discretization:
     dofmap: DofMap                 # the one source of mesh and basis
     M: sp.csr_matrix               # scalar mass
     ops_sys: sp.csr_matrix         # system-level stiffness
-    bq_sys: sp.csr_matrix
     group_ops: list                # GlobalOperators per flux group (SBP checks)
     pi: sat_mod.BoundaryOperator
-    source: sp.csr_matrix | None
     u0: np.ndarray
     value_op: sp.csr_matrix
 
@@ -340,10 +338,16 @@ class Discretization:
         return self.dofmap.basis_spec()
 
     @property
+    def bq_sys(self) -> sp.csr_matrix:
+        """Sum_g Bq_g (x) A_g, formed when read."""
+        return kron_sum([o.Bq for o in self.group_ops],
+                        [a for _, a in self.problem.fluxes])
+
+    @property
     def rhs_matrix(self) -> sp.csr_matrix:
         m = self.pi.matrix - self.ops_sys
-        if self.source is not None:
-            m = m + self.source
+        if self.problem.source_matrix is not None:
+            m = m + kron_sum([self.M], [self.problem.source_matrix])
         return m.tocsr()
 
     def sbp_reports(self):
@@ -461,13 +465,10 @@ def discretize(problem: ProblemSpec, mesh: Mesh | None = None,
     M = assemble_mass(dofmap, vol)
     fq = face_quadrature(dofmap, vol if edge_degree is None else edge_degree)
     groups = [build_operators(dofmap, c, vol, fq, split_alpha) for c, _ in p.fluxes]
-    mats = [a for _, a in p.fluxes]
-    q_sys = kron_sum([o.Q for o in groups], mats)
-    bq_sys = kron_sum([o.Bq for o in groups], mats)
+    q_sys = kron_sum([o.Q for o in groups], [a for _, a in p.fluxes])
     pi = _penalty(p, fq, scale)
-    source = None if p.source_matrix is None else kron_sum([M], [p.source_matrix])
     u0 = interpolate(p.initial, dofmap, p.ncomp).reshape(-1)
-    return Discretization(p, dofmap, M, q_sys, bq_sys, groups, pi, source, u0,
+    return Discretization(p, dofmap, M, q_sys, groups, pi, u0,
                           nodal_value_operator(dofmap))
 
 

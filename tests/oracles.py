@@ -13,7 +13,8 @@ DoF owners are read from ``np.unique``, and a block scatter is a dense
 ``np.add.at`` or, bit for bit, scipy's COO -> CSR conversion, and a sum of
 Kronecker products one ``sp.kron`` per part and scipy's sparse sum.  A
 characteristic penalty is admissible by the two-test rule: the reflected
-energy budget and the boundary quadratic form.
+energy budget and the boundary quadratic form.  A jittered square folds by
+the signed-area rule on its triangles as the generator lists them.
 """
 
 import math
@@ -298,3 +299,30 @@ def reference_admissible(decomp, R) -> bool:
                    [-np.diag(lam_m) @ R, np.diag(lam_m)]])
     return not wb.size or np.linalg.eigvalsh(0.5 * (wb + wb.T)).max() < \
         -1e-12 * max(np.abs(wb).max(), 1e-300)
+
+
+def reference_jittered_square(n: int, seed: int):
+    """Vertices and counter-clockwise triangles of ``perturbed_square(n,seed)``
+    as its generator lists them, before any mesh check."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
+    rng = np.random.default_rng(seed)
+    interior = ((vertices[:, 0] > 1e-12) & (vertices[:, 0] < 1 - 1e-12) &
+                (vertices[:, 1] > 1e-12) & (vertices[:, 1] < 1 - 1e-12))
+    jitter = rng.uniform(-0.3 / n, 0.3 / n, size=(vertices.shape[0], 2))
+    vertices = vertices + jitter * interior[:, None]
+    elements = []
+    for j in range(n):
+        for i in range(n):
+            v00 = j * (n + 1) + i
+            elements += [(v00, v00 + 1, v00 + n + 2), (v00, v00 + n + 2, v00 + n + 1)]
+    return vertices, np.array(elements)
+
+
+def reference_square_folds(n: int, seed: int) -> bool:
+    """The jitter folds the square: some listed triangle has signed area <= 0."""
+    vertices, elements = reference_jittered_square(n, seed)
+    v = vertices[elements]
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    return bool((d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0).any())

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import weakref
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (reference_advective_local, reference_coo_scatter,
                      reference_kron_sum, reference_scatter,
-                     reference_split_stiffness)
+                     reference_split_stiffness, reference_square_folds)
 
 from cgsat import assembly, problems
 from cgsat.assembly import (STABILITY_RTOL, GlobalOperators, _advective_local,
@@ -18,7 +19,7 @@ from cgsat.assembly import (STABILITY_RTOL, GlobalOperators, _advective_local,
                             check_sbp, default_quad_degree, face_quadrature,
                             kron_sum, scatter_blocks)
 from cgsat.basis import BasisSpec, quad_rule, tabulate
-from cgsat.mesh import (DegenerateElementError, build_dofmap, generate_mesh,
+from cgsat.mesh import (NonconformingMeshError, build_dofmap, generate_mesh,
                         interval_mesh, unit_disk_mesh, unit_square_mesh,
                         _build_mesh)
 from cgsat.problems import discretize, r13_heat
@@ -511,8 +512,10 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
     """
     try:
         mesh = generate_mesh(f"perturbed_square({n},{seed})")
-    except DegenerateElementError as exc:
-        assert str(exc).startswith(f"perturb_seed {seed} inverts element ")
+    except NonconformingMeshError as exc:
+        assert re.fullmatch(r"face \(\d+, \d+\) has elements \d+ and \d+ on the "
+                            r"same side: the mesh folds there", str(exc))
+        assert reference_square_folds(n, seed)
         return
     v = mesh.vertices[mesh.elements]
     d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
@@ -537,12 +540,13 @@ def test_sbp_property_perturbed_squares(seed, n, p, kind, c):
 
 
 def test_a_folding_jitter_is_refused_before_assembly():
-    # element 21 is cell (12, 13, 18, 17)'s second triangle: re-oriented
-    # and assembled, the areas summed to 1.000515 and Q + Q^T missed Bq by
-    # 3.6e-3 on interior DoFs 12, 17 and 18 (P1, a = (y, x))
-    with pytest.raises(DegenerateElementError,
-                       match=r"^perturb_seed 315704843 inverts element 21 of "
-                             r"the 4 x 4 square \(signed area -2\.577e-04\)$"):
+    # element 21 is cell (12, 13, 18, 17)'s second triangle, inverted by the
+    # jitter: re-oriented and assembled, the areas summed to 1.000515 and
+    # Q + Q^T missed Bq by 3.6e-3 on interior DoFs 12, 17 and 18 (P1,
+    # a = (y, x)); element 18, across face (12, 17), keeps its orientation
+    with pytest.raises(NonconformingMeshError,
+                       match=r"^face \(12, 17\) has elements 18 and 21 on the "
+                             r"same side: the mesh folds there$"):
         generate_mesh("perturbed_square(4,315704843)")
 
 

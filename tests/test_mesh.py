@@ -1,11 +1,14 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import first_owner, last_owner
+from oracles import (first_owner, last_owner, reference_jittered_square,
+                     reference_square_folds)
 
+from cgsat import mesh as mesh_mod
 from cgsat.basis import (UnsupportedOrderError, interval_lattice, n_local_dofs,
                          triangle_multi_indices)
 from cgsat.mesh import (DegenerateElementError, MeshFormatError,
@@ -169,6 +172,61 @@ def test_untagged_boundary_rejected(tmp_path):
     path.write_text("2 3 1 1\n0 0\n1 0\n0 1\n0 1 2\n0 0 only\n")
     with pytest.raises(NonconformingMeshError):
         load_mesh(path)
+
+
+def mesh_text(vertices, elements, boundary):
+    """A mesh file's text; boundary rows are (element, local face, tag)."""
+    boundary = list(boundary)
+    vertices = np.asarray(vertices, dtype=float).reshape(len(vertices), -1)
+    lines = [f"{vertices.shape[1]} {len(vertices)} {len(elements)} {len(boundary)}"]
+    lines += [" ".join(repr(float(x)) for x in v) for v in vertices]
+    lines += [" ".join(str(int(i)) for i in el) for el in elements]
+    lines += [f"{e} {k} {tag}" for e, k, tag in boundary]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("listed", ["as generated", "as re-oriented"])
+def test_a_folded_mesh_file_is_refused_naming_the_face(tmp_path, listed):
+    """The jittered perturbed_square(4,315704843) inverts element 21, which
+    once loaded re-oriented and assembled with an interior SBP defect of
+    3.6e-3; listed either way it is refused across face (12, 17)."""
+    vertices, elements = reference_jittered_square(4, 315704843)
+    if listed == "as re-oriented":
+        elements[21] = elements[21][[0, 2, 1]]
+    bf = unit_square_mesh(4).boundary_faces     # the jitter moves no boundary
+    text = mesh_text(vertices, elements, zip(bf.element, bf.local_face, bf.tags))
+    with pytest.raises(NonconformingMeshError,
+                       match=r"^face \(12, 17\) has elements 18 and 21 on the "
+                             r"same side: the mesh folds there$"):
+        load_mesh_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("flipped", ["all", "odd"])
+def test_clockwise_and_mixed_files_load_to_the_same_mesh(tmp_path, flipped):
+    mesh = generate_mesh("perturbed_square(4,3)")
+    flip = (np.arange(mesh.n_elements) % 2 == 1) | (flipped == "all")
+    elements = np.where(flip[:, None], mesh.elements[:, [0, 2, 1]], mesh.elements)
+    bf = mesh.boundary_faces
+    # reversing (v0, v1, v2) to (v0, v2, v1) turns local face k into 2 - k
+    faces = np.where(flip[bf.element], 2 - bf.local_face, bf.local_face)
+    back = load_mesh_text(tmp_path, mesh_text(mesh.vertices, elements,
+                                              zip(bf.element, faces, bf.tags)))
+    for a, b in ((back.vertices, mesh.vertices), (back.elements, mesh.elements),
+                 (back.face_ids, mesh.face_ids)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert mesh_digest(back) == mesh_digest(mesh)
+
+
+@pytest.mark.parametrize("elements, boundary, face", [
+    ([(0, 1), (1, 2)], [(0, 0, "a"), (1, 1, "b")], 1),   # both end at x = 1
+    ([(0, 1), (0, 2)], [(0, 1, "a"), (1, 1, "b")], 0)],  # both start at x = 0
+    ids=["both-end", "both-start"])
+def test_overlapping_interval_file_is_refused(tmp_path, elements, boundary, face):
+    text = mesh_text([0.0, 1.0, 0.5], elements, boundary)
+    with pytest.raises(NonconformingMeshError,
+                       match=rf"^face \({face},\) has elements 0 and 1 on the "
+                             r"same side: the mesh folds there$"):
+        load_mesh_text(tmp_path, text)
 
 
 # DoF map --------------------------------------------------------------------
@@ -386,10 +444,45 @@ def test_face_table_and_dofmap_match_reference(recipe):
 def test_perturbed_square_matches_reference(seed, n):
     try:
         unit_square_mesh(n, perturb_seed=seed)
-    except DegenerateElementError as exc:     # a jitter that would fold it
-        assert str(exc).startswith(f"perturb_seed {seed} inverts element ")
+    except NonconformingMeshError as exc:     # a jitter that folds it
+        assert re.fullmatch(r"face \(\d+, \d+\) has elements \d+ and \d+ on the "
+                            r"same side: the mesh folds there", str(exc))
+        assert reference_square_folds(n, seed)
         return
     assert_matches_reference(f"perturbed_square({n},{seed})")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**31 - 1))
+@example(n=4, seed=315704843).via("the parent's folded file")
+@example(n=5, seed=117).via("refused")
+@example(n=8, seed=654).via("refused: a 2.4e-5 inversion")
+@example(n=8, seed=11).via("built")
+def test_jittered_square_refused_exactly_when_a_listed_triangle_inverts(n, seed):
+    """The one fold rule refuses exactly the jitters that the generator's own
+    signed-area check refused, and builds the listed arrays otherwise."""
+    vertices, elements = reference_jittered_square(n, seed)
+    try:
+        mesh = unit_square_mesh(n, perturb_seed=seed)
+    except NonconformingMeshError:
+        assert reference_square_folds(n, seed)
+        return
+    assert not reference_square_folds(n, seed)
+    assert np.array_equal(mesh.vertices, vertices)
+    assert np.array_equal(mesh.elements, elements)
+
+
+@pytest.mark.parametrize("recipe", ["interval(7,random,3)", "unit_square(3)",
+                                    "perturbed_square(4,3)", "unit_disk(3)",
+                                    "annulus(0.5,1.0,2)"])
+def test_face_ids_number_faces_by_first_appearance(recipe):
+    mesh = generate_mesh(recipe)
+    want = np.empty_like(mesh.face_ids)
+    for i, owners in enumerate(ref_faces(mesh).values()):    # insertion order
+        for e, k in owners:
+            want[e, k] = i
+    assert mesh.face_ids.dtype == np.int64
+    assert np.array_equal(mesh.face_ids, want)
 
 
 def mesh_digest(mesh):
@@ -453,7 +546,8 @@ def test_mesh_and_dofmap_arrays_read_only(recipe):
     bf = mesh.boundary_faces
     arrays = [mesh.vertices, mesh.elements, bf.element, bf.local_face, bf.tags,
               bf.normals, bf.lengths, dm.element_dofs, dm.dof_coords,
-              dm.boundary_dofs, dm.face_dofs, dm.first_owner, dm.last_owner]
+              dm.boundary_dofs, dm.face_dofs, dm.first_owner, dm.last_owner,
+              mesh.face_ids]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[1]
@@ -512,6 +606,20 @@ BAD_ANNULI = [
 def test_annulus_radii_and_angular_count_checked(recipe, message):
     with pytest.raises(ValueError, match=message):
         generate_mesh(recipe)
+
+
+def test_annulus_angular_count_is_capped_before_anything_is_built(monkeypatch):
+    # pi (0.5 + 0.5000001) / 1e-7 asks for m = 31 415 930 angular cells
+    def unbuilt(*args):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(mesh_mod, "_build_mesh", unbuilt)
+    monkeypatch.setattr(mesh_mod.np, "linspace", unbuilt)
+    with pytest.raises(ValueError,
+                       match=r"^annulus angular cell count 31415930 overflows for "
+                             r"r0 = 0\.5, r1 = 0\.5000001, n = 1 \(at most 65536\)$"):
+        generate_mesh("annulus(0.5,0.5000001,1)")
+    assert mesh_mod.ANNULUS_MAX_ANGULAR == 2 ** 16
 
 
 def test_seed_with_regular_spacing_rejected():

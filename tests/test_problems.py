@@ -443,7 +443,7 @@ def test_each_setting_has_one_home():
     assert not spec & {"scheme", "volume_degree", "edge_degree",
                        "split_alpha", "sat_scale", "ncomp", "velocity", "A", "B"}
     assert "cfl" not in inspect.signature(run).parameters
-    assert len(fields(Discretization)) == 10
+    assert len(fields(Discretization)) == 8
     assert not hasattr(Discretization, "dt")
     params = inspect.signature(assembly.build_operators).parameters.values()
     assert all(p.default is inspect.Parameter.empty for p in params)

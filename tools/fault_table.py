@@ -53,6 +53,13 @@ MUTATIONS = {
             "blowup_step = first + int(np.argmax(fails))",
             "blowup_step = first + len(fails) - 1 "
             "- int(np.argmax(fails[::-1]))"),
+    "m11": ("fold rule off: overlapping elements are not refused",
+            "src/cgsat/mesh.py", "(counts > 2) | (counts == 2) & (",
+            "(counts > 2) | False & ("),
+    "m12": ("the DoF map numbers edges in sorted-key order, not by first "
+            "appearance", "src/cgsat/mesh.py",
+            "rank[inverse].reshape(-1, dim + 1)",
+            "inverse.reshape(-1, dim + 1)"),
 }
 
 # tests that compare with digests or hex floats recorded from earlier code
