@@ -10,8 +10,10 @@ they are scattered.  The discrete integration by parts identity
 
 holds to machine precision whenever the volume rule integrates the stiffness
 integrand exactly; the split form adds the Bq it returns.  ``check_sbp``
-measures the defect.  Volume assemblers take the DoF map and Bq its face
-table (``face_quadrature``), so M, Q and Bq share one mesh and basis.
+measures the defect, reading Q + Q^T from Q's own arrays through each
+stored entry's transpose partner, so neither Q^T nor the sum is formed.
+Volume assemblers take the DoF map and Bq its face table
+(``face_quadrature``), so M, Q and Bq share one mesh and basis.
 
 Two builders write CSR arrays directly: ``scatter_blocks`` sums element
 or face blocks, and ``kron_sum`` forms the system operators
@@ -38,6 +40,9 @@ SPLIT_CHUNK = 256
 # stored part entries per step of kron_sum, whose temporaries are a few
 # arrays of one chunk and of one chunk times the mats' nonzeros per row
 KRON_CHUNK = 8192
+
+# stored entries of Q per step of check_sbp's walk, whose buffers are one chunk
+SBP_CHUNK = 65536
 
 
 def default_quad_degree(p: int) -> int:
@@ -225,15 +230,30 @@ def kron_sum(parts, mats) -> sp.csr_matrix:
             out_indices[kept:kept + dv.size] = iv
         return kept + dv.size
 
-    kept, r0 = 0, 0
-    while r0 < n:
-        r1 = max(int(np.searchsorted(indptr, indptr[r0] + KRON_CHUNK, "right")) - 1,
-                 r0 + 1)
-        kept, r0 = write(r0, r1, kept), r1
+    kept = 0
+    for r0, r1 in row_chunks(indptr, KRON_CHUNK):
+        kept = write(r0, r1, kept)
     if kept < total:                   # shrink in place: no view is left
         data.resize(kept, refcheck=False)
         out_indices.resize(kept, refcheck=False)
     return sp.csr_matrix((data, out_indices, out_indptr), shape=(n * mr, ncols * mc))
+
+
+def row_chunks(indptr: np.ndarray, size: int):
+    """Row ranges (r0, r1) of a CSR's indptr, each of about ``size`` stored
+    entries: as many whole rows as fit, and at least one row."""
+    r0, n = 0, len(indptr) - 1
+    while r0 < n:
+        r1 = max(int(np.searchsorted(indptr, indptr[r0] + size, "right")) - 1,
+                 r0 + 1)
+        yield r0, r1
+        r0 = r1
+
+
+def max_abs(a: np.ndarray) -> float:
+    """max |a|, 0.0 if a is empty and NaN if a holds one, without forming |a|."""
+    # + 0.0 turns a -0.0 into the 0.0 that |a| gives
+    return float(np.maximum(a.max(initial=0.0), -a.min(initial=0.0))) + 0.0
 
 
 def stability_tolerance(norm_q: float) -> float:
@@ -382,7 +402,7 @@ class GlobalOperators:
 
     @property
     def norm_q(self) -> float:
-        return float(np.abs(self.Q.data).max(initial=0.0))
+        return max_abs(self.Q.data)
 
 
 def build_operators(dofmap: DofMap, coeff, volume_degree: int, fq: FaceQuadrature,
@@ -427,20 +447,90 @@ class SbpReport:
                 f"tol {self.tolerance:.3e} -> {status}")
 
 
+def transpose_partner(Q: sp.csr_matrix):
+    """For each stored (i, j) of a canonical square CSR Q, the position of
+    (j, i) in Q.data, or -1 where (j, i) is not stored; and those positions.
+
+    scipy's CSC conversion of the positions 0, 1, ... lists, for column i,
+    the positions of the stored (k, i) by k: where Q's pattern is symmetric
+    this is row i entry by entry.  Otherwise row i and column i are merged
+    on sorted keys, SBP_CHUNK stored entries at a time.  The positions are
+    int32 below 2^31 stored entries.
+    """
+    n, nnz = Q.shape[0], Q.nnz
+    itype = np.int32 if nnz < 2 ** 31 else np.int64
+    t = sp.csr_matrix((np.arange(nnz, dtype=itype), Q.indices, Q.indptr),
+                      shape=Q.shape).tocsc()
+    if np.array_equal(t.indptr, Q.indptr) and np.array_equal(t.indices, Q.indices):
+        return t.data, np.empty(0, dtype=itype)
+    partner = np.empty(nnz, dtype=itype)
+
+    def keys(a, r0, r1):
+        lens = np.diff(a.indptr[r0:r1 + 1])
+        return (np.repeat(np.arange(r1 - r0, dtype=np.int64) * n, lens)
+                + a.indices[a.indptr[r0]:a.indptr[r1]])
+
+    for r0, r1 in row_chunks(Q.indptr, SBP_CHUNK):
+        kt = np.append(keys(t, r0, r1), (r1 - r0) * n)   # a key past every row
+        kq = keys(Q, r0, r1)
+        at = np.searchsorted(kt, kq)
+        found = t.data[np.minimum(t.indptr[r0] + at, nnz - 1)]
+        partner[Q.indptr[r0]:Q.indptr[r1]] = np.where(kt[at] == kq, found, -1)
+    return partner, np.flatnonzero(partner < 0).astype(itype)
+
+
 def check_sbp(ops: GlobalOperators) -> SbpReport:
     """Measure the defect of Q + Q^T = Bq, split into interior/boundary parts.
 
-    S = Q + Q^T is formed once, and forming it sets the memory peak.  Bq
+    S = Q + Q^T is read from Q's own arrays and never formed: through
+    ``transpose_partner`` a stored (i, j) gives S_ij = Q_ij + Q_ji, or
+    S_ij = S_ji = Q_ij where (j, i) is not stored (scipy's sum adds 0).  Bq
     stores nothing in a row or column of an interior DoF and S is symmetric
-    entry by entry, so the interior residual is the largest |entry| in the
-    interior rows of S; S - Bq is formed and read on the boundary rows and
-    columns only.  Both pass up to ``stability_tolerance(max|Q|)``.
+    entry by entry, so the interior residual is the largest |S_ij| over
+    entries in an interior row or column, read SBP_CHUNK stored entries at a
+    time into one buffer; the boundary residual is the largest
+    |S_ij - Bq_ij| over boundary i and j.  Both pass up to
+    ``stability_tolerance(max|Q|)``, and every field has the bits of the
+    formed S.  A Q that is not canonical is summed on a copy first.
     """
-    S = ops.Q + ops.Q.T
-    b = ops.dofmap.boundary_dofs
-    interior = S.data[row_entries(S, ops.dofmap.interior_dofs())]
-    max_int = float(np.abs(interior).max(initial=0.0))
-    max_bnd = float(np.abs((S[b] - ops.Bq[b])[:, b].data).max(initial=0.0))
+    Q, Bq, b = ops.Q, ops.Bq, ops.dofmap.boundary_dofs
+    if not Q.has_canonical_format:
+        Q = Q.copy()
+        Q.sum_duplicates()
+    data, indices, indptr = Q.data, Q.indices, Q.indptr
+    partner, unmatched = transpose_partner(Q)
+    inner = np.ones(Q.shape[0], dtype=bool)
+    inner[b] = False
+    # The walk reads 0 in the boundary rows, whose entries in an interior
+    # column count as S_ji in row j, and reads Q_ij at an unmatched (i, j)
+    # if row i or row j is interior.
+    in_b = row_entries(Q, b)             # in Q[b]'s order, and sorted
+    rows_u = np.searchsorted(indptr, unmatched, "right") - 1
+    vals_u = np.where(inner[rows_u] | inner[indices[unmatched]],
+                      data[unmatched], 0.0)
+    buf = np.empty(min(Q.nnz, max(SBP_CHUNK, np.diff(indptr).max(initial=0))))
+    max_int = 0.0
+    for r0, r1 in row_chunks(indptr, SBP_CHUNK):
+        s0, s1 = indptr[r0], indptr[r1]
+        s = np.take(data, partner[s0:s1], out=buf[:s1 - s0], mode="wrap")
+        s += data[s0:s1]          # Q_ji + Q_ij has the bits of Q_ij + Q_ji
+        b0, b1 = np.searchsorted(in_b, (s0, s1))
+        s[in_b[b0:b1] - s0] = 0.0
+        u0, u1 = np.searchsorted(unmatched, (s0, s1))
+        s[unmatched[u0:u1] - s0] = vals_u[u0:u1]
+        max_int = np.maximum(max_int, np.abs(s, out=s).max(initial=0.0))
+
+    # S's boundary rows: Q's, read as S_ij, and S_ji = 0 + Q_ij for each
+    # unmatched (i, j) whose column j is a boundary DoF
+    pt = partner[in_b]
+    Sb = Q[b]
+    Sb.data = data[in_b] + np.where(pt >= 0, data[pt], 0.0)
+    back = ~inner[indices[unmatched]]
+    Sb = Sb + sp.csr_matrix(
+        (data[unmatched[back]],
+         (np.searchsorted(b, indices[unmatched[back]]), rows_u[back])),
+        shape=Sb.shape)
+    max_int, max_bnd = float(max_int), max_abs((Sb - Bq[b])[:, b].data)
     tol = stability_tolerance(ops.norm_q)
     return SbpReport(max_int, max_bnd, tol,
                      max_int <= tol and max_bnd <= tol)

@@ -28,7 +28,7 @@ from . import sat as sat_mod
 # bench/tracer.py times the assemblers under their names in this module
 from .assembly import (assemble_boundary_quadratic, assemble_mass,  # noqa: F401
                        assemble_stiffness, build_operators, check_sbp,
-                       default_quad_degree, face_quadrature, kron_sum,
+                       default_quad_degree, face_quadrature, kron_sum, max_abs,
                        physical_points)
 from .basis import BasisSpec, lattice_inverse, quad_rule, tabulate
 from .mesh import DofMap, Mesh, build_dofmap, check_spacing, generate_mesh
@@ -327,7 +327,7 @@ class Discretization:
 
     @property
     def norm_q(self) -> float:
-        return float(np.abs(self.ops_sys.data).max(initial=0.0))
+        return max_abs(self.ops_sys.data)
 
     @property
     def mesh(self) -> Mesh:

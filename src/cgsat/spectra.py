@@ -18,8 +18,10 @@ and pad the spectrum with exact zeros.  Past ``stability_matrix`` a report
 makes no sparse matrix: the row masses that pick the block, the dense
 block itself (gathered once, and reused for the eigenpair residuals) and
 the interior residual of Q + Q^T are all read off the stored entries of
-the two CSR test matrices, with ``check_sbp``'s row reader and tolerance
-(``assembly.row_entries``, ``assembly.stability_tolerance``).
+the two CSR test matrices, with ``assembly``'s row reader and ``check_sbp``'s
+tolerance (``assembly.row_entries``, ``assembly.stability_tolerance``).
+Unlike ``check_sbp``, a report forms Q + Q^T: the moment system's Q has
+stored entries whose transpose is not stored, and the blocks are small.
 
 ``stability_matrix(Q, pi)`` takes matrices; ``build_spectrum_report(Q, pi,
 k, interior_dofs, ncomp, norm_q)`` takes the stiffness matrix and the

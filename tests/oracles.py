@@ -14,7 +14,9 @@ DoF owners are read from ``np.unique``, and a block scatter is a dense
 Kronecker products one ``sp.kron`` per part and scipy's sparse sum.  A
 characteristic penalty is admissible by the two-test rule: the reflected
 energy budget and the boundary quadratic form.  A jittered square folds by
-the signed-area rule on its triangles as the generator lists them.
+the signed-area rule on its triangles as the generator lists them.  The
+SBP defect is read from Q + Q^T formed by scipy, with the library's row
+reader and tolerance formula.
 """
 
 import math
@@ -22,7 +24,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from cgsat.assembly import _jacobians
+from cgsat.assembly import SbpReport, _jacobians, row_entries, stability_tolerance
 from cgsat.basis import quad_rule, tabulate, tabulate_grad
 from cgsat.timeint import (SCHEMES, STEADY_CHECK_EVERY, Trajectory,
                            factor_mass, step)
@@ -326,3 +328,17 @@ def reference_square_folds(n: int, seed: int) -> bool:
     v = vertices[elements]
     d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
     return bool((d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] <= 0).any())
+
+
+def reference_check_sbp(ops) -> SbpReport:
+    """The SBP report read from S = Q + Q^T formed by scipy: the largest
+    |entry| in the interior rows of S, and in S - Bq on the boundary rows
+    and columns; max |Q| is read from |Q.data|."""
+    S = ops.Q + ops.Q.T
+    b = ops.dofmap.boundary_dofs
+    interior = S.data[row_entries(S, ops.dofmap.interior_dofs())]
+    max_int = float(np.abs(interior).max(initial=0.0))
+    max_bnd = float(np.abs((S[b] - ops.Bq[b])[:, b].data).max(initial=0.0))
+    tol = stability_tolerance(float(np.abs(ops.Q.data).max(initial=0.0)))
+    return SbpReport(max_int, max_bnd, tol,
+                     max_int <= tol and max_bnd <= tol)

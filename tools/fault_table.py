@@ -44,8 +44,8 @@ MUTATIONS = {
     "m7": ("sign of G(t) flipped", "src/cgsat/sat.py",
            "fq.basis.T, -w[:, :, None]", "fq.basis.T, w[:, :, None]"),
     "m8": ("SBP boundary residual without the boundary-column filter",
-           "src/cgsat/assembly.py", "(S[b] - ops.Bq[b])[:, b].data",
-           "(S[b] - ops.Bq[b]).data"),
+           "src/cgsat/assembly.py", "(Sb - Bq[b])[:, b].data",
+           "(Sb - Bq[b]).data"),
     "m9": ("the march judges step 0", "src/cgsat/timeint.py",
            "fails[0] &= first > 0", "fails[0] &= True"),
     "m10": ("the march ends at the last failing state of a block, not the "
@@ -60,6 +60,9 @@ MUTATIONS = {
             "appearance", "src/cgsat/mesh.py",
             "rank[inverse].reshape(-1, dim + 1)",
             "inverse.reshape(-1, dim + 1)"),
+    "m13": ("an unmatched entry of Q counts in its own row only, not in its "
+            "column's", "src/cgsat/assembly.py",
+            "inner[rows_u] | inner[indices[unmatched]]", "inner[rows_u]"),
 }
 
 # tests that compare with digests or hex floats recorded from earlier code
